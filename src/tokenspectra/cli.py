@@ -245,8 +245,7 @@ def _fmt_coeff(c: float) -> str:
     return repr(float(c))
 
 
-def run_verification(n_max: int = 12, tol: float = 1e-8,
-                     inject_defect: bool = False, echo=print):
+def run_verification(n_max: int = 12, tol: float = 1e-8, echo=print):
     """Cross-method verification sweep up to n_max.
 
     Checks per (n, k): counting routes agree; orbit sizes add to
@@ -258,7 +257,6 @@ def run_verification(n_max: int = 12, tol: float = 1e-8,
     failures: list[str] = []
     checks = 0
     spectra = 0
-    defect_pending = inject_defect
 
     def check(ok: bool, what: str):
         nonlocal checks
@@ -280,11 +278,7 @@ def run_verification(n_max: int = 12, tol: float = 1e-8,
             brute = brute_spectrum(n, k)
             spectra += 1
             per_k[k] = brute
-            if defect_pending:
-                lifted = _defective_spectrum(n, k)
-                defect_pending = False
-            else:
-                lifted = overlift_spectrum(n, k)
+            lifted = overlift_spectrum(n, k)
             spectra += n
             check(multisets_close(brute.kept, lifted.kept, tol),
                   f"(n={n},k={k}) overlift vs brute")
@@ -308,17 +302,8 @@ def run_verification(n_max: int = 12, tol: float = 1e-8,
     return failures, checks, spectra
 
 
-def _defective_spectrum(n: int, k: int) -> SpectrumReport:
-    """Over-lift spectrum with one matrix entry perturbed (negative control)."""
-    report = overlift_spectrum(n, k)
-    kept = list(report.kept)
-    kept[0] += 1e-3
-    return SpectrumReport(n, k, "overlift", report.entries, tuple(sorted(kept)))
-
-
 def cmd_verify(args) -> int:
-    failures, checks, spectra = run_verification(
-        args.n_max, args.tol, inject_defect=args.inject_defect)
+    failures, checks, spectra = run_verification(args.n_max, args.tol)
     print(f"{checks} checks, {spectra} spectra compared")
     if failures:
         print(f"FAILED: {failures[0]}" +
@@ -380,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-method verification sweep")
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--inject-defect", action="store_true",
-                   help=argparse.SUPPRESS)  # negative control for tests
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -6,6 +6,8 @@ any value.  Exponents are therefore canonicalized to [0, n).  This keeps
 negative powers out of storage while the renderer can still print either
 form.  Coefficients are exact integers; evaluation reduces the angle
 r*e mod n before calling exp, so phases stay accurate for any exponent.
+A matrix of such polynomials is stored as integer term arrays, which
+specialize to a complex matrix with one table lookup and one scatter.
 """
 from __future__ import annotations
 
@@ -78,11 +80,6 @@ class LaurentPoly:
             start=0j,
         )
 
-    def reversed_exponents(self) -> "LaurentPoly":
-        """The polynomial with every exponent e replaced by n - e."""
-        return LaurentPoly.from_terms(
-            self.n, [(-e, c) for e, c in self.coeffs.items()])
-
     def render(self, balanced: bool = False) -> str:
         """Signed-monomial text form, e.g. ``-1-z^2`` or ``4-z^4-z^-4``.
 
@@ -133,24 +130,95 @@ def parse_laurent(text: str, n: int) -> LaurentPoly:
     return LaurentPoly.from_terms(n, terms)
 
 
-@dataclass(frozen=True)
+def root_table(n: int) -> np.ndarray:
+    """The n-th roots of unity exp(2*pi*i*m/n) for m = 0..n-1.
+
+    Entries past index n/2 are stored as the conjugates of the entries
+    below it, so table[(n - m) % n] == conj(table[m]) holds exactly.  A
+    matrix with integer coefficients then specializes at sector n - r to
+    exactly the conjugate of its value at sector r.
+    """
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -1.0
+    return np.concatenate([half, half[1:(n + 1) // 2][::-1].conj()])
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class LaurentMatrix:
-    """Square grid of LaurentPoly entries sharing one modulus n."""
+    """Square matrix of Laurent polynomials sharing one modulus n.
+
+    Stored as four parallel int arrays of terms: term t adds
+    ``coeff[t] * z^exp[t]`` to entry ``(row[t], col[t])``.  Terms are
+    canonical: sorted by (row, col, exp), exponents in [0, n), at most
+    one term per (row, col, exp) and no zero coefficient.  The
+    constructor takes a square grid of LaurentPoly; ``from_terms`` builds
+    from term arrays directly.  The grid (``entries``) is rebuilt on
+    demand for rendering and output.  Immutable after construction.
+    """
 
     n: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    order: int
+    row: np.ndarray
+    col: np.ndarray
+    exp: np.ndarray
+    coeff: np.ndarray
+
+    def __init__(self, n: int, entries) -> None:
+        terms = [(i, j, e, c)
+                 for i, cells in enumerate(entries)
+                 for j, p in enumerate(cells)
+                 for e, c in p.coeffs.items()]
+        self._set_terms(n, len(entries),
+                        *np.array(terms, dtype=np.int64).reshape(-1, 4).T)
+
+    @classmethod
+    def from_terms(cls, n: int, order: int, row, col, exp, coeff) -> "LaurentMatrix":
+        """Matrix with the given terms; repeated (row, col, exp) terms add up."""
+        matrix = cls.__new__(cls)
+        matrix._set_terms(n, order, row, col, exp, coeff)
+        return matrix
+
+    def _set_terms(self, n, order, row, col, exp, coeff) -> None:
+        row, col, exp, coeff = (np.asarray(a, dtype=np.int64)
+                                for a in (row, col, exp, coeff))
+        key = (row * order + col) * n + exp % n
+        key, where = np.unique(key, return_inverse=True)
+        total = np.zeros(len(key), dtype=np.int64)
+        np.add.at(total, where, coeff)
+        nonzero = total != 0
+        cell, exp = np.divmod(key[nonzero], n)
+        row, col = np.divmod(cell, order)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
+        for name, arr in (("row", row), ("col", col), ("exp", exp),
+                          ("coeff", total[nonzero])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
-    def order(self) -> int:
-        return len(self.entries)
+    def terms(self) -> np.ndarray:
+        """The canonical terms as rows (row, col, exp, coeff)."""
+        return np.stack([self.row, self.col, self.exp, self.coeff], axis=1)
+
+    @property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The square grid of LaurentPoly entries."""
+        cells: dict[tuple[int, int], dict[int, int]] = {}
+        for i, j, e, c in self.terms.tolist():
+            cells.setdefault((i, j), {})[e] = c
+        grid = [[LaurentPoly(self.n, {})] * self.order for _ in range(self.order)]
+        for (i, j), coeffs in cells.items():
+            grid[i][j] = LaurentPoly(self.n, coeffs)
+        return tuple(map(tuple, grid))
 
     def specialize(self, r: int) -> np.ndarray:
         """Entrywise evaluation at z = exp(2*pi*i*r/n)."""
-        nu = self.order
-        out = np.empty((nu, nu), dtype=complex)
-        for i in range(nu):
-            for j in range(nu):
-                out[i, j] = self.entries[i][j].eval_root(r)
+        if not 0 <= r < self.n:
+            raise ParameterDomainError(f"sector r={r} must lie in [0, {self.n})")
+        values = self.coeff * root_table(self.n)[(r * self.exp) % self.n]
+        out = np.zeros((self.order, self.order), dtype=complex)
+        np.add.at(out, (self.row, self.col), values)
         return out
 
     def render(self, balanced: bool = False) -> str:

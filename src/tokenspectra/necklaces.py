@@ -19,8 +19,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
+import numpy as np
+
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import check_params, check_token_set
+from .tokengraph import CACHE_SIZE, check_params, check_token_set
 
 
 def sector_order(n: int, r: int) -> int:
@@ -91,7 +93,10 @@ class OrbitTable:
 
     ``reps`` are lexicographically least in their orbits and sorted;
     ``lookup`` maps every k-subset to (representative index, shift) with
-    the smallest nonnegative shift.  Immutable after construction.
+    the smallest nonnegative shift.  ``orbit_of`` and ``shift_of`` hold
+    the same pairs as int arrays over all k-subsets in lexicographic
+    order, the vertex order of the token graph.  Immutable after
+    construction.
     """
 
     n: int
@@ -99,6 +104,8 @@ class OrbitTable:
     reps: tuple[tuple[int, ...], ...]
     periods: tuple[int, ...]
     lookup: dict = field(repr=False, compare=False)
+    orbit_of: np.ndarray = field(repr=False, compare=False)
+    shift_of: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -113,7 +120,7 @@ class OrbitTable:
                 f"{subset} is not a {self.k}-subset of Z_{self.n}") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_orbits(n: int, k: int) -> OrbitTable:
     """One canonical representative per orbit, with periods and lookup.
 
@@ -125,18 +132,23 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     reps: list[tuple[int, ...]] = []
     periods: list[int] = []
     lookup: dict[tuple[int, ...], tuple[int, int]] = {}
+    located: list[tuple[int, int]] = []
     for s in combinations(range(n), k):
-        if s in lookup:
-            continue
-        p = period(s, n)
-        i = len(reps)
-        reps.append(s)
-        periods.append(p)
-        for j in range(p):
-            lookup[rotate(s, j, n)] = (i, j)
+        if s not in lookup:
+            p = period(s, n)
+            i = len(reps)
+            reps.append(s)
+            periods.append(p)
+            for j in range(p):
+                lookup[rotate(s, j, n)] = (i, j)
+        located.append(lookup[s])
     if sum(periods) != comb(n, k):
         raise NumericFailureError("orbit sizes do not add up to C(n, k)")
-    return OrbitTable(n, k, tuple(reps), tuple(periods), lookup)
+    orbit_of, shift_of = np.array(located, dtype=np.int64).T
+    orbit_of.flags.writeable = False
+    shift_of.flags.writeable = False
+    return OrbitTable(n, k, tuple(reps), tuple(periods), lookup,
+                      orbit_of, shift_of)
 
 
 def _exact_div(total: int, n: int, what: str) -> int:

@@ -14,20 +14,19 @@ component vanishes or the sector order o(r) = n/gcd(n, r) divides the
 orbit period.
 
 Sector computations are pure functions of immutable inputs; every r can
-run independently.
+run independently.  Sectors r and n - r are complex conjugates of each
+other, so only the sectors r <= n/2 are solved.
 """
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PhaseConsistencyError)
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumEntry, SpectrumReport
 from .tokengraph import TokenGraph, build_token_graph, laplacian, token_neighbors
@@ -79,20 +78,16 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
         raise ParameterDomainError(f"unknown shift choice {shift!r}")
     if orbits is None:
         orbits = enumerate_orbits(n, k)
-    nu = orbits.count
-    grids: list[list[list[tuple[int, int]]]] = [
-        [[] for _ in range(nu)] for _ in range(nu)]
+    terms = []
     for i, rep in enumerate(orbits.reps):
         nbs = token_neighbors(rep, n)
-        grids[i][i].append((0, len(nbs)))
+        terms.append((i, i, 0, len(nbs)))
         for nb in nbs:
             j, s = orbits.locate(nb)
             if shift == "largest":
                 s += n - orbits.periods[j]
-            grids[i][j].append((s, -1))
-    entries = tuple(
-        tuple(LaurentPoly.from_terms(n, cell) for cell in row) for row in grids)
-    return LaurentMatrix(n, entries)
+            terms.append((i, j, s, -1))
+    return LaurentMatrix.from_terms(n, orbits.count, *zip(*terms))
 
 
 def sector_eigenpairs(matrix: LaurentMatrix, r: int, *,
@@ -113,16 +108,16 @@ def sector_eigenpairs(matrix: LaurentMatrix, r: int, *,
         raise NumericFailureError(
             f"sector {r}: eigenvalue imaginary part {bad_imag:.3e} exceeds {imag_tol:.0e}")
     order = np.argsort(vals.real)
-    pairs = []
-    for idx in order:
-        v = vecs[:, idx]
-        # residual of the solver's complex eigenpair; the realized value
-        # can differ by up to imag_tol, which the residual bound predates
-        res = float(np.max(np.abs(b @ v - vals[idx] * v)))
-        if res > residual_tol:
-            raise NumericFailureError(
-                f"sector {r}: eigenpair residual {res:.3e} exceeds {residual_tol:.0e}")
-        pairs.append(EigenPair(float(vals[idx].real), r, v, res))
+    vals, vecs = vals[order], vecs[:, order]
+    # residuals of the solver's complex eigenpairs; the realized values
+    # can differ by up to imag_tol, which the residual bound predates
+    res = np.max(np.abs(b @ vecs - vecs * vals), axis=0)
+    worst = float(np.max(res))
+    if worst > residual_tol:
+        raise NumericFailureError(
+            f"sector {r}: eigenpair residual {worst:.3e} exceeds {residual_tol:.0e}")
+    pairs = [EigenPair(float(val.real), r, vecs[:, idx], float(res[idx]))
+             for idx, val in enumerate(vals)]
     return pairs
 
 
@@ -174,49 +169,67 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
     return verdicts
 
 
-def _sector_verdicts(n: int, k: int, shift: str = "smallest"):
-    orbits = enumerate_orbits(n, k)
-    matrix = build_poly_matrix(n, k, orbits, shift=shift)
-    for r in range(n):
-        pairs = sector_eigenpairs(matrix, r)
-        yield r, filter_spurious(pairs, orbits, r)
+def _sector_verdicts(matrix: LaurentMatrix, orbits: OrbitTable):
+    """Yield (r, verdicts) once for every sector r = 0..n-1.
+
+    Only the sectors r <= n/2 are solved.  The coefficients of B(z) are
+    integers and the root table is conjugate symmetric, so B(w^(n-r)) is
+    exactly the conjugate of B(w^r): its eigenvalues are the same and
+    its eigenvectors the conjugates, with the same residuals and
+    singular values.  Both sectors have the same order n/gcd(n, r), so
+    they block the same orbits.  Sector n - r therefore takes the
+    verdicts of sector r with conjugated vectors; it is yielded right
+    after sector r, so only one sector's vectors are held at a time.
+    """
+    n = matrix.n
+    for r in range(n // 2 + 1):
+        verdicts = filter_spurious(sector_eigenpairs(matrix, r), orbits, r)
+        yield r, verdicts
+        if 0 < r < n - r:
+            yield n - r, [replace(v, sector=n - r, vectors=v.vectors.conj())
+                          for v in verdicts]
 
 
 def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
     """Union of filtered sector spectra; exactly C(n, k) values kept."""
-    entries: list[SpectrumEntry] = []
+    orbits = enumerate_orbits(n, k)
+    matrix = build_poly_matrix(n, k, orbits, shift=shift)
+    by_sector: list[list[SpectrumEntry]] = [[] for _ in range(n)]
     kept: list[float] = []
-    for _, verdicts in _sector_verdicts(n, k, shift):
+    for r, verdicts in _sector_verdicts(matrix, orbits):
         for v in verdicts:
             kept.extend([v.value] * v.kept)
-            entries.extend(SpectrumEntry(v.value, v.sector, True)
-                           for _ in range(v.kept))
-            entries.extend(SpectrumEntry(v.value, v.sector, False, DISCARD_REASON)
-                           for _ in range(v.discarded))
+            by_sector[r].extend(SpectrumEntry(v.value, r, True)
+                                for _ in range(v.kept))
+            by_sector[r].extend(SpectrumEntry(v.value, r, False, DISCARD_REASON)
+                                for _ in range(v.discarded))
     expected = comb(n, k)
     if len(kept) != expected:
         raise CountMismatchError(
             f"kept {len(kept)} eigenvalues for F_{k}(C_{n}), expected {expected}")
-    return SpectrumReport(n, k, "overlift", tuple(entries),
-                          tuple(sorted(kept)))
+    entries = tuple(e for sector in by_sector for e in sector)
+    return SpectrumReport(n, k, "overlift", entries, tuple(sorted(kept)))
 
 
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
-    """Every kept eigenpair across all sectors, with verified residuals."""
+    """Every kept eigenpair across all sectors, with verified residuals.
+
+    Pairs come in sector order, each checked against its own sector's
+    specialized matrix.
+    """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits)
-    out = []
-    for r in range(n):
-        b = matrix.specialize(r)
-        for v in filter_spurious(sector_eigenpairs(matrix, r), orbits, r):
-            for col in range(v.kept):
-                vec = v.vectors[:, col]
-                res = float(np.max(np.abs(b @ vec - v.value * vec)))
-                if res > 1e-8:
-                    raise NumericFailureError(
-                        f"kept vector residual {res:.3e} in sector {r} of F_{k}(C_{n})")
-                out.append(EigenPair(v.value, r, vec, res))
-    return out
+    by_sector: list[list[EigenPair]] = [[] for _ in range(n)]
+    for r, verdicts in _sector_verdicts(matrix, orbits):
+        vals = np.concatenate([np.full(v.kept, v.value) for v in verdicts])
+        vecs = np.hstack([v.vectors for v in verdicts])
+        res = np.max(np.abs(matrix.specialize(r) @ vecs - vecs * vals), axis=0)
+        if np.any(res > 1e-8):
+            raise NumericFailureError(
+                f"kept vector residual {res.max():.3e} in sector {r} of F_{k}(C_{n})")
+        by_sector[r] = [EigenPair(float(val), r, vecs[:, col], float(res[col]))
+                        for col, val in enumerate(vals)]
+    return [pair for pairs in by_sector for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -241,24 +254,22 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     raises.  The residual is checked against the full Laplacian.
     """
     n, k = orbits.n, orbits.k
-    if graph is None:
-        graph = build_token_graph(n, k)
     if lap is None:
-        lap = laplacian(graph)
+        lap = laplacian(graph if graph is not None else build_token_graph(n, k))
     r = pair.sector
-    o_r = sector_order(n, r)
     scale = float(np.max(np.abs(pair.vector)))
-    for i, p in enumerate(orbits.periods):
-        if p < n and p % o_r != 0 and abs(pair.vector[i]) > 1e-10 * scale:
+    for i in blocked_orbits(orbits, r):
+        if abs(pair.vector[i]) > 1e-10 * scale:
             raise PhaseConsistencyError(
-                f"component {i} nonzero on orbit of period {p} with sector order {o_r}")
-    out = np.zeros(graph.order, dtype=complex)
-    for subset, (i, j) in orbits.lookup.items():
-        out[graph.index[subset]] = pair.vector[i] * cmath.exp(
-            2j * math.pi * ((r * j) % n) / n)
+                f"component {i} nonzero on orbit of period {orbits.periods[i]} "
+                f"with sector order {sector_order(n, r)}")
+    out = pair.vector[orbits.orbit_of] * root_table(n)[(r * orbits.shift_of) % n]
     if not np.any(out):
         raise NumericFailureError("lifted vector is zero")
-    res = float(np.max(np.abs(lap @ out - pair.value * out)))
+    # the Laplacian is real: one product with the real and imaginary parts
+    parts = np.stack([out.real, out.imag], axis=1)
+    diff = lap @ parts - pair.value * parts
+    res = float(np.max(np.hypot(diff[:, 0], diff[:, 1])))
     if res > 1e-8:
         raise NumericFailureError(
             f"lifted vector residual {res:.3e} for eigenvalue {pair.value} "
@@ -275,18 +286,19 @@ def expand_lift(base: LaurentMatrix) -> np.ndarray:
     rejected; they do not expand to a genuine lift.  The spectrum of the
     result equals the union over r of the specialized spectra.
     """
-    n = base.n
-    nu = base.order
-    for i in range(nu):
-        for j in range(nu):
-            if base.entries[j][i].reversed_exponents() != base.entries[i][j]:
-                raise ParameterDomainError(
-                    f"entry ({i},{j}) is not the exponent reversal of ({j},{i}); "
-                    "the matrix is not a genuine lift base")
+    n, nu = base.n, base.order
+    fwd = base.terms
+    rev = LaurentMatrix.from_terms(n, nu, base.col, base.row, -base.exp,
+                                   base.coeff).terms
+    if not np.array_equal(fwd, rev):
+        # a term in one list but not the other sits in an offending entry
+        i, j, _, _ = min(set(map(tuple, fwd.tolist())) ^ set(map(tuple, rev.tolist())))
+        raise ParameterDomainError(
+            f"entry ({i},{j}) is not the exponent reversal of ({j},{i}); "
+            "the matrix is not a genuine lift base")
+    g = np.arange(n)
+    rows = base.row[:, None] * n + g
+    cols = base.col[:, None] * n + (g + base.exp[:, None]) % n
     out = np.zeros((nu * n, nu * n))
-    for i in range(nu):
-        for j in range(nu):
-            for e, c in base.entries[i][j].coeffs.items():
-                for g in range(n):
-                    out[i * n + g, j * n + (g + e) % n] += c
+    np.add.at(out, (rows, cols), base.coeff[:, None])
     return out

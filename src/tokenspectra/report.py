@@ -78,15 +78,3 @@ def multiset_contains(sup, sub, tol: float = 1e-8) -> bool:
         i += 1
     return True
 
-
-def cluster_values(values, tol: float):
-    """Group an ascending sequence into runs with consecutive gaps <= tol."""
-    groups: list[list[float]] = []
-    last = None
-    for v in values:
-        if last is not None and v - last <= tol:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-        last = v
-    return groups

@@ -21,6 +21,8 @@ from .errors import ParameterDomainError, SizeLimitError
 from .report import SpectrumEntry, SpectrumReport
 
 DENSE_SPECTRUM_CAP = 5000
+# (n, k) pairs each cached table keeps; verify asks for each pair back to back
+CACHE_SIZE = 32
 
 
 def check_params(n: int, k: int) -> None:
@@ -75,7 +77,7 @@ class TokenGraph:
         return len(self.adjacency[i])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def build_token_graph(n: int, k: int) -> TokenGraph:
     check_params(n, k)
     vertices = tuple(combinations(range(n), k))

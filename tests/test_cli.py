@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
+from tokenspectra import cli
 from tokenspectra.cli import main
 
 
@@ -209,8 +211,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "4")
         assert code == 0
 
-    def test_injected_defect_detected(self, capsys):
-        code, _, err = run(capsys, "verify", "--n-max", "4", "--inject-defect")
+    def test_injected_defect_detected(self, capsys, monkeypatch):
+        # negative control: an over-lift spectrum off by 1e-3 must fail
+        real = cli.overlift_spectrum
+
+        def defective(n, k):
+            report = real(n, k)
+            kept = list(report.kept)
+            kept[0] += 1e-3
+            return replace(report, kept=tuple(sorted(kept)))
+
+        monkeypatch.setattr(cli, "overlift_spectrum", defective)
+        code, _, err = run(capsys, "verify", "--n-max", "4")
         assert code == 1
         assert "overlift vs brute" in err
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from tokenspectra import (LaurentMatrix, LaurentPoly, ParameterDomainError,
                           build_poly_matrix, parse_laurent)
+from tokenspectra.laurent import root_table
 
 
 def random_poly(rng, n, max_terms=5):
@@ -151,3 +152,45 @@ class TestLaurentMatrix:
         tex = build_poly_matrix(4, 1).render_latex()
         assert tex.startswith("\\begin{pmatrix}")
         assert "2-z-z^3" in tex
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
+    @pytest.mark.parametrize("shift", ["smallest", "largest"])
+    def test_specialize_matches_entrywise_evaluation(self, n, k, shift):
+        m = build_poly_matrix(n, k, shift=shift)
+        grid = m.entries
+        for r in range(n):
+            want = np.array([[p.eval_root(r) for p in row] for row in grid])
+            assert_allclose(m.specialize(r), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
+    def test_conjugate_sectors_exact(self, n, k):
+        m = build_poly_matrix(n, k)
+        for r in range(1, n):
+            assert np.array_equal(m.specialize(n - r), m.specialize(r).conj())
+
+    def test_root_table_conjugate_symmetric(self):
+        for n in range(1, 20):
+            table = root_table(n)
+            assert len(table) == n
+            assert np.array_equal(table[(n - np.arange(n)) % n], table.conj())
+            assert_allclose(table, np.exp(2j * np.pi * np.arange(n) / n),
+                            rtol=0, atol=1e-14)
+
+    def test_grid_round_trip(self):
+        for shift in ("smallest", "largest"):
+            m = build_poly_matrix(8, 4, shift=shift)
+            again = LaurentMatrix(8, m.entries)
+            assert again.order == m.order
+            assert np.array_equal(again.terms, m.terms)
+
+    def test_terms_canonical(self):
+        m = LaurentMatrix.from_terms(5, 2, [1, 0, 0, 1], [0, 1, 1, 0],
+                                     [7, -1, 4, 2], [3, 2, -2, 1])
+        # z^-1 and z^4 cancel in (0, 1); z^7 = z^2 merges in (1, 0)
+        assert m.terms.tolist() == [[1, 0, 2, 4]]
+        assert m.entries[0][1] == LaurentPoly(5, {})
+        assert m.entries[1][0] == LaurentPoly.monomial(5, 4, 2)
+
+    def test_specialize_rejects_bad_sector(self):
+        with pytest.raises(ParameterDomainError):
+            build_poly_matrix(6, 3).specialize(6)

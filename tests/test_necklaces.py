@@ -2,8 +2,9 @@ from math import comb, gcd
 
 import pytest
 
-from tokenspectra import (ParameterDomainError, count_burnside, count_moreau,
-                          count_polya, enumerate_orbits, period)
+from tokenspectra import (ParameterDomainError, build_token_graph,
+                          count_burnside, count_moreau, count_polya,
+                          enumerate_orbits, period)
 from tokenspectra.necklaces import euler_phi, moebius, rotate
 
 # orbit counts for k = 2..7, n = 3..12 (blank cells omitted)
@@ -75,6 +76,17 @@ class TestEnumerateOrbits:
         for subset, (i, j) in table.lookup.items():
             assert rotate(table.reps[i], j, n) == subset
             assert 0 <= j < table.periods[i]
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3)])
+    def test_orbit_arrays_follow_vertex_order(self, n, k):
+        table = enumerate_orbits(n, k)
+        graph = build_token_graph(n, k)
+        assert [table.lookup[v] for v in graph.vertices] == list(
+            zip(table.orbit_of.tolist(), table.shift_of.tolist()))
+
+    def test_caches_are_bounded(self):
+        for cached in (enumerate_orbits, build_token_graph):
+            assert cached.cache_info().maxsize is not None
 
     def test_locate_validates(self):
         table = enumerate_orbits(6, 3)

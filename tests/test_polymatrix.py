@@ -1,4 +1,6 @@
+import cmath
 import math
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -253,6 +255,32 @@ class TestFullSpectrum:
                 assert multisets_close(a, b, 1e-8)
 
 
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
+    def test_conjugate_sector_entries_identical(self, n, k):
+        report = cached_overlift(n, k)
+        for r in range(1, n):
+            assert report.sector_entries(n - r) == tuple(
+                replace(e, sector=n - r) for e in report.sector_entries(r))
+
+
+class TestKeptEigenpairs:
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3)])
+    def test_conjugate_sector_vectors(self, n, k):
+        m = build_poly_matrix(n, k)
+        by_sector = {}
+        for pair in kept_eigenpairs(n, k):
+            by_sector.setdefault(pair.sector, []).append(pair)
+        assert sorted(by_sector) == list(range(n))
+        for r in range(1, n):
+            b = m.specialize(n - r)
+            assert len(by_sector[r]) == len(by_sector[n - r])
+            for p, q in zip(by_sector[r], by_sector[n - r]):
+                assert q.value == p.value
+                assert np.array_equal(q.vector, p.vector.conj())
+                assert np.max(np.abs(b @ q.vector - q.value * q.vector)) < 1e-8
+                assert q.residual < 1e-8
+
+
 class TestLiftEigenvector:
     def test_constant_kernel_vector(self):
         orbits = enumerate_orbits(6, 3)
@@ -286,6 +314,20 @@ class TestLiftEigenvector:
         with pytest.raises(PhaseConsistencyError):
             lift_eigenvector(EigenPair(6.0, 1, f, 0.0), orbits)
 
+    def test_matches_configuration_walk(self):
+        # reference: the configuration X = rep_i + j gets f_i * w^(r*j)
+        n, k = 8, 4
+        orbits = enumerate_orbits(n, k)
+        g = build_token_graph(n, k)
+        lap = laplacian(g)
+        for pair in kept_eigenpairs(n, k):
+            want = np.zeros(g.order, dtype=complex)
+            for subset, (i, j) in orbits.lookup.items():
+                want[g.index[subset]] = pair.vector[i] * cmath.exp(
+                    2j * math.pi * ((pair.sector * j) % n) / n)
+            got = lift_eigenvector(pair, orbits, g, lap).values
+            assert_allclose(got, want, rtol=0, atol=1e-13)
+
     def test_all_kept_pairs_lift_small(self):
         for n, k in [(6, 3), (7, 2), (8, 4)]:
             orbits = enumerate_orbits(n, k)
@@ -317,6 +359,18 @@ class TestExpandLift:
         base = LaurentMatrix(4, ((parse_laurent("2-z-z^3", 4),),))
         spec = np.sort(np.linalg.eigvalsh(expand_lift(base)))
         assert_allclose(spec, [0, 2, 2, 4], atol=1e-12)
+
+    def test_matches_entrywise_expansion(self):
+        # reference: entry (i, j) term c z^e puts c at (i*n + g, j*n + g + e)
+        for n, k in [(7, 2), (7, 3), (5, 2)]:
+            m = build_poly_matrix(n, k)
+            want = np.zeros((m.order * n, m.order * n))
+            for i, row in enumerate(m.entries):
+                for j, p in enumerate(row):
+                    for e, c in p.coeffs.items():
+                        for g in range(n):
+                            want[i * n + g, j * n + (g + e) % n] += c
+            assert np.array_equal(expand_lift(m), want)
 
     def test_rejects_short_orbit_base(self):
         with pytest.raises(ParameterDomainError):
