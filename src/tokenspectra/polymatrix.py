@@ -157,9 +157,8 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
         mean = float(np.mean([p.value for p in group]))
         if blocked:
             restricted = q[blocked, :]
-            sv = np.linalg.svd(restricted, compute_uv=False)
+            _, sv, vh = np.linalg.svd(restricted)
             rank = int(np.sum(sv > rank_tol))
-            _, _, vh = np.linalg.svd(restricted)
             kept_vecs = q @ vh.conj().T[:, rank:]
         else:
             rank = 0

@@ -13,9 +13,12 @@ Z f_h = f_{h-1} + f_{h+1} with boundary entries alpha and, per case,
 therefore eigenvalues of a small real symmetric tridiagonal matrix in
 the variable Z, which is how this module computes them (the expanded
 monomial coefficients are too ill conditioned for reliable roots once
-cos(r pi/n) is small).  The same recurrence, run on polynomials, yields
-the sector characteristic polynomial, and diagonalizing the 2x2 transfer
-step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
+cos(r pi/n) is small).  The roots of a sector are checked together
+against the sector matrix by one Hermitian ``eigvalsh``, and conjugate
+sectors r and n - r share their roots.  The same recurrence, run on
+polynomials, yields the sector characteristic polynomial, and
+diagonalizing the 2x2 transfer step gives a closed form in
+rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -35,6 +38,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
+from .laurent import root_table
 from .polymatrix import DISCARD_REASON
 from .report import SpectrumEntry, SpectrumReport
 
@@ -59,23 +63,25 @@ def build_b2(n: int, r: int) -> np.ndarray:
 
     Diagonal (2, 4, ..., 4); couplings -1-z below and -1-1/z above.  For
     odd n the last diagonal entry gains -z^nu - z^-nu; for even n the
-    bottom coupling becomes -1-z-z^nu-z^(nu+1).
+    bottom coupling becomes -1-z-z^nu-z^(nu+1) = -(1+z)(1+z^nu).  Powers
+    of z come from ``root_table``, so ``build_b2(n, n - r)`` is exactly
+    the conjugate of ``build_b2(n, r)``; for even n, z^nu = (-1)^r
+    exactly, so the bottom coupling of an odd sector is exactly zero.
     """
     _check_sector(n, r)
     nu = half_order(n)
-    z = cmath.exp(2j * math.pi * r / n)
-    zbar = z.conjugate()
+    table = root_table(n)
+    z, zbar, z_nu = table[r], table[(n - r) % n], table[(r * nu) % n]
     m = np.zeros((nu, nu), dtype=complex)
-    for h in range(nu):
-        m[h, h] = 4.0
+    idx = np.arange(nu - 1)
+    m[idx + 1, idx + 1] = 4.0
     m[0, 0] = 2.0
-    for h in range(nu - 1):
-        m[h, h + 1] = -1 - zbar
-        m[h + 1, h] = -1 - z
+    m[idx, idx + 1] = -1 - zbar
+    m[idx + 1, idx] = -1 - z
     if n % 2:
-        m[nu - 1, nu - 1] = 4 - z ** nu - zbar ** nu
+        m[nu - 1, nu - 1] = 4 - z_nu - z_nu.conjugate()
     else:
-        m[nu - 1, nu - 2] = -1 - z - z ** nu - z ** (nu + 1)
+        m[nu - 1, nu - 2] = -(1 + z) * (1 + z_nu)
     return m
 
 
@@ -121,14 +127,58 @@ def _half_turn_kept(n: int) -> list[float]:
     return [2.0] + [4.0] * fours
 
 
+def _verify_roots(n: int, r: int, roots: np.ndarray, b: np.ndarray) -> None:
+    """Check the kept roots of sector r against its sector matrix b.
+
+    D^(1/2) b D^(-1/2), with D = diag(orbit periods) restricted to the
+    orbits the sector keeps, is Hermitian and its eigenvalues are the
+    kept values with multiplicity.  For odd n it is b itself.  For even
+    n and even r the half-turn orbit has period n/2, so the last row is
+    scaled by 1/sqrt(2) and the last column by sqrt(2).  For even n and
+    odd r the half-turn orbit is blocked: its coupling b[nu-1, nu-2]
+    must vanish, so b is block triangular and spec(b) is the spectrum of
+    the leading block plus the spurious 4.  The sorted roots must match
+    ``eigvalsh`` of that Hermitian matrix elementwise within
+    tol = 1e-8 (1 + max|b|), which also checks multiplicities.
+    """
+    case = _case_tag(n, r)
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
+    if case == "odd":
+        h = b
+    elif case == "even-even":
+        h = b.copy()
+        h[-1, :] /= math.sqrt(2.0)
+        h[:, -1] *= math.sqrt(2.0)
+    else:
+        coupling = abs(b[-1, -2])
+        if coupling > tol:
+            raise NumericFailureError(
+                f"sector ({n}, r={r}) couples its blocked orbit: "
+                f"|b[nu-1, nu-2]| = {coupling:.3e} > {tol:.3e}")
+        h = b[:-1, :-1]
+    skew = float(np.max(np.abs(h - h.conj().T)))
+    if skew > tol:
+        raise NumericFailureError(
+            f"sector ({n}, r={r}) scaled matrix is not Hermitian: "
+            f"max |H - H^*| = {skew:.3e} > {tol:.3e}")
+    if len(roots) != len(h):
+        raise CountMismatchError(
+            f"sector ({n}, r={r}) produced {len(roots)} roots, expected {len(h)}")
+    gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(h))))
+    if gap > tol:
+        raise NumericFailureError(
+            f"roots of sector ({n}, r={r}) fail the matrix check: they differ "
+            f"from the sector eigenvalues by {gap:.3e} > {tol:.3e}")
+
+
 def sector_roots(n: int, r: int) -> np.ndarray:
     """Kept eigenvalues of one sector, ascending.
 
     Away from r = n/2 the Z-values are eigenvalues of the symmetric
     tridiagonal matrix encoding the recurrence; lambda = 4 - 2 cos(r
-    pi/n) Z.  Every root is verified against the sector matrix through
-    its smallest singular value.  At r = n/2 the values are read off the
-    diagonal sector matrix.
+    pi/n) Z.  The roots are verified together against the sector matrix
+    by one Hermitian ``eigvalsh`` (see ``_verify_roots``).  At r = n/2
+    the values are read off the diagonal sector matrix.
     """
     _check_sector(n, r)
     nu = half_order(n)
@@ -160,34 +210,29 @@ def sector_roots(n: int, r: int) -> np.ndarray:
         j = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         zs = np.linalg.eigvalsh(j)
     roots = np.sort(4.0 - 2.0 * c * zs)
-    expected = nu if case in ("odd", "even-even") else nu - 1
-    if len(roots) != expected:
-        raise CountMismatchError(
-            f"sector ({n}, r={r}) produced {len(roots)} roots, expected {expected}")
     if case == "even-odd" and np.any(np.abs(roots - 4.0) < 1e-8):
         warnings.warn(
             f"sector ({n}, r={r}) produced a kept root at 4 within 1e-8",
             stacklevel=2)
-    b = build_b2(n, r)
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
-    eye = np.eye(nu)
-    for lam in roots:
-        smin = float(np.linalg.svd(b - lam * eye, compute_uv=False)[-1])
-        if smin > tol:
-            raise NumericFailureError(
-                f"root {lam} of sector ({n}, r={r}) fails the matrix residual "
-                f"check: smallest singular value {smin:.3e}")
+    _verify_roots(n, r, roots, build_b2(n, r))
     return roots
 
 
 def spectrum_2token(n: int) -> SpectrumReport:
-    """All C(n, 2) eigenvalues of the two-token graph, by sectors."""
+    """All C(n, 2) eigenvalues of the two-token graph, by sectors.
+
+    Only the sectors r <= n/2 are solved.  B has integer coefficients,
+    so B(w^(n-r)) is the conjugate of B(w^r); the two Hermitian
+    quotients are conjugate and have the same eigenvalues, and sector
+    n - r takes the roots of sector r.
+    """
     if n < 4:
         raise ParameterDomainError(f"two-token spectrum needs n >= 4, got {n}")
+    solved = [sector_roots(n, r) for r in range(n // 2 + 1)]
     entries: list[SpectrumEntry] = []
     kept: list[float] = []
     for r in range(n):
-        roots = sector_roots(n, r)
+        roots = solved[min(r, n - r)]
         kept.extend(float(v) for v in roots)
         entries.extend(SpectrumEntry(float(v), r, True) for v in roots)
         case = _case_tag(n, r)

@@ -1,4 +1,6 @@
+import cmath
 import math
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 from conftest import cached_brute, cached_contfrac, cached_overlift
 from numpy.testing import assert_allclose
 
-from tokenspectra import (ParameterDomainError, PoleError,
-                          build_b2, build_poly_matrix, charpoly_rho_form,
-                          charpoly_sector, contfrac_q1, multisets_close,
-                          sector_roots, spectrum_2token)
+from tokenspectra import (NumericFailureError, ParameterDomainError,
+                          PoleError, build_b2, build_poly_matrix,
+                          charpoly_rho_form, charpoly_sector, contfrac_q1,
+                          multisets_close, sector_roots, spectrum_2token,
+                          token_neighbors)
+from tokenspectra.twotoken import _verify_roots
 
 SQRT5 = math.sqrt(5)
 
@@ -71,6 +75,35 @@ class TestBuildB2:
                 a = np.sort(np.linalg.eigvals(build_b2(n, r)).real)
                 b = np.sort(np.linalg.eigvals(m.specialize(r)).real)
                 assert_allclose(a, b, atol=1e-7)
+
+    def test_matches_loop_reference(self):
+        # entry by entry, with complex powers of cmath.exp
+        for n in range(4, 14):
+            nu = n // 2
+            for r in range(n):
+                z = cmath.exp(2j * math.pi * r / n)
+                want = np.zeros((nu, nu), dtype=complex)
+                for h in range(nu):
+                    want[h, h] = 2.0 if h == 0 else 4.0
+                for h in range(nu - 1):
+                    want[h, h + 1] = -1 - z.conjugate()
+                    want[h + 1, h] = -1 - z
+                if n % 2:
+                    want[-1, -1] = 4 - z ** nu - z.conjugate() ** nu
+                else:
+                    want[-1, -2] = -1 - z - z ** nu - z ** (nu + 1)
+                assert_allclose(build_b2(n, r), want, atol=1e-12)
+
+    def test_conjugate_sectors_exact(self):
+        for n in range(4, 17):
+            for r in range(n):
+                assert np.array_equal(build_b2(n, (n - r) % n),
+                                      build_b2(n, r).conj()), (n, r)
+
+    def test_even_n_odd_sector_coupling_exactly_zero(self):
+        for n in (4, 6, 8, 10, 12):
+            for r in range(1, n, 2):
+                assert build_b2(n, r)[-1, -2] == 0, (n, r)
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
@@ -175,6 +208,44 @@ class TestSectorRoots:
                 assert_allclose(spectrum, sector_roots(n, r), atol=1e-7)
 
 
+# one sector of each case: odd, even-even, even-odd
+VERIFY_CASES = [(9, 2), (12, 4), (12, 5)]
+
+
+class TestVerifyRoots:
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_accepts_true_roots(self, n, r):
+        _verify_roots(n, r, sector_roots(n, r), build_b2(n, r))
+
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_perturbed_root(self, n, r):
+        roots = sector_roots(n, r).copy()
+        roots[1] += 1e-6
+        with pytest.raises(NumericFailureError):
+            _verify_roots(n, r, roots, build_b2(n, r))
+
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_duplicated_root(self, n, r):
+        b = build_b2(n, r)
+        roots = sector_roots(n, r).copy()
+        roots[2] = roots[1]
+        # every value is still an eigenvalue of b, so a per-root smallest
+        # singular value test accepts the list; multiplicities do not
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
+        eye = np.eye(len(b))
+        assert all(np.linalg.svd(b - lam * eye, compute_uv=False)[-1] <= tol
+                   for lam in roots)
+        with pytest.raises(NumericFailureError):
+            _verify_roots(n, r, roots, b)
+
+    def test_rejects_blocked_orbit_coupling(self):
+        n, r = 12, 5
+        b = build_b2(n, r)
+        b[-1, -2] = 1e-6
+        with pytest.raises(NumericFailureError, match="blocked orbit"):
+            _verify_roots(n, r, sector_roots(n, r), b)
+
+
 class TestSpectrum2Token:
     def test_n7_table(self):
         report = cached_contfrac(7)
@@ -223,6 +294,28 @@ class TestSpectrum2Token:
             per_sector = [len(sector_roots(n, r)) for r in range(n)]
             assert sum(per_sector) == comb(n, 2)
             assert per_sector[n // 2] == nu - 1
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_conjugate_sectors_identical(self, n):
+        report = cached_contfrac(n)
+        for r in range(1, n):
+            a = [(e.value, e.kept, e.reason) for e in report.sector_entries(r)]
+            b = [(e.value, e.kept, e.reason) for e in report.sector_entries(n - r)]
+            assert a == b, (n, r)
+
+    @pytest.mark.parametrize("n", [200, 201])
+    def test_trace_invariants_beyond_brute_cap(self, n):
+        # tr L = sum of degrees and tr L^2 = sum deg^2 + sum deg; the
+        # degrees come from the token moves, not from a closed form
+        degrees = [len(token_neighbors(pair, n))
+                   for pair in combinations(range(n), 2)]
+        kept = spectrum_2token(n).kept
+        assert len(kept) == comb(n, 2)
+        tol = 1e-8 * len(kept)  # 1e-8 per eigenvalue
+        assert abs(math.fsum(kept) - sum(degrees)) <= tol
+        want = sum(d * d for d in degrees) + sum(degrees)
+        got = math.fsum(v * v for v in kept)
+        assert abs(got - want) <= 2 * max(kept) * tol
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):
