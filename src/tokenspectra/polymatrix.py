@@ -7,11 +7,25 @@ carries the degree of A (plus -z^s terms when A is adjacent to rotations
 of itself).  Evaluating at z = exp(2*pi*i*r/n) for r = 0..n-1 yields a
 superset of the Laplacian spectrum of the token graph.  When all orbits
 are full the union over r is exactly the spectrum (the matrix is a
-genuine cyclic lift base); short orbits introduce spurious eigenvalues,
-which are removed by a rank test on the eigenvectors: a quotient vector
-unrolls to a graph eigenvector iff on every short orbit either its
-component vanishes or the sector order o(r) = n/gcd(n, r) divides the
-orbit period.
+genuine cyclic lift base); short orbits introduce spurious eigenvalues.
+
+In sector r, call an orbit blocked when its period p is not divisible
+by the sector order o(r) = n/gcd(n, r), so that w^(rp) != 1.  The
+neighbours of a blocked representative are invariant under its period
+shift, so each entry of its row in an unblocked column is a sum
+z^s (1 + z^p + z^(2p) + ...) over a full period of w^(rp), which
+vanishes.  B(w^r) is therefore block upper triangular over (unblocked
+U, blocked X), and ``solve_sector`` reads the split off exactly:
+
+* the kept values are the spectrum of H = D_U^(1/2) B_UU D_U^(-1/2),
+  D = diag(orbit periods), which is Hermitian (the quotient-matrix
+  argument for lifted graphs); their eigenvectors are
+  [D_U^(-1/2) w; 0], which unroll to eigenvectors of the token graph;
+* the discarded values are the spectrum of B_XX, only |X| wide.
+
+``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
+construction (a general eigensolve, then a rank test on the eigenspaces
+restricted to the blocked rows) as an independent reference.
 
 Sector computations are pure functions of immutable inputs; every r can
 run independently.  Sectors r and n - r are complex conjugates of each
@@ -29,9 +43,13 @@ from .errors import (CountMismatchError, NumericFailureError,
 from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumEntry, SpectrumReport
-from .tokengraph import TokenGraph, build_token_graph, laplacian, token_neighbors
+from .tokengraph import TokenGraph, build_token_graph, token_neighbors
 
 DISCARD_REASON = "nonzero on short orbit whose period the sector order does not divide"
+# absolute bounds of the sector solver: eigen-residuals of unit vectors,
+# and the imaginary parts of the discarded values
+RESIDUAL_TOL = 1e-8
+IMAG_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -168,40 +186,157 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
     return verdicts
 
 
-def _sector_verdicts(matrix: LaurentMatrix, orbits: OrbitTable):
-    """Yield (r, verdicts) once for every sector r = 0..n-1.
+def check_bound(where: str, quantity: str, value: float, tol: float) -> None:
+    """Raise NumericFailureError naming the failed quantity unless value <= tol."""
+    if not value <= tol:  # a NaN fails too
+        raise NumericFailureError(
+            f"{where}: {quantity} {value:.3e} exceeds tol {tol:.3e}")
+
+
+def hermitian_quotient(b: np.ndarray, periods: np.ndarray, blocked: np.ndarray,
+                       where: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Hermitian quotient of a sector matrix on its unblocked orbits.
+
+    ``b`` is the sector matrix, ``periods`` the orbit periods and
+    ``blocked`` the mask of orbits whose period the sector order does
+    not divide.  With U the unblocked and X the blocked orbits, b[X, U]
+    must vanish and H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods),
+    must be Hermitian; both are checked within tol = 1e-8 (1 + max|b|),
+    and a failure raises ``NumericFailureError`` prefixed by ``where``.
+    Returns (H, scale, tol), where scale is the diagonal of D_U^(1/2)
+    divided by its largest entry, so full orbits scale by exactly 1.
+    """
+    tol = 1e-8 * (1.0 + float(np.abs(b).max()))
+    h = b
+    if blocked.any():
+        keep = np.flatnonzero(~blocked)
+        coupling = float(np.abs(b.take(np.flatnonzero(blocked), 0).take(keep, 1))
+                         .max(initial=0.0))
+        check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
+        h = b.take(keep, 0).take(keep, 1)
+        periods = periods[keep]
+    top = periods.max()
+    short = np.flatnonzero(periods != top)
+    scale = np.ones(len(periods))
+    if short.size:
+        scale[short] = np.sqrt(periods[short] / top)
+        h = h.copy() if h is b else h
+        h[short] *= scale[short, None]
+        h[:, short] /= scale[short]
+    skew = float(np.abs(h - h.conj().T).max())
+    check_bound(where, "skew max|H - H^*|", skew, tol)
+    return h, scale, tol
+
+
+@dataclass(frozen=True)
+class SectorSolution:
+    """Kept and discarded eigenvalues of one sector matrix, each ascending.
+
+    ``residuals`` holds max|b v - lambda v| per kept value.  ``vectors``
+    holds the kept eigenvectors, one unit column each, exactly zero on
+    the blocked orbits; it is None when they were not asked for.
+    """
+
+    sector: int
+    kept: np.ndarray
+    residuals: np.ndarray
+    discarded: np.ndarray
+    vectors: np.ndarray | None = None
+
+
+def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
+                 vectors: bool = True) -> SectorSolution:
+    """Split the sector matrix b = B(w^r) into kept and discarded values.
+
+    The kept values are ``eigh`` of the Hermitian quotient on the
+    unblocked orbits (see ``hermitian_quotient``), with eigenvectors
+    v = [D_U^(-1/2) w; 0] scaled to unit norm.  Since b[X, U] vanishes,
+    their residual against b is D_U^(-1/2) (H w - w lambda) on the rows
+    U and b[X, U] v on the rows X; it must stay within RESIDUAL_TOL.
+    The discarded values are ``eig`` of b[X, X]; their imaginary parts
+    must stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
+    """
+    n, k = orbits.n, orbits.k
+    where = f"F_{k}(C_{n}) sector r={r}"
+    periods = np.asarray(orbits.periods)
+    blocked = periods % sector_order(n, r) != 0
+    if not b.imag.any():
+        b = b.real.copy()  # sectors 0 and n/2: the root table gives +-1 exactly
+    h, scale, _ = hermitian_quotient(b, periods, blocked, where)
+    try:
+        vals, w = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
+    unscale = (1.0 / scale)[:, None]
+    diff = h @ w
+    diff -= w * vals
+    diff *= unscale
+    res = np.max(np.abs(diff), axis=0)
+    del diff, h
+    w *= unscale
+    norms = np.linalg.norm(w, axis=0)
+    w /= norms
+    res /= norms
+    discarded = np.empty(0)
+    if blocked.any():
+        res = np.maximum(res, np.max(np.abs(b[blocked][:, ~blocked] @ w), axis=0))
+        bxx = b[np.ix_(blocked, blocked)]
+        try:
+            dvals, dvecs = np.linalg.eig(bxx)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError(f"{where}: eig of b[X, X] failed: {exc}") from exc
+        check_bound(where, "discarded value imaginary part",
+                    float(np.max(np.abs(dvals.imag))), IMAG_TOL)
+        check_bound(where, "discarded eigenpair residual",
+                    float(np.max(np.abs(bxx @ dvecs - dvecs * dvals))), RESIDUAL_TOL)
+        discarded = np.sort(dvals.real)
+    check_bound(where, "kept vector residual", float(np.max(res, initial=0.0)),
+                RESIDUAL_TOL)
+    full = None
+    if vectors:
+        full = np.zeros((len(periods), len(vals)), dtype=complex)
+        full[~blocked] = w
+    return SectorSolution(r, vals, res, discarded, full)
+
+
+def _sector_solutions(matrix: LaurentMatrix, orbits: OrbitTable, *,
+                      vectors: bool):
+    """Yield the ``SectorSolution`` of every sector r = 0..n-1.
 
     Only the sectors r <= n/2 are solved.  The coefficients of B(z) are
     integers and the root table is conjugate symmetric, so B(w^(n-r)) is
-    exactly the conjugate of B(w^r): its eigenvalues are the same and
-    its eigenvectors the conjugates, with the same residuals and
-    singular values.  Both sectors have the same order n/gcd(n, r), so
-    they block the same orbits.  Sector n - r therefore takes the
-    verdicts of sector r with conjugated vectors; it is yielded right
-    after sector r, so only one sector's vectors are held at a time.
+    exactly the conjugate of B(w^r): its eigenvalues and residuals are
+    the same and its eigenvectors the conjugates.  Both sectors have the
+    same order n/gcd(n, r), so they block the same orbits.  Sector n - r
+    is yielded right after sector r, so only one sector's vectors are
+    held at a time.
     """
     n = matrix.n
     for r in range(n // 2 + 1):
-        verdicts = filter_spurious(sector_eigenpairs(matrix, r), orbits, r)
-        yield r, verdicts
+        sol = solve_sector(matrix.specialize(r), orbits, r, vectors=vectors)
+        yield sol
         if 0 < r < n - r:
-            yield n - r, [replace(v, sector=n - r, vectors=v.vectors.conj())
-                          for v in verdicts]
+            conj = None if sol.vectors is None else sol.vectors.conj()
+            yield replace(sol, sector=n - r, vectors=conj)
 
 
 def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
-    """Union of filtered sector spectra; exactly C(n, k) values kept."""
+    """Union of the kept sector spectra; exactly C(n, k) values kept.
+
+    Each sector's audit entries are ascending by value.
+    """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits, shift=shift)
     by_sector: list[list[SpectrumEntry]] = [[] for _ in range(n)]
     kept: list[float] = []
-    for r, verdicts in _sector_verdicts(matrix, orbits):
-        for v in verdicts:
-            kept.extend([v.value] * v.kept)
-            by_sector[r].extend(SpectrumEntry(v.value, r, True)
-                                for _ in range(v.kept))
-            by_sector[r].extend(SpectrumEntry(v.value, r, False, DISCARD_REASON)
-                                for _ in range(v.discarded))
+    for sol in _sector_solutions(matrix, orbits, vectors=False):
+        values = np.concatenate([sol.kept, sol.discarded])
+        n_kept = len(sol.kept)
+        by_sector[sol.sector] = [
+            SpectrumEntry(float(values[i]), sol.sector, True) if i < n_kept
+            else SpectrumEntry(float(values[i]), sol.sector, False, DISCARD_REASON)
+            for i in np.argsort(values, kind="stable")]
+        kept.extend(sol.kept.tolist())
     expected = comb(n, k)
     if len(kept) != expected:
         raise CountMismatchError(
@@ -213,21 +348,16 @@ def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
     """Every kept eigenpair across all sectors, with verified residuals.
 
-    Pairs come in sector order, each checked against its own sector's
-    specialized matrix.
+    Pairs come in sector order, ascending by value within a sector, each
+    checked against its own sector's specialized matrix.
     """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits)
     by_sector: list[list[EigenPair]] = [[] for _ in range(n)]
-    for r, verdicts in _sector_verdicts(matrix, orbits):
-        vals = np.concatenate([np.full(v.kept, v.value) for v in verdicts])
-        vecs = np.hstack([v.vectors for v in verdicts])
-        res = np.max(np.abs(matrix.specialize(r) @ vecs - vecs * vals), axis=0)
-        if np.any(res > 1e-8):
-            raise NumericFailureError(
-                f"kept vector residual {res.max():.3e} in sector {r} of F_{k}(C_{n})")
-        by_sector[r] = [EigenPair(float(val), r, vecs[:, col], float(res[col]))
-                        for col, val in enumerate(vals)]
+    for sol in _sector_solutions(matrix, orbits, vectors=True):
+        by_sector[sol.sector] = [
+            EigenPair(float(val), sol.sector, sol.vectors[:, col], float(sol.residuals[col]))
+            for col, val in enumerate(sol.kept)]
     return [pair for pairs in by_sector for pair in pairs]
 
 
@@ -249,12 +379,14 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     The configuration X = rep_i + j receives component f_i * w^(r*j)
     with w = exp(2*pi*i/n).  Well defined on a short orbit only when
     f_i = 0 or the sector order divides the orbit period, which the
-    spurious filter guarantees; a violation here is a filtering bug and
-    raises.  The residual is checked against the full Laplacian.
+    sector solver guarantees; a violation here is a solver bug and
+    raises.  The residual |L x - lambda x| is checked through the
+    graph's edge arrays, so ``lap`` is accepted for compatibility but
+    not read.
     """
     n, k = orbits.n, orbits.k
-    if lap is None:
-        lap = laplacian(graph if graph is not None else build_token_graph(n, k))
+    if graph is None:
+        graph = build_token_graph(n, k)
     r = pair.sector
     scale = float(np.max(np.abs(pair.vector)))
     for i in blocked_orbits(orbits, r):
@@ -265,10 +397,12 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     out = pair.vector[orbits.orbit_of] * root_table(n)[(r * orbits.shift_of) % n]
     if not np.any(out):
         raise NumericFailureError("lifted vector is zero")
-    # the Laplacian is real: one product with the real and imaginary parts
-    parts = np.stack([out.real, out.imag], axis=1)
-    diff = lap @ parts - pair.value * parts
-    res = float(np.max(np.hypot(diff[:, 0], diff[:, 1])))
+    # L x = deg x - sum over neighbours; bincount takes real weights only
+    src, dst = graph.edges
+    m = graph.order
+    adj = (np.bincount(src, out.real[dst], m)
+           + 1j * np.bincount(src, out.imag[dst], m))
+    res = float(np.max(np.abs((graph.degrees - pair.value) * out - adj)))
     if res > 1e-8:
         raise NumericFailureError(
             f"lifted vector residual {res:.3e} for eigenvalue {pair.value} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -61,13 +61,20 @@ def token_neighbors(subset, n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class TokenGraph:
-    """The k-token graph of the n-cycle, vertices in lexicographic order."""
+    """The k-token graph of the n-cycle, vertices in lexicographic order.
+
+    ``edges`` holds the adjacency lists as two int arrays (source, target),
+    one column per directed edge, grouped by source; ``degrees`` holds
+    the vertex degrees.
+    """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]
     index: dict = field(repr=False, compare=False)
+    edges: np.ndarray = field(repr=False, compare=False)
+    degrees: np.ndarray = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -84,17 +91,21 @@ def build_token_graph(n: int, k: int) -> TokenGraph:
     index = {v: i for i, v in enumerate(vertices)}
     adjacency = tuple(
         tuple(index[nb] for nb in token_neighbors(v, n)) for v in vertices)
-    return TokenGraph(n, k, vertices, adjacency, index)
+    degrees = np.array([len(nbs) for nbs in adjacency], dtype=np.int64)
+    edges = np.stack([np.repeat(np.arange(len(vertices)), degrees),
+                      np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
+                                  count=int(degrees.sum()))])
+    edges.flags.writeable = False
+    degrees.flags.writeable = False
+    return TokenGraph(n, k, vertices, adjacency, index, edges, degrees)
 
 
 def laplacian(graph: TokenGraph) -> np.ndarray:
     """Degree diagonal minus adjacency, in the graph's vertex order."""
     m = graph.order
     lap = np.zeros((m, m))
-    for i, nbs in enumerate(graph.adjacency):
-        lap[i, i] = len(nbs)
-        for j in nbs:
-            lap[i, j] -= 1.0
+    np.subtract.at(lap, tuple(graph.edges), 1.0)
+    lap[np.diag_indices(m)] += graph.degrees
     return lap
 
 

@@ -39,7 +39,8 @@ from numpy.polynomial import Polynomial
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
 from .laurent import root_table
-from .polymatrix import DISCARD_REASON
+from .necklaces import sector_order
+from .polymatrix import DISCARD_REASON, check_bound, hermitian_quotient
 from .report import SpectrumEntry, SpectrumReport
 
 
@@ -130,45 +131,26 @@ def _half_turn_kept(n: int) -> list[float]:
 def _verify_roots(n: int, r: int, roots: np.ndarray, b: np.ndarray) -> None:
     """Check the kept roots of sector r against its sector matrix b.
 
-    D^(1/2) b D^(-1/2), with D = diag(orbit periods) restricted to the
-    orbits the sector keeps, is Hermitian and its eigenvalues are the
-    kept values with multiplicity.  For odd n it is b itself.  For even
-    n and even r the half-turn orbit has period n/2, so the last row is
-    scaled by 1/sqrt(2) and the last column by sqrt(2).  For even n and
-    odd r the half-turn orbit is blocked: its coupling b[nu-1, nu-2]
-    must vanish, so b is block triangular and spec(b) is the spectrum of
-    the leading block plus the spurious 4.  The sorted roots must match
-    ``eigvalsh`` of that Hermitian matrix elementwise within
-    tol = 1e-8 (1 + max|b|), which also checks multiplicities.
+    Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
+    even n, which has period n/2 and is blocked in the odd sectors.
+    ``hermitian_quotient`` checks that b does not couple a blocked orbit
+    to the others and forms the Hermitian matrix D^(1/2) b D^(-1/2) on
+    the kept orbits, whose eigenvalues are the kept values with
+    multiplicity.  The sorted roots must match its ``eigvalsh``
+    elementwise within the same tol = 1e-8 (1 + max|b|), which also
+    checks multiplicities.
     """
-    case = _case_tag(n, r)
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
-    if case == "odd":
-        h = b
-    elif case == "even-even":
-        h = b.copy()
-        h[-1, :] /= math.sqrt(2.0)
-        h[:, -1] *= math.sqrt(2.0)
-    else:
-        coupling = abs(b[-1, -2])
-        if coupling > tol:
-            raise NumericFailureError(
-                f"sector ({n}, r={r}) couples its blocked orbit: "
-                f"|b[nu-1, nu-2]| = {coupling:.3e} > {tol:.3e}")
-        h = b[:-1, :-1]
-    skew = float(np.max(np.abs(h - h.conj().T)))
-    if skew > tol:
-        raise NumericFailureError(
-            f"sector ({n}, r={r}) scaled matrix is not Hermitian: "
-            f"max |H - H^*| = {skew:.3e} > {tol:.3e}")
+    where = f"F_2(C_{n}) sector r={r}"
+    periods = np.full(half_order(n), n)
+    if n % 2 == 0:
+        periods[-1] = n // 2
+    blocked = periods % sector_order(n, r) != 0
+    h, _, tol = hermitian_quotient(b, periods, blocked, where)
     if len(roots) != len(h):
         raise CountMismatchError(
-            f"sector ({n}, r={r}) produced {len(roots)} roots, expected {len(h)}")
+            f"{where}: produced {len(roots)} roots, expected {len(h)}")
     gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(h))))
-    if gap > tol:
-        raise NumericFailureError(
-            f"roots of sector ({n}, r={r}) fail the matrix check: they differ "
-            f"from the sector eigenvalues by {gap:.3e} > {tol:.3e}")
+    check_bound(where, "root gap max|roots - eigvalsh(H)|", gap, tol)
 
 
 def sector_roots(n: int, r: int) -> np.ndarray:
@@ -228,13 +210,13 @@ def spectrum_2token(n: int) -> SpectrumReport:
     """
     if n < 4:
         raise ParameterDomainError(f"two-token spectrum needs n >= 4, got {n}")
-    solved = [sector_roots(n, r) for r in range(n // 2 + 1)]
+    solved = [sector_roots(n, r).tolist() for r in range(n // 2 + 1)]
     entries: list[SpectrumEntry] = []
     kept: list[float] = []
     for r in range(n):
         roots = solved[min(r, n - r)]
-        kept.extend(float(v) for v in roots)
-        entries.extend(SpectrumEntry(float(v), r, True) for v in roots)
+        kept.extend(roots)
+        entries.extend(SpectrumEntry(v, r, True) for v in roots)
         case = _case_tag(n, r)
         if case == "even-odd" or (case == "half" and half_order(n) % 2):
             entries.append(SpectrumEntry(4.0, r, False, DISCARD_REASON))

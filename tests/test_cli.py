@@ -211,6 +211,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "4")
         assert code == 0
 
+    def test_run_verification_counts(self):
+        failures, checks, spectra = cli.run_verification(12, echo=lambda _: None)
+        assert (failures, checks, spectra) == ([], 218, 412)
+
     def test_injected_defect_detected(self, capsys, monkeypatch):
         # negative control: an over-lift spectrum off by 1e-3 must fail
         real = cli.overlift_spectrum

@@ -8,13 +8,14 @@ import pytest
 from conftest import cached_brute, cached_overlift
 from numpy.testing import assert_allclose
 
-from tokenspectra import (EigenPair, LaurentMatrix, ParameterDomainError,
-                          PhaseConsistencyError, build_poly_matrix,
+from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
+                          ParameterDomainError, PhaseConsistencyError,
+                          build_poly_matrix,
                           build_token_graph, enumerate_orbits, expand_lift,
                           filter_spurious, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
-from tokenspectra.polymatrix import blocked_orbits
+from tokenspectra.polymatrix import blocked_orbits, solve_sector
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -263,6 +264,89 @@ class TestFullSpectrum:
                 replace(e, sector=n - r) for e in report.sector_entries(r))
 
 
+def _blocked_mask(orbits, r):
+    mask = np.zeros(orbits.count, dtype=bool)
+    mask[blocked_orbits(orbits, r)] = True
+    return mask
+
+
+class TestSolveSector:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_eig_and_filter_route(self, n):
+        # kept and discarded multisets of every sector against the
+        # paper's construction: general eig, then the rank filter
+        for k in range(1, n // 2 + 1):
+            orbits = enumerate_orbits(n, k)
+            for shift in ("smallest", "largest"):
+                m = build_poly_matrix(n, k, orbits, shift=shift)
+                for r in range(n):
+                    sol = solve_sector(m.specialize(r), orbits, r, vectors=False)
+                    verdicts = filter_spurious(sector_eigenpairs(m, r), orbits, r)
+                    kept = [v.value for v in verdicts for _ in range(v.kept)]
+                    dropped = [v.value for v in verdicts for _ in range(v.discarded)]
+                    assert multisets_close(sol.kept, kept, 1e-8), (n, k, shift, r)
+                    assert multisets_close(sol.discarded, dropped, 1e-8), (n, k, shift, r)
+
+    def test_blocked_coupling_raises(self):
+        orbits = enumerate_orbits(6, 3)
+        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        short = orbits.reps.index((0, 2, 4))
+        b[short, 0] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=r"F_3\(C_6\) sector r=1: blocked orbit coupling"):
+            solve_sector(b, orbits, 1)
+
+    def test_non_hermitian_quotient_raises(self):
+        orbits = enumerate_orbits(8, 4)
+        b = build_poly_matrix(8, 4, orbits).specialize(3)
+        b[0, 1] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=r"F_4\(C_8\) sector r=3: skew .* exceeds tol"):
+            solve_sector(b, orbits, 3)
+
+    def test_residual_failure_names_its_context(self, monkeypatch):
+        orbits = enumerate_orbits(6, 3)
+        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        eigh = np.linalg.eigh
+
+        def shifted_eigh(h):
+            vals, vecs = eigh(h)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
+        with pytest.raises(NumericFailureError,
+                           match=r"F_3\(C_6\) sector r=1: kept vector residual "
+                                 r"\d\.\d{3}e-0[67] exceeds tol 1\.000e-08"):
+            solve_sector(b, orbits, 1)
+
+    def test_imaginary_discarded_value_raises(self):
+        orbits = enumerate_orbits(6, 3)
+        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        short = orbits.reps.index((0, 2, 4))
+        b[short, short] += 1e-3j
+        with pytest.raises(NumericFailureError,
+                           match=r"sector r=1: discarded value imaginary part 1\.000e-03"):
+            solve_sector(b, orbits, 1)
+
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
+    def test_kept_vectors_vanish_on_blocked_orbits(self, n, k):
+        orbits = enumerate_orbits(n, k)
+        m = build_poly_matrix(n, k, orbits)
+        for r in range(n):
+            sol = solve_sector(m.specialize(r), orbits, r)
+            assert np.all(sol.vectors[_blocked_mask(orbits, r)] == 0)
+            assert_allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, atol=1e-12)
+            assert np.all(sol.residuals < 1e-8)
+            assert list(sol.kept) == sorted(sol.kept)
+            assert list(sol.discarded) == sorted(sol.discarded)
+            assert len(sol.kept) + len(sol.discarded) == orbits.count
+
+    def test_vectors_not_kept_on_request(self):
+        orbits = enumerate_orbits(8, 4)
+        b = build_poly_matrix(8, 4, orbits).specialize(2)
+        assert solve_sector(b, orbits, 2, vectors=False).vectors is None
+
+
 class TestKeptEigenpairs:
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3)])
     def test_conjugate_sector_vectors(self, n, k):
@@ -336,6 +420,23 @@ class TestLiftEigenvector:
             for pair in kept_eigenpairs(n, k):
                 lifted = lift_eigenvector(pair, orbits, g, lap)
                 assert lifted.residual < 1e-8
+
+
+    def test_sparse_residual_matches_dense_laplacian(self):
+        n, k = 8, 4
+        orbits = enumerate_orbits(n, k)
+        g = build_token_graph(n, k)
+        lap = laplacian(g)
+        for pair in kept_eigenpairs(n, k):
+            lifted = lift_eigenvector(pair, orbits, g)
+            dense = np.max(np.abs(lap @ lifted.values - pair.value * lifted.values))
+            assert abs(lifted.residual - dense) <= 1e-12
+
+    def test_wrong_eigenvalue_raises(self):
+        orbits = enumerate_orbits(8, 4)
+        pair = kept_eigenpairs(8, 4)[5]
+        with pytest.raises(NumericFailureError, match="lifted vector residual"):
+            lift_eigenvector(replace(pair, value=pair.value + 1e-3), orbits)
 
 
 class TestExpandLift:

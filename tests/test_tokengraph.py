@@ -96,6 +96,13 @@ class TestLaplacian:
         assert lap.shape == (6, 6)
         assert_allclose(lap.sum(axis=1), 0, atol=1e-12)
 
+    def test_edge_arrays_follow_adjacency(self):
+        g = build_token_graph(8, 3)
+        src, dst = g.edges
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (i, j) for i, nbs in enumerate(g.adjacency) for j in nbs]
+        assert g.degrees.tolist() == [g.degree(i) for i in range(g.order)]
+
     def test_symmetric_psd(self):
         lap = laplacian(build_token_graph(7, 3))
         assert_allclose(lap, lap.T)
