@@ -15,10 +15,14 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterDomainError
+
+# root tables kept: each sector pipeline reads the tables of n and 2n
+ROOT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,9 @@ def parse_laurent(text: str, n: int) -> LaurentPoly:
     return LaurentPoly.from_terms(n, terms)
 
 
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def root_table(n: int) -> np.ndarray:
-    """The n-th roots of unity exp(2*pi*i*m/n) for m = 0..n-1.
+    """The n-th roots of unity exp(2*pi*i*m/n) for m = 0..n-1, read-only.
 
     Entries past index n/2 are stored as the conjugates of the entries
     below it, so table[(n - m) % n] == conj(table[m]) holds exactly.  A
@@ -141,7 +146,9 @@ def root_table(n: int) -> np.ndarray:
     half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
     if n % 2 == 0:
         half[-1] = -1.0
-    return np.concatenate([half, half[1:(n + 1) // 2][::-1].conj()])
+    table = np.concatenate([half, half[1:(n + 1) // 2][::-1].conj()])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -95,7 +95,9 @@ class OrbitTable:
     ``lookup`` maps every k-subset to (representative index, shift) with
     the smallest nonnegative shift.  ``orbit_of`` and ``shift_of`` hold
     the same pairs as int arrays over all k-subsets in lexicographic
-    order, the vertex order of the token graph.  Immutable after
+    order, the vertex order of the token graph.  The reflection
+    X -> -X of the cycle maps orbit i onto orbit ``mirror_of[i]``:
+    -rep_i = rep_(mirror_of[i]) + ``mirror_shift[i]``.  Immutable after
     construction.
     """
 
@@ -106,6 +108,8 @@ class OrbitTable:
     lookup: dict = field(repr=False, compare=False)
     orbit_of: np.ndarray = field(repr=False, compare=False)
     shift_of: np.ndarray = field(repr=False, compare=False)
+    mirror_of: np.ndarray = field(repr=False, compare=False)
+    mirror_shift: np.ndarray = field(repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -145,10 +149,32 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     if sum(periods) != comb(n, k):
         raise NumericFailureError("orbit sizes do not add up to C(n, k)")
     orbit_of, shift_of = np.array(located, dtype=np.int64).T
-    orbit_of.flags.writeable = False
-    shift_of.flags.writeable = False
+    mirror_of, mirror_shift = np.array(
+        [lookup[tuple(sorted(-x % n for x in rep))] for rep in reps],
+        dtype=np.int64).T
+    check_mirror(mirror_of, mirror_shift, np.array(periods))
+    for arr in (orbit_of, shift_of, mirror_of, mirror_shift):
+        arr.flags.writeable = False
     return OrbitTable(n, k, tuple(reps), tuple(periods), lookup,
-                      orbit_of, shift_of)
+                      orbit_of, shift_of, mirror_of, mirror_shift)
+
+
+def check_mirror(mirror_of: np.ndarray, mirror_shift: np.ndarray,
+                 periods: np.ndarray) -> None:
+    """Check the reflection data of an orbit table.
+
+    The reflection is an involution on orbits that preserves periods,
+    and reflecting twice is the identity, so the two shifts of a mirror
+    pair agree modulo the orbit period.  Raises ``NumericFailureError``
+    naming the first invariant that fails.
+    """
+    if not np.array_equal(mirror_of[mirror_of], np.arange(len(mirror_of))):
+        raise NumericFailureError("the orbit reflection is not an involution")
+    if not np.array_equal(periods[mirror_of], periods):
+        raise NumericFailureError("the orbit reflection does not preserve periods")
+    if np.any((mirror_shift[mirror_of] - mirror_shift) % periods):
+        raise NumericFailureError(
+            "mirror shifts of a reflected pair differ modulo the orbit period")
 
 
 def _exact_div(total: int, n: int, what: str) -> int:

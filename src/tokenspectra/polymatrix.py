@@ -23,6 +23,15 @@ U, blocked X), and ``solve_sector`` reads the split off exactly:
   [D_U^(-1/2) w; 0], which unroll to eigenvectors of the token graph;
 * the discarded values are the spectrum of B_XX, only |X| wide.
 
+The reflection X -> -X of the cycle, composed with complex conjugation,
+maps sector r to itself; on H it is an antiunitary symmetry that squares
+to the identity (each two-dimensional dihedral representation is of
+real type).  Reordering the orbits into fixed points and mirror pairs,
+scaling by half phases and rotating each pair (``RealBasis``) makes H a
+real symmetric matrix S, so every sector is solved by a real ``eigh``.
+The realness of S is checked; the kept residual is still measured
+against the complex H.
+
 ``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
 construction (a general eigensolve, then a rank test on the eigenspaces
 restricted to the blocked rows) as an independent reference.
@@ -50,6 +59,7 @@ DISCARD_REASON = "nonzero on short orbit whose period the sector order does not 
 # and the imaginary parts of the discarded values
 RESIDUAL_TOL = 1e-8
 IMAG_TOL = 1e-7
+SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -139,11 +149,19 @@ def sector_eigenpairs(matrix: LaurentMatrix, r: int, *,
     return pairs
 
 
+def blocked_mask(periods: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Mask of the orbits blocked in sector r of the n-cycle.
+
+    An orbit is blocked when the sector order n/gcd(n, r) does not
+    divide its period, so w^(rp) != 1 on it.  Full orbits are never
+    blocked.
+    """
+    return periods % sector_order(n, r) != 0
+
+
 def blocked_orbits(orbits: OrbitTable, r: int) -> list[int]:
     """Indices of short orbits whose period the sector order does not divide."""
-    o_r = sector_order(orbits.n, r)
-    return [i for i, p in enumerate(orbits.periods)
-            if p < orbits.n and p % o_r != 0]
+    return np.flatnonzero(blocked_mask(np.asarray(orbits.periods), orbits.n, r)).tolist()
 
 
 def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
@@ -161,7 +179,7 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
     scale and nearly parallel vectors from a defective cluster cannot
     distort the decision.
     """
-    blocked = blocked_orbits(orbits, r)
+    blocked = blocked_mask(np.asarray(orbits.periods), orbits.n, r)
     verdicts = []
     i = 0
     while i < len(pairs):
@@ -173,8 +191,8 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
         basis = np.column_stack([p.vector for p in group])
         q, _, _ = np.linalg.svd(basis, full_matrices=False)
         mean = float(np.mean([p.value for p in group]))
-        if blocked:
-            restricted = q[blocked, :]
+        if blocked.any():
+            restricted = q[blocked]
             _, sv, vh = np.linalg.svd(restricted)
             rank = int(np.sum(sv > rank_tol))
             kept_vecs = q @ vh.conj().T[:, rank:]
@@ -228,6 +246,97 @@ def hermitian_quotient(b: np.ndarray, periods: np.ndarray, blocked: np.ndarray,
     return h, scale, tol
 
 
+class RealBasis:
+    """A unitary basis in which a sector's Hermitian quotient is real.
+
+    The reflection X -> -X of the cycle maps sector r to sector n - r,
+    and composed with complex conjugation it maps sector r to itself.
+    On the quotient H of sector r it acts as f -> P conj(f) with
+    P[i, sigma(i)] = w^(-r t_i), where sigma is the orbit reflection and
+    t its shift; this map commutes with H and squares to the identity,
+    so H is real in a basis of vectors it fixes.  Those are
+    phase * e_i for a fixed point i of sigma, and
+    phase * (e_i + e_j)/sqrt(2) and i * phase * (e_i - e_j)/sqrt(2) for a
+    pair i < j = sigma(i), with the half phase exp(-i pi r t_i / n) of the
+    pair's lower member.
+
+    ``order`` lists the positions of H as [fixed points | pair lows |
+    pair highs], ``phase`` holds the half phase of each entry of
+    ``order``, and ``fixed`` counts the fixed points.
+    """
+
+    # a plain class: generating a dataclass would add about 1 ms to
+    # every import of the package
+    __slots__ = ("order", "phase", "fixed")
+
+    def __init__(self, order: np.ndarray, phase: np.ndarray, fixed: int):
+        self.order, self.phase, self.fixed = order, phase, fixed
+
+    def _blocks(self) -> tuple[slice, slice]:
+        f = self.fixed
+        m = (len(self.order) - f) // 2
+        return slice(f, f + m), slice(f + m, None)
+
+    def reduce(self, h: np.ndarray, tol: float, where: str) -> np.ndarray:
+        """The real symmetric matrix S of ``h`` in this basis.
+
+        Rotates the pairs in place on contiguous views of one permuted
+        copy of ``h``; max|Im S| must stay within tol, or
+        ``NumericFailureError`` names it, prefixed by ``where``.
+        """
+        lo, hi = self._blocks()
+        s = h.take(self.order, 0).take(self.order, 1)
+        s *= self.phase.conj()[:, None]
+        s *= self.phase
+        # columns (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2), then the
+        # rows as the conjugate transpose: (lo + hi)/sqrt(2), -i (lo - hi)/sqrt(2)
+        diff = s[:, lo] - s[:, hi]
+        s[:, lo] += s[:, hi]
+        s[:, lo] *= SQRT_HALF
+        np.multiply(diff, 1j * SQRT_HALF, out=s[:, hi])
+        diff = s[lo] - s[hi]
+        s[lo] += s[hi]
+        s[lo] *= SQRT_HALF
+        np.multiply(diff, -1j * SQRT_HALF, out=s[hi])
+        del diff
+        check_bound(where, "real form imaginary part max|Im S|",
+                    float(np.abs(s.imag).max()), tol)
+        return np.ascontiguousarray(s.real)
+
+    def vectors(self, u: np.ndarray) -> np.ndarray:
+        """Map eigenvectors of S (columns of ``u``) to eigenvectors of H."""
+        lo, hi = self._blocks()
+        w = np.empty(u.shape, dtype=complex)
+        w[self.order[:self.fixed]] = u[:self.fixed] * self.phase[:self.fixed, None]
+        half = (self.phase[lo] * SQRT_HALF)[:, None]
+        w[self.order[lo]] = (u[lo] + 1j * u[hi]) * half
+        w[self.order[hi]] = (u[lo] - 1j * u[hi]) * half
+        return w
+
+
+def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
+                     blocked: np.ndarray, r: int, n: int) -> RealBasis:
+    """The ``RealBasis`` of sector r on the unblocked orbits.
+
+    ``mirror_of`` and ``mirror_shift`` give the reflection of every
+    orbit (see ``OrbitTable``); the reflection preserves periods and so
+    maps unblocked orbits to unblocked ones.  Any representative of the
+    shift modulo the period serves: another one only flips the sign of
+    a basis vector.
+    """
+    keep = np.flatnonzero(~blocked)
+    position = np.full(len(blocked), -1)
+    position[keep] = np.arange(len(keep))
+    mirror = position[mirror_of[keep]]
+    here = np.arange(len(keep))
+    fixed = np.flatnonzero(mirror == here)
+    lows = np.flatnonzero(mirror > here)
+    order = np.concatenate([fixed, lows, mirror[lows]])
+    shift = mirror_shift[keep][np.concatenate([fixed, lows, lows])]
+    phase = root_table(2 * n)[(-r * shift) % (2 * n)]
+    return RealBasis(order, phase, len(fixed))
+
+
 @dataclass(frozen=True)
 class SectorSolution:
     """Kept and discarded eigenvalues of one sector matrix, each ascending.
@@ -248,25 +357,34 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
                  vectors: bool = True) -> SectorSolution:
     """Split the sector matrix b = B(w^r) into kept and discarded values.
 
-    The kept values are ``eigh`` of the Hermitian quotient on the
-    unblocked orbits (see ``hermitian_quotient``), with eigenvectors
-    v = [D_U^(-1/2) w; 0] scaled to unit norm.  Since b[X, U] vanishes,
-    their residual against b is D_U^(-1/2) (H w - w lambda) on the rows
-    U and b[X, U] v on the rows X; it must stay within RESIDUAL_TOL.
-    The discarded values are ``eig`` of b[X, X]; their imaginary parts
-    must stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
+    The kept values are the eigenvalues of the Hermitian quotient H on
+    the unblocked orbits (see ``hermitian_quotient``), found by a real
+    ``eigh``: H is real at r = 0 and r = n/2, and elsewhere its real
+    form S in the reflection basis (see ``RealBasis``) is solved.  The
+    eigenvectors w of H give v = [D_U^(-1/2) w; 0] scaled to unit norm.
+    Since b[X, U] vanishes, their residual against b is
+    D_U^(-1/2) (H w - w lambda) on the rows U and b[X, U] v on the rows
+    X, with the complex H; it must stay within RESIDUAL_TOL.  The
+    discarded values are ``eig`` of b[X, X]; their imaginary parts must
+    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
     """
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
     periods = np.asarray(orbits.periods)
-    blocked = periods % sector_order(n, r) != 0
+    blocked = blocked_mask(periods, n, r)
     if not b.imag.any():
         b = b.real.copy()  # sectors 0 and n/2: the root table gives +-1 exactly
-    h, scale, _ = hermitian_quotient(b, periods, blocked, where)
+    h, scale, tol = hermitian_quotient(b, periods, blocked, where)
+    basis = None
+    if np.iscomplexobj(h):
+        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift,
+                                 blocked, r, n)
     try:
-        vals, w = np.linalg.eigh(h)
+        vals, w = np.linalg.eigh(h if basis is None else basis.reduce(h, tol, where))
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
+    if basis is not None:
+        w = basis.vectors(w)
     unscale = (1.0 / scale)[:, None]
     diff = h @ w
     diff -= w * vals
@@ -389,11 +507,13 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
         graph = build_token_graph(n, k)
     r = pair.sector
     scale = float(np.max(np.abs(pair.vector)))
-    for i in blocked_orbits(orbits, r):
-        if abs(pair.vector[i]) > 1e-10 * scale:
-            raise PhaseConsistencyError(
-                f"component {i} nonzero on orbit of period {orbits.periods[i]} "
-                f"with sector order {sector_order(n, r)}")
+    loaded = blocked_mask(np.asarray(orbits.periods), n, r)
+    loaded &= np.abs(pair.vector) > 1e-10 * scale
+    if loaded.any():
+        i = int(np.argmax(loaded))
+        raise PhaseConsistencyError(
+            f"component {i} nonzero on orbit of period {orbits.periods[i]} "
+            f"with sector order {sector_order(n, r)}")
     out = pair.vector[orbits.orbit_of] * root_table(n)[(r * orbits.shift_of) % n]
     if not np.any(out):
         raise NumericFailureError("lifted vector is zero")

@@ -14,8 +14,11 @@ therefore eigenvalues of a small real symmetric tridiagonal matrix in
 the variable Z, which is how this module computes them (the expanded
 monomial coefficients are too ill conditioned for reliable roots once
 cos(r pi/n) is small).  The roots of a sector are checked together
-against the sector matrix by one Hermitian ``eigvalsh``, and conjugate
-sectors r and n - r share their roots.  The same recurrence, run on
+against the sector matrix by one real ``eigvalsh``: the reflection
+X -> -X of the cycle fixes every orbit {0, h}, so diagonal phases turn
+the Hermitian quotient of the sector matrix into a real symmetric
+tridiagonal matrix with the same eigenvalues.  Conjugate sectors r and
+n - r share their roots.  The same recurrence, run on
 polynomials, yields the sector characteristic polynomial, and
 diagonalizing the 2x2 transfer step gives a closed form in
 rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
@@ -39,8 +42,8 @@ from numpy.polynomial import Polynomial
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
 from .laurent import root_table
-from .necklaces import sector_order
-from .polymatrix import DISCARD_REASON, check_bound, hermitian_quotient
+from .polymatrix import (DISCARD_REASON, blocked_mask, check_bound,
+                         hermitian_quotient, reflection_basis)
 from .report import SpectrumEntry, SpectrumReport
 
 
@@ -134,23 +137,29 @@ def _verify_roots(n: int, r: int, roots: np.ndarray, b: np.ndarray) -> None:
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.
     ``hermitian_quotient`` checks that b does not couple a blocked orbit
-    to the others and forms the Hermitian matrix D^(1/2) b D^(-1/2) on
-    the kept orbits, whose eigenvalues are the kept values with
-    multiplicity.  The sorted roots must match its ``eigvalsh``
+    to the others and forms the Hermitian matrix H = D^(1/2) b D^(-1/2)
+    on the kept orbits, whose eigenvalues are the kept values with
+    multiplicity.  The reflection of the cycle fixes every orbit,
+    -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n)
+    turn H into a real symmetric S with the same eigenvalues (see
+    ``RealBasis``).  The sorted roots must match ``eigvalsh(S)``
     elementwise within the same tol = 1e-8 (1 + max|b|), which also
     checks multiplicities.
     """
     where = f"F_2(C_{n}) sector r={r}"
-    periods = np.full(half_order(n), n)
+    nu = half_order(n)
+    periods = np.full(nu, n)
     if n % 2 == 0:
         periods[-1] = n // 2
-    blocked = periods % sector_order(n, r) != 0
+    blocked = blocked_mask(periods, n, r)
     h, _, tol = hermitian_quotient(b, periods, blocked, where)
     if len(roots) != len(h):
         raise CountMismatchError(
             f"{where}: produced {len(roots)} roots, expected {len(h)}")
-    gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(h))))
-    check_bound(where, "root gap max|roots - eigvalsh(H)|", gap, tol)
+    basis = reflection_basis(np.arange(nu), n - np.arange(1, nu + 1), blocked, r, n)
+    s = basis.reduce(h, tol, where)
+    gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(s))))
+    check_bound(where, "root gap max|roots - eigvalsh(S)|", gap, tol)
 
 
 def sector_roots(n: int, r: int) -> np.ndarray:

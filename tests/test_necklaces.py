@@ -1,11 +1,12 @@
 from math import comb, gcd
 
+import numpy as np
 import pytest
 
-from tokenspectra import (ParameterDomainError, build_token_graph,
-                          count_burnside, count_moreau, count_polya,
-                          enumerate_orbits, period)
-from tokenspectra.necklaces import euler_phi, moebius, rotate
+from tokenspectra import (NumericFailureError, ParameterDomainError,
+                          build_token_graph, count_burnside, count_moreau,
+                          count_polya, enumerate_orbits, period)
+from tokenspectra.necklaces import check_mirror, euler_phi, moebius, rotate
 
 # orbit counts for k = 2..7, n = 3..12 (blank cells omitted)
 ORBIT_COUNT_TABLE = {
@@ -98,6 +99,55 @@ class TestEnumerateOrbits:
         for n in range(3, 13):
             for k in range(1, n // 2 + 1):
                 assert sum(enumerate_orbits(n, k).periods) == comb(n, k)
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_reflection_invariants(self, n):
+        for k in range(1, n // 2 + 1):
+            table = enumerate_orbits(n, k)
+            sigma, t = table.mirror_of, table.mirror_shift
+            periods = np.array(table.periods)
+            assert np.array_equal(sigma[sigma], np.arange(table.count)), (n, k)
+            assert np.array_equal(periods[sigma], periods), (n, k)
+            assert not np.any((t[sigma] - t) % periods), (n, k)
+            for i, rep in enumerate(table.reps):
+                reflected = tuple(sorted(-x % n for x in rep))
+                assert rotate(table.reps[sigma[i]], t[i], n) == reflected
+
+    def test_two_tokens_fix_every_orbit(self):
+        # -{0, h} = {0, h} + (n - h), the data the two-token check assumes
+        for n in range(4, 31):
+            table = enumerate_orbits(n, 2)
+            h = np.arange(1, n // 2 + 1)
+            assert [rep for rep in table.reps] == [(0, x) for x in h.tolist()]
+            assert np.array_equal(table.mirror_of, np.arange(len(h)))
+            assert not np.any((table.mirror_shift - (n - h)) % np.array(table.periods))
+
+    def test_mirror_arrays_read_only(self):
+        table = enumerate_orbits(8, 4)
+        with pytest.raises(ValueError):
+            table.mirror_shift[0] = 1
+
+    def test_check_mirror_rejects_broken_data(self):
+        table = enumerate_orbits(8, 4)
+        sigma, t = table.mirror_of.copy(), table.mirror_shift.copy()
+        periods = np.array(table.periods)
+        check_mirror(sigma, t, periods)
+        not_involution = sigma.copy()
+        not_involution[0] = 1  # orbit 1 reflects to orbit 3, not back to 0
+        with pytest.raises(NumericFailureError, match="not an involution"):
+            check_mirror(not_involution, t, periods)
+        swapped = np.arange(len(sigma))
+        long, short = 0, table.periods.index(2)
+        swapped[[long, short]] = short, long
+        with pytest.raises(NumericFailureError, match="preserve periods"):
+            check_mirror(swapped, t, periods)
+        pair = int(np.flatnonzero(sigma != np.arange(len(sigma)))[0])
+        shifted = t.copy()
+        shifted[pair] += 1
+        with pytest.raises(NumericFailureError, match="modulo the orbit period"):
+            check_mirror(sigma, shifted, periods)
 
 
 class TestCounts:

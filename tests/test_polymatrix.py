@@ -15,7 +15,9 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           filter_spurious, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
-from tokenspectra.polymatrix import blocked_orbits, solve_sector
+from tokenspectra.polymatrix import (blocked_mask, blocked_orbits,
+                                     hermitian_quotient, reflection_basis,
+                                     solve_sector)
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -271,7 +273,7 @@ def _blocked_mask(orbits, r):
 
 
 class TestSolveSector:
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 15))
     def test_matches_eig_and_filter_route(self, n):
         # kept and discarded multisets of every sector against the
         # paper's construction: general eig, then the rank filter
@@ -345,6 +347,80 @@ class TestSolveSector:
         orbits = enumerate_orbits(8, 4)
         b = build_poly_matrix(8, 4, orbits).specialize(2)
         assert solve_sector(b, orbits, 2, vectors=False).vectors is None
+
+
+class TestReflectionBasis:
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_real_form_of_every_sector(self, n):
+        # S = V^* H V is real within tol, and the scatter of ``vectors``
+        # is the unitary V itself
+        for k in range(1, n // 2 + 1):
+            orbits = enumerate_orbits(n, k)
+            periods = np.asarray(orbits.periods)
+            for shift in ("smallest", "largest"):
+                m = build_poly_matrix(n, k, orbits, shift=shift)
+                for r in range(n):
+                    blocked = blocked_mask(periods, n, r)
+                    h, _, tol = hermitian_quotient(m.specialize(r), periods, blocked, "test")
+                    basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift,
+                                             blocked, r, n)
+                    s = basis.reduce(h, tol, "test")
+                    v = basis.vectors(np.eye(len(h)))
+                    assert_allclose(v.conj().T @ v, np.eye(len(h)), rtol=0, atol=1e-13)
+                    full = v.conj().T @ h @ v
+                    assert np.max(np.abs(full.imag)) <= tol, (n, k, shift, r)
+                    assert_allclose(s, full.real, rtol=0, atol=1e-12)
+                    assert_allclose(s, s.T, rtol=0, atol=tol)
+
+    def test_order_is_fixed_points_then_pairs(self):
+        orbits = enumerate_orbits(8, 4)
+        blocked = blocked_mask(np.asarray(orbits.periods), 8, 3)
+        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, blocked, 3, 8)
+        keep = np.flatnonzero(~blocked)
+        sigma = orbits.mirror_of[keep]
+        f = basis.fixed
+        m = (len(basis.order) - f) // 2
+        assert sorted(basis.order.tolist()) == list(range(len(keep)))
+        assert np.all(sigma[basis.order[:f]] == keep[basis.order[:f]])
+        assert np.array_equal(sigma[basis.order[f:f + m]], keep[basis.order[f + m:]])
+        assert_allclose(basis.phase[f:f + m], basis.phase[f + m:], rtol=0, atol=0)
+
+    def test_reflection_breaking_perturbation_raises(self):
+        # a Hermitian perturbation that the reflection does not map to
+        # itself keeps H Hermitian but makes its real form complex
+        orbits = enumerate_orbits(8, 4)
+        b = build_poly_matrix(8, 4, orbits).specialize(3)
+        assert orbits.mirror_of[0] == 0 and orbits.mirror_of[1] == 3
+        b[0, 1] += 1e-6j
+        b[1, 0] -= 1e-6j
+        with pytest.raises(NumericFailureError,
+                           match=r"F_4\(C_8\) sector r=3: real form imaginary part "
+                                 r"max\|Im S\| \d\.\d{3}e-0[67] exceeds tol 9\.000e-08"):
+            solve_sector(b, orbits, 3)
+
+    def test_corrupted_mirror_shift_raises(self):
+        orbits = enumerate_orbits(9, 3)
+        fixed = int(np.flatnonzero(orbits.mirror_of == np.arange(orbits.count))[0])
+        shift = orbits.mirror_shift.copy()
+        shift[fixed] += 1
+        broken = replace(orbits, mirror_shift=shift)
+        b = build_poly_matrix(9, 3, orbits).specialize(2)
+        solve_sector(b, orbits, 2)
+        with pytest.raises(NumericFailureError,
+                           match=r"F_3\(C_9\) sector r=2: real form imaginary part"):
+            solve_sector(b, broken, 2)
+
+    def test_real_sectors_skip_the_reflection(self):
+        # r = 0 and r = n/2 are real already and solved as they are
+        orbits = enumerate_orbits(8, 4)
+        m = build_poly_matrix(8, 4, orbits)
+        broken = replace(orbits, mirror_shift=orbits.mirror_shift + 1)
+        for r in (0, 4):
+            b = m.specialize(r)
+            assert not b.imag.any()
+            sol = solve_sector(b, broken, r)
+            assert np.isrealobj(sol.kept)
+            assert_allclose(sol.kept, solve_sector(b, orbits, r).kept, rtol=0, atol=0)
 
 
 class TestKeptEigenpairs:

@@ -238,6 +238,17 @@ class TestVerifyRoots:
         with pytest.raises(NumericFailureError):
             _verify_roots(n, r, roots, b)
 
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_reflection_breaking_perturbation(self, n, r):
+        # Hermitian, so the skew check passes, but the phases no longer
+        # make H real
+        b = build_b2(n, r)
+        b[0, 1] += 1e-6 * b[0, 1] * 1j
+        b[1, 0] -= 1e-6 * b[1, 0] * 1j
+        with pytest.raises(NumericFailureError,
+                           match=rf"F_2\(C_{n}\) sector r={r}: real form imaginary part"):
+            _verify_roots(n, r, sector_roots(n, r), b)
+
     def test_rejects_blocked_orbit_coupling(self):
         n, r = 12, 5
         b = build_b2(n, r)
