@@ -106,10 +106,15 @@ def _fmt4(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
-def _audit_rows(report: SpectrumReport, n: int):
-    """Per-sector table rows, conjugate sectors merged."""
+def _audit_rows(report: SpectrumReport, n: int, sector: int | None = None):
+    """Per-sector table rows (label, cells), conjugate sectors merged.
+
+    With ``sector`` set, only the row of that sector or its conjugate.
+    """
     rows = []
     for r in range(n // 2 + 1):
+        if sector is not None and sector not in (r, n - r):
+            continue
         entries = sorted(report.sector_entries(r), key=lambda e: e.value)
         if not entries:
             continue
@@ -177,14 +182,13 @@ def cmd_spectrum(args) -> int:
         lines = [f"F_{args.k}(C_{args.n}) spectrum, method {args.method}: "
                  f"{len(report.kept)} eigenvalues"]
         if args.audit and report.method != "brute":
-            rows = _audit_rows(report, args.n)
-            if args.r is not None:
-                rows = [row for row in rows if row[0].startswith(f"r={args.r}")
-                        or f"= r={args.r})" in row[0]]
+            rows = _audit_rows(report, args.n, args.r)
             width = max(len(label) for label, _ in rows)
             for label, cells in rows:
                 lines.append(f"  {label:<{width}}  " + "  ".join(cells))
             discarded = report.discarded
+            if args.r is not None:
+                discarded = [e for e in discarded if e.sector in (args.r, args.n - args.r)]
             lines.append(f"  discarded: {len(discarded)} "
                          f"({', '.join(f'{_fmt4(e.value)}@r={e.sector}' for e in discarded)})")
             lines.append("  values marked * are not eigenvalues of the token graph")

@@ -51,7 +51,7 @@ from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PhaseConsistencyError)
 from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
-from .report import SpectrumEntry, SpectrumReport
+from .report import SpectrumReport
 from .tokengraph import TokenGraph, build_token_graph, token_neighbors
 
 DISCARD_REASON = "nonzero on short orbit whose period the sector order does not divide"
@@ -157,11 +157,6 @@ def blocked_mask(periods: np.ndarray, n: int, r: int) -> np.ndarray:
     blocked.
     """
     return periods % sector_order(n, r) != 0
-
-
-def blocked_orbits(orbits: OrbitTable, r: int) -> list[int]:
-    """Indices of short orbits whose period the sector order does not divide."""
-    return np.flatnonzero(blocked_mask(np.asarray(orbits.periods), orbits.n, r)).tolist()
 
 
 def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
@@ -445,22 +440,18 @@ def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
     """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits, shift=shift)
-    by_sector: list[list[SpectrumEntry]] = [[] for _ in range(n)]
-    kept: list[float] = []
+    by_sector: list = [None] * n  # (values, kept mask) of each sector
     for sol in _sector_solutions(matrix, orbits, vectors=False):
         values = np.concatenate([sol.kept, sol.discarded])
-        n_kept = len(sol.kept)
-        by_sector[sol.sector] = [
-            SpectrumEntry(float(values[i]), sol.sector, True) if i < n_kept
-            else SpectrumEntry(float(values[i]), sol.sector, False, DISCARD_REASON)
-            for i in np.argsort(values, kind="stable")]
-        kept.extend(sol.kept.tolist())
+        order = np.argsort(values, kind="stable")
+        by_sector[sol.sector] = (values[order], order < len(sol.kept))
+    values, kept = (np.concatenate(column) for column in zip(*by_sector))
     expected = comb(n, k)
-    if len(kept) != expected:
+    if kept.sum() != expected:
         raise CountMismatchError(
-            f"kept {len(kept)} eigenvalues for F_{k}(C_{n}), expected {expected}")
-    entries = tuple(e for sector in by_sector for e in sector)
-    return SpectrumReport(n, k, "overlift", entries, tuple(sorted(kept)))
+            f"kept {kept.sum()} eigenvalues for F_{k}(C_{n}), expected {expected}")
+    sectors = np.repeat(np.arange(n), [len(v) for v, _ in by_sector])
+    return SpectrumReport(n, k, "overlift", values, sectors, kept, DISCARD_REASON)
 
 
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:

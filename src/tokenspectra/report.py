@@ -7,6 +7,9 @@ lists, which is exact for a uniform tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -19,46 +22,77 @@ class SpectrumEntry:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Multiset of Laplacian eigenvalues with a removal audit trail.
 
-    ``kept`` is the ascending spectrum of the graph.  ``entries`` records
-    every value that was computed, including the discarded ones with the
-    reason for removal.  ``sector`` is None for methods that do not work
-    sector by sector (brute force).
+    The trail is stored by columns: entry i has value ``values[i]``,
+    sector ``sectors[i]`` and keep flag ``kept_mask[i]``, and every
+    discarded entry has the one ``reason``.  ``sectors`` is None for
+    methods that do not work sector by sector (brute force).  The arrays
+    are read-only copies.  ``kept`` is the ascending spectrum of the
+    graph; ``entries``, ``discarded`` and ``sector_entries`` build
+    ``SpectrumEntry`` views of the trail on demand, in trail order.
     """
 
     n: int
     k: int
     method: str
-    entries: tuple[SpectrumEntry, ...]
-    kept: tuple[float, ...]
+    values: np.ndarray
+    sectors: np.ndarray | None
+    kept_mask: np.ndarray
+    reason: str = ""
+
+    def __post_init__(self):
+        for name, dtype in (("values", float), ("sectors", np.int64),
+                            ("kept_mask", bool)):
+            column = getattr(self, name)
+            if column is not None:
+                column = np.array(column, dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    @cached_property
+    def kept(self) -> tuple[float, ...]:
+        return tuple(np.sort(self.values[self.kept_mask], kind="stable").tolist())
+
+    def _entries(self, index: np.ndarray) -> tuple[SpectrumEntry, ...]:
+        sectors = ([None] * len(index) if self.sectors is None
+                   else self.sectors[index].tolist())
+        return tuple(SpectrumEntry(v, r, kept, "" if kept else self.reason)
+                     for v, r, kept in zip(self.values[index].tolist(), sectors,
+                                           self.kept_mask[index].tolist()))
+
+    @property
+    def entries(self) -> tuple[SpectrumEntry, ...]:
+        return self._entries(np.arange(len(self.values)))
 
     @property
     def discarded(self) -> tuple[SpectrumEntry, ...]:
-        return tuple(e for e in self.entries if not e.kept)
+        return self._entries(np.flatnonzero(~self.kept_mask))
 
     def sector_entries(self, r: int) -> tuple[SpectrumEntry, ...]:
-        return tuple(e for e in self.entries if e.sector == r)
+        if self.sectors is None:
+            return ()
+        return self._entries(np.flatnonzero(self.sectors == r))
+
+
+def _sorted_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    return np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
 
 
 def multisets_close(a, b, tol: float = 1e-8) -> bool:
     """Whether two real multisets agree pointwise after ascending sort."""
-    a = sorted(a)
-    b = sorted(b)
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+    a, b = _sorted_pair(a, b)
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
 
 
 def max_multiset_deviation(a, b) -> float:
     """Largest pointwise gap between two equal-size sorted multisets."""
-    a = sorted(a)
-    b = sorted(b)
-    if len(a) != len(b):
+    a, b = _sorted_pair(a, b)
+    if a.shape != b.shape:
         raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def multiset_contains(sup, sub, tol: float = 1e-8) -> bool:

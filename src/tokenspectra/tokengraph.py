@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ParameterDomainError, SizeLimitError
-from .report import SpectrumEntry, SpectrumReport
+from .report import SpectrumReport
 
 DENSE_SPECTRUM_CAP = 5000
 # (n, k) pairs each cached table keeps; verify asks for each pair back to back
@@ -120,9 +120,7 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
         raise SizeLimitError(
             f"C({n},{k}) = {size} exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
     vals = np.linalg.eigvalsh(laplacian(build_token_graph(n, k)))
-    kept = tuple(float(v) for v in vals)
-    entries = tuple(SpectrumEntry(v, None, True) for v in kept)
-    return SpectrumReport(n, k, "brute", entries, kept)
+    return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 
 
 def algebraic_connectivity(report: SpectrumReport, zero_tol: float = 1e-8) -> float:

@@ -7,21 +7,45 @@ alpha = 1/cos(r pi/n), the eigenvector ratios satisfy a backward
 continued fraction Q_{h-1} = 1/(Z - Q_h) whose terminal value depends on
 the parity of n and r, and the sector eigenvalues solve Q_1 = Z - alpha.
 
-Clearing the fraction turns the recurrence into a three-term relation
-Z f_h = f_{h-1} + f_{h+1} with boundary entries alpha and, per case,
-(-1)^r, a doubled last coupling, or truncation.  The sector roots are
-therefore eigenvalues of a small real symmetric tridiagonal matrix in
-the variable Z, which is how this module computes them (the expanded
-monomial coefficients are too ill conditioned for reliable roots once
-cos(r pi/n) is small).  The roots of a sector are checked together
-against the sector matrix by one real ``eigvalsh``: the reflection
-X -> -X of the cycle fixes every orbit {0, h}, so diagonal phases turn
-the Hermitian quotient of the sector matrix into a real symmetric
-tridiagonal matrix with the same eigenvalues.  Conjugate sectors r and
-n - r share their roots.  The same recurrence, run on
-polynomials, yields the sector characteristic polynomial, and
-diagonalizing the 2x2 transfer step gives a closed form in
-rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
+Clearing the fraction gives the three-term relation
+Z f_h = f_{h-1} + f_{h+1}.  With Z = 2 cos(theta), the paper's
+rho_{1,2} = exp(+-i theta), each case's bottom boundary fixes f_h up to
+scale, and the top boundary f_0 = alpha f_1 becomes a trigonometric
+secular equation in p = n/2 (nu + 1/2 for odd n, nu for even n):
+
+    cos(p theta) = alpha cos((p - 1) theta)    for even r,
+    sin(p theta) = alpha sin((p - 1) theta)    for odd r.
+
+For even n and odd r the half-turn orbit is blocked and the recurrence
+stops one orbit early; the sine form encodes that truncation.  Without
+its alpha entry the recurrence matrix has the closed-form roots
+theta = (j - 1/2) pi/p (even r) or j pi/p (odd r), the zeros of the left
+side.  Adding the positive rank-one entry alpha raises each root in Z
+by less than one gap (interlacing), so the j-th root lies strictly
+between two consecutive zeros, except the top root, which may leave the
+band Z <= 2.  On the j-th bracket (j = 1, 2, ...) the equation reads
+p theta - phi - (j - 1) pi = atan((1 - alpha cos theta)/(alpha sin theta)),
+phi = 0 or pi/2 by the parity of r, which is nearly linear in theta;
+``_solve_sectors`` solves it for all roots of all sectors at once by
+Newton steps safeguarded by the brackets.  A top root above Z = 2 is
+found as Z = 2 cosh(t) from the ratio form
+cosh t + sinh t T((p - 1) t) = alpha, T = tanh (even r) or coth (odd r),
+which cannot overflow.  In sector 0 the top root is Z = 2 exactly
+(lambda = 0), and at r = n/2 the sector matrix is diagonal.  (Yueh,
+"Eigenvalues of several tridiagonal matrices", Appl. Math. E-Notes 2005.)
+
+The roots are checked against the sector matrix itself, read from
+``root_table`` with the same powers z, conj(z) and z^nu as ``build_b2``,
+band by band and without a dense matrix (``_check_roots``): its Hermitian
+quotient H must not couple a blocked orbit and must be Hermitian, and
+since the reflection X -> -X of the cycle fixes every orbit {0, h},
+diagonal phases must make H a real symmetric tridiagonal S.  Sturm
+counts of S (Barth, Martin and Wilkinson, Numer. Math. 1967) then show
+that the i-th smallest root lies within tol of the i-th eigenvalue of S,
+multiplicities included.  Conjugate sectors r and n - r share their
+roots.  The same recurrence, run on polynomials, yields the sector
+characteristic polynomial, and diagonalizing the 2x2 transfer step
+gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -33,7 +57,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from math import comb
 
 import numpy as np
@@ -42,13 +65,16 @@ from numpy.polynomial import Polynomial
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
 from .laurent import root_table
-from .polymatrix import (DISCARD_REASON, blocked_mask, check_bound,
-                         hermitian_quotient, reflection_basis)
-from .report import SpectrumEntry, SpectrumReport
+from .polymatrix import DISCARD_REASON, SQRT_HALF, check_bound
+from .report import SpectrumReport
 
-
-def half_order(n: int) -> int:
-    return n // 2
+# Newton iterations stop once every step is below this fraction of its
+# starting bracket; the step after which that holds leaves an error far
+# below rounding, since the convergence is quadratic.
+NEWTON_STEP_TOL = 1e-12
+NEWTON_MAX_STEPS = 64
+# points per block of Sturm counts, so that the working arrays stay in cache
+STURM_BLOCK = 1 << 16
 
 
 def _check_sector(n: int, r: int) -> None:
@@ -62,31 +88,45 @@ def _is_half_turn(n: int, r: int) -> bool:
     return n % 2 == 0 and 2 * r == n
 
 
+def _kept_counts(n: int, rs: np.ndarray) -> np.ndarray:
+    """Kept values per sector: nu, less the blocked half-turn orbit (even n, odd r)."""
+    return n // 2 - ((n % 2 == 0) & (rs % 2 == 1))
+
+
+def _sector_band(n: int, rs: np.ndarray):
+    """The bands (lower, diag, upper) of B(w^r) for the sectors rs.
+
+    One row per sector.  Diagonal (2, 4, ..., 4); couplings -1-z below
+    and -1-1/z above.  For odd n the last diagonal entry gains
+    -z^nu - z^-nu; for even n the bottom coupling becomes
+    -1-z-z^nu-z^(nu+1) = -(1+z)(1+z^nu).  Powers of z come from
+    ``root_table``, so sector n - r is exactly the conjugate of sector r;
+    for even n, z^nu = (-1)^r exactly, so the bottom coupling of an odd
+    sector is exactly zero.
+    """
+    nu = n // 2
+    table = root_table(n)
+    z, zbar, z_nu = (table[v % n, None] for v in (rs, n - rs, rs * nu))
+    diag = np.full((len(rs), nu), 4.0 + 0j)
+    diag[:, 0] = 2.0
+    lower = np.repeat(-1 - z, nu - 1, axis=1)
+    upper = np.repeat(-1 - zbar, nu - 1, axis=1)
+    if n % 2:
+        diag[:, -1:] = 4 - z_nu - z_nu.conj()
+    else:
+        lower[:, -1:] = -(1 + z) * (1 + z_nu)
+    return lower, diag, upper
+
+
 def build_b2(n: int, r: int) -> np.ndarray:
     """The specialized tridiagonal sector matrix at z = exp(2*pi*i*r/n).
 
-    Diagonal (2, 4, ..., 4); couplings -1-z below and -1-1/z above.  For
-    odd n the last diagonal entry gains -z^nu - z^-nu; for even n the
-    bottom coupling becomes -1-z-z^nu-z^(nu+1) = -(1+z)(1+z^nu).  Powers
-    of z come from ``root_table``, so ``build_b2(n, n - r)`` is exactly
-    the conjugate of ``build_b2(n, r)``; for even n, z^nu = (-1)^r
-    exactly, so the bottom coupling of an odd sector is exactly zero.
+    The dense form of ``_sector_band``; ``build_b2(n, n - r)`` is exactly
+    the conjugate of ``build_b2(n, r)``.
     """
     _check_sector(n, r)
-    nu = half_order(n)
-    table = root_table(n)
-    z, zbar, z_nu = table[r], table[(n - r) % n], table[(r * nu) % n]
-    m = np.zeros((nu, nu), dtype=complex)
-    idx = np.arange(nu - 1)
-    m[idx + 1, idx + 1] = 4.0
-    m[0, 0] = 2.0
-    m[idx, idx + 1] = -1 - zbar
-    m[idx + 1, idx] = -1 - z
-    if n % 2:
-        m[nu - 1, nu - 1] = 4 - z_nu - z_nu.conjugate()
-    else:
-        m[nu - 1, nu - 2] = -(1 + z) * (1 + z_nu)
-    return m
+    lower, diag, upper = (v[0] for v in _sector_band(n, np.array([r])))
+    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
 def contfrac_q1(lam: float, n: int, r: int, pole_tol: float = 1e-12) -> float:
@@ -95,7 +135,7 @@ def contfrac_q1(lam: float, n: int, r: int, pole_tol: float = 1e-12) -> float:
     if _is_half_turn(n, r):
         raise ParameterDomainError(
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
-    nu = half_order(n)
+    nu = n // 2
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
     if n % 2:
@@ -117,123 +157,264 @@ def contfrac_q1(lam: float, n: int, r: int, pole_tol: float = 1e-12) -> float:
     return q
 
 
-def _case_tag(n: int, r: int) -> str:
-    if n % 2:
-        return "odd"
-    if _is_half_turn(n, r):
-        return "half"
-    return "even-even" if r % 2 == 0 else "even-odd"
-
-
 def _half_turn_kept(n: int) -> list[float]:
-    nu = half_order(n)
+    nu = n // 2
     fours = nu - 1 if nu % 2 == 0 else nu - 2
     return [2.0] + [4.0] * fours
 
 
-def _verify_roots(n: int, r: int, roots: np.ndarray, b: np.ndarray) -> None:
-    """Check the kept roots of sector r against its sector matrix b.
+def _newton(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of ``func`` in each bracket (lo, hi), elementwise.
+
+    ``func(x)`` returns (f, df/dx); f must be negative at lo, positive at
+    hi and have one root between.  Each iteration shrinks the bracket by
+    the sign of f and takes the Newton step, or bisects when that step
+    leaves the bracket, until every step is below NEWTON_STEP_TOL of its
+    starting bracket.
+    """
+    x = 0.5 * (lo + hi)
+    small = NEWTON_STEP_TOL * (hi - lo)
+    for _ in range(NEWTON_MAX_STEPS):
+        f, df = func(x)
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - f / df
+        # a step below rounding (new == x) may sit on a bracket end
+        new = np.where((new > lo) & (new < hi) | (new == x), new, 0.5 * (lo + hi))
+        done = np.abs(new - x) <= small
+        x = new
+        if done.all():
+            break
+    return x
+
+
+def _solve_sectors(n: int, rs: np.ndarray) -> np.ndarray:
+    """Kept eigenvalues of the sectors rs, 0 <= r <= n/2, ascending.
+
+    One row of nu per sector: the first ``_kept_counts`` entries hold the
+    roots and the rest are nan.  Root j = 0, 1, ... of the bracket phase
+    form (module docstring) lies at theta_j + s, theta_j = (j + phi/pi) pi/p,
+    |s| < pi/(2p); lambda = 4 - 4 cos(r pi/n) cos(theta).
+    """
+    nu = n // 2
+    p = n / 2
+    roots = np.empty((len(rs), nu))
+    col = np.arange(nu)
+    half = 2 * rs == n
+    roots[half] = np.where(col == 0, 2.0, 4.0)
+    sec = np.flatnonzero(~half)
+    c = np.cos(np.pi * rs[sec] / n)
+    alpha = 1.0 / c
+    odd = rs[sec] % 2 == 1
+    # the secular ratio trig(p theta)/trig((p - 1) theta) at theta = 0 is
+    # 1 for even r and p/(p - 1) for odd r; a larger alpha puts the top
+    # root above Z = 2, and alpha = 1 puts it at Z = 2 (sector 0)
+    above = (rs[sec] > 0) & (alpha > np.where(odd, p / (p - 1), 1.0))
+    roots[sec[rs[sec] == 0], 0] = 0.0
+    row, j = np.nonzero((col < _kept_counts(n, rs[sec])[:, None])
+                        & ((col > 0) | (odd & ~above)[:, None]))
+    theta_j = (j + 0.5 * odd[row]) * (np.pi / p)
+    a_row = alpha[row]
+
+    def phase(s):
+        cos = np.cos(theta_j + s)
+        f = p * s - np.arctan2(1 - a_row * cos, a_row * np.sin(theta_j + s))
+        return f, p - a_row * (a_row - cos) / (1 - 2 * a_row * cos + a_row * a_row)
+
+    w = np.full(len(row), np.pi / (2 * p))
+    roots[sec[row], j] = 4 - 4 * c[row] * np.cos(theta_j + _newton(phase, -w, w))
+
+    top = np.flatnonzero(above)
+    q, a_top, t_odd = p - 1, alpha[top], odd[top]
+
+    def ratio(t):
+        sinh, cosh, tanh = np.sinh(t), np.cosh(t), np.tanh(q * t)
+        ratio_t = np.where(t_odd, 1 / tanh, tanh)
+        return (cosh + sinh * ratio_t - a_top,
+                sinh + cosh * ratio_t + q * sinh * (1 - ratio_t * ratio_t))
+
+    # Weyl: the top root lies below 2 + alpha
+    t = _newton(ratio, np.zeros(len(top)), np.arccosh(1 + a_top / 2))
+    roots[sec[top], 0] = 4 - 4 * c[top] * np.cosh(t)
+    roots[col >= _kept_counts(n, rs)[:, None]] = np.nan
+    return roots
+
+
+def _check_sectors(n: int, rs: np.ndarray, quantity: str, values: np.ndarray,
+                   tol: np.ndarray) -> None:
+    """``check_bound`` on the first sector whose value exceeds its tol."""
+    bad = ~(values <= tol)  # a NaN fails too
+    if bad.any():
+        i = int(np.argmax(bad))
+        check_bound(f"F_2(C_{n}) sector r={rs[i]}", quantity, float(values[i]),
+                    float(tol[i]))
+
+
+def _quotient_band(n: int, rs: np.ndarray, band):
+    """The bands of the Hermitian quotients H, their kept sizes and tols.
 
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
-    even n, which has period n/2 and is blocked in the odd sectors.
-    ``hermitian_quotient`` checks that b does not couple a blocked orbit
-    to the others and forms the Hermitian matrix H = D^(1/2) b D^(-1/2)
-    on the kept orbits, whose eigenvalues are the kept values with
-    multiplicity.  The reflection of the cycle fixes every orbit,
-    -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n)
-    turn H into a real symmetric S with the same eigenvalues (see
-    ``RealBasis``).  The sorted roots must match ``eigvalsh(S)``
-    elementwise within the same tol = 1e-8 (1 + max|b|), which also
-    checks multiplicities.
+    even n, which has period n/2 and is blocked in the odd sectors.  As
+    in ``polymatrix.hermitian_quotient``, the blocked coupling
+    b[nu-1, nu-2] must vanish within tol = 1e-8 (1 + max|b|), and
+    H = D^(1/2) b D^(-1/2) on the first m kept orbits.  Band entries past
+    m are zero.  ``band`` is left unchanged.
     """
-    where = f"F_2(C_{n}) sector r={r}"
-    nu = half_order(n)
-    periods = np.full(nu, n)
+    lower, diag, upper = (np.array(v, dtype=complex) for v in band)
+    biggest = np.maximum(np.abs(diag).max(axis=1),
+                         np.maximum(np.abs(lower), np.abs(upper)).max(axis=1))
+    tol = 1e-8 * (1.0 + biggest)
+    m = _kept_counts(n, rs)
     if n % 2 == 0:
-        periods[-1] = n // 2
-    blocked = blocked_mask(periods, n, r)
-    h, _, tol = hermitian_quotient(b, periods, blocked, where)
-    if len(roots) != len(h):
-        raise CountMismatchError(
-            f"{where}: produced {len(roots)} roots, expected {len(h)}")
-    basis = reflection_basis(np.arange(nu), n - np.arange(1, nu + 1), blocked, r, n)
-    s = basis.reduce(h, tol, where)
-    gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(s))))
-    check_bound(where, "root gap max|roots - eigvalsh(S)|", gap, tol)
+        blocked = m < n // 2
+        _check_sectors(n, rs, "blocked orbit coupling max|b[X, U]|",
+                       np.where(blocked, np.abs(lower[:, -1]), 0.0), tol)
+        lower[:, -1] *= SQRT_HALF
+        upper[:, -1] /= SQRT_HALF
+        lower[blocked, -1] = upper[blocked, -1] = diag[blocked, -1] = 0
+    return (lower, diag, upper), m, tol
+
+
+def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
+                  full: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each point, for a row of tridiagonal matrices.
+
+    Column i of ``a`` (diagonal) and ``e2`` (squared couplings, all
+    positive) is a real symmetric tridiagonal matrix, and column i of
+    ``x`` holds its points; ``full`` marks the matrices that use their
+    last diagonal entry.  The count is the number of negative pivots d
+    of the LDL^T factorization of S - x (Sylvester's law of inertia).
+    Signed-zero rule: a pivot keeps the sign IEEE arithmetic gives it
+    and counts by its sign bit, so a zero pivot +-0 makes e2/d = +-inf
+    and the next pivot -+inf, the limit as that pivot tends to zero from
+    its side, and the one after sees +-0 again; the count is that at x
+    moved by an infinitesimal.  Positive e2 rules out 0/0.  Matrices
+    run along the contiguous axis, and the points in blocks of rows that
+    stay in cache.
+    """
+    counts = np.empty(x.shape, dtype=np.min_scalar_type(len(a)))
+    last = len(a) - 1
+    step = max(1, STURM_BLOCK // x.shape[1])
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, len(x), step):
+            xs, cnt = x[start:start + step], counts[start:start + step]
+            d = a[0] - xs
+            t = np.empty_like(d)
+            neg = np.signbit(d)
+            cnt[...] = neg
+            for j in range(1, last + 1):
+                np.divide(e2[j - 1], d, out=t)
+                np.subtract(a[j], xs, out=d)
+                d -= t
+                np.signbit(d, out=neg)
+                if j == last:
+                    neg &= full
+                cnt += neg
+    return counts
+
+
+def _root_gap(a: np.ndarray, e2: np.ndarray, roots: np.ndarray) -> float:
+    """max|roots - eig(S)| for one matrix, by bisection on Sturm counts."""
+    radius = 2.0 * math.sqrt(e2.max(initial=0.0))
+    lo = np.full((len(a), 1), a.min() - radius)
+    hi = np.full((len(a), 1), a.max() + radius)
+    rank = np.arange(len(a))[:, None]
+    for _ in range(64):  # enough halvings of the Gershgorin interval to reach rounding
+        mid = 0.5 * (lo + hi)
+        below = _sturm_counts(a[:, None], e2[:, None], mid, np.ones(1, bool)) > rank
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return float(np.max(np.abs(roots - 0.5 * (lo + hi)[:, 0])))
+
+
+def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
+    """Check the kept roots of the sectors rs against their sector bands.
+
+    ``roots`` holds one row per sector, as ``_solve_sectors`` returns
+    them; entries past the kept count are ignored.  On the Hermitian
+    quotient H (``_quotient_band``) the skew max|H - H^*| must stay
+    within tol.  The reflection of the cycle fixes every orbit,
+    -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
+    H into a real symmetric S with the same eigenvalues (as
+    ``polymatrix.RealBasis`` does), and max|Im S| must stay within tol.
+    Then for the sorted roots x_i, Sturm counts of S must show
+    count(x_i - tol) <= i < count(x_i + tol), that is, the i-th
+    eigenvalue of S lies within tol of x_i, which also checks
+    multiplicities.  A failure raises ``NumericFailureError`` naming n,
+    r, the quantity, its value and tol.
+    """
+    nu = n // 2
+    (lower, diag, upper), m, tol = _quotient_band(n, rs, band)
+    skew = np.maximum(2 * np.abs(diag.imag).max(axis=1),
+                      np.abs(upper - lower.conj()).max(axis=1))
+    _check_sectors(n, rs, "skew max|H - H^*|", skew, tol)
+    phase = root_table(2 * n)[(-rs[:, None] * (n - np.arange(1, nu + 1))) % (2 * n)]
+    diag = diag * phase.conj() * phase
+    lower = lower * phase[:, 1:].conj() * phase[:, :-1]
+    upper = upper * phase[:, :-1].conj() * phase[:, 1:]
+    imag = np.maximum(np.abs(diag.imag).max(axis=1),
+                      np.maximum(np.abs(lower.imag), np.abs(upper.imag)).max(axis=1))
+    _check_sectors(n, rs, "real form imaginary part max|Im S|", imag, tol)
+
+    # one column per sector from here on
+    a = np.ascontiguousarray(diag.real.T)
+    e2 = np.maximum(np.ascontiguousarray(lower.real.T) ** 2, np.finfo(float).tiny)
+    rank = np.arange(nu)[:, None]
+    kept = rank < m
+    x = np.where(kept, np.sort(np.where(kept, roots.T, np.inf), axis=0), 0.0)
+    counts = _sturm_counts(a, e2, np.concatenate([x - tol, x + tol]), m == nu)
+    ok = (counts[:nu] <= rank) & (rank < counts[nu:]) & np.isfinite(x)
+    bad = ~(ok | ~kept).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"F_2(C_{n}) sector r={rs[i]}"
+        gap = _root_gap(a[:m[i], i], e2[:m[i] - 1, i], x[:m[i], i])
+        check_bound(where, "root gap max|roots - eig(S)|", gap, float(tol[i]))
+        raise NumericFailureError(
+            f"{where}: Sturm counts put a root at least tol {tol[i]:.3e} "
+            "from its eigenvalue")
 
 
 def sector_roots(n: int, r: int) -> np.ndarray:
     """Kept eigenvalues of one sector, ascending.
 
-    Away from r = n/2 the Z-values are eigenvalues of the symmetric
-    tridiagonal matrix encoding the recurrence; lambda = 4 - 2 cos(r
-    pi/n) Z.  The roots are verified together against the sector matrix
-    by one Hermitian ``eigvalsh`` (see ``_verify_roots``).  At r = n/2
-    the values are read off the diagonal sector matrix.
+    Solves the secular equation of sector min(r, n - r), which has the
+    same roots, and checks them against the band of sector r itself (see
+    ``_solve_sectors`` and ``_check_roots``).
     """
     _check_sector(n, r)
-    nu = half_order(n)
-    case = _case_tag(n, r)
-    if case == "half":
-        return np.array(_half_turn_kept(n))
-    c = math.cos(math.pi * r / n)
-    alpha = 1.0 / c
-    if case == "odd":
-        dim = nu
-        diag = np.zeros(dim)
-        diag[0] = alpha
-        diag[-1] += (-1) ** r
-        off = np.ones(dim - 1)
-    elif case == "even-even":
-        dim = nu
-        diag = np.zeros(dim)
-        diag[0] = alpha
-        off = np.ones(dim - 1)
-        off[-1] = math.sqrt(2.0)  # symmetrized doubled terminal coupling
-    else:
-        dim = nu - 1
-        diag = np.zeros(dim)
-        diag[0] = alpha
-        off = np.ones(dim - 1)
-    if dim == 1:
-        zs = diag[:1].copy()
-    else:
-        j = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        zs = np.linalg.eigvalsh(j)
-    roots = np.sort(4.0 - 2.0 * c * zs)
-    if case == "even-odd" and np.any(np.abs(roots - 4.0) < 1e-8):
-        warnings.warn(
-            f"sector ({n}, r={r}) produced a kept root at 4 within 1e-8",
-            stacklevel=2)
-    _verify_roots(n, r, roots, build_b2(n, r))
-    return roots
+    rs = np.array([r])
+    roots = _solve_sectors(n, np.minimum(rs, n - rs))
+    _check_roots(n, rs, roots, _sector_band(n, rs))
+    return roots[0, :_kept_counts(n, rs)[0]]
 
 
 def spectrum_2token(n: int) -> SpectrumReport:
     """All C(n, 2) eigenvalues of the two-token graph, by sectors.
 
-    Only the sectors r <= n/2 are solved.  B has integer coefficients,
-    so B(w^(n-r)) is the conjugate of B(w^r); the two Hermitian
-    quotients are conjugate and have the same eigenvalues, and sector
-    n - r takes the roots of sector r.
+    Only the sectors r <= n/2 are solved and checked.  B has integer
+    coefficients, so B(w^(n-r)) is the conjugate of B(w^r); the two
+    Hermitian quotients are conjugate and have the same eigenvalues, and
+    sector n - r takes the roots of sector r.  Each sector contributes
+    nu audit entries: its kept roots, ascending, then in the odd sectors
+    of even n the spurious 4 of the blocked half-turn orbit.
     """
     if n < 4:
         raise ParameterDomainError(f"two-token spectrum needs n >= 4, got {n}")
-    solved = [sector_roots(n, r).tolist() for r in range(n // 2 + 1)]
-    entries: list[SpectrumEntry] = []
-    kept: list[float] = []
-    for r in range(n):
-        roots = solved[min(r, n - r)]
-        kept.extend(roots)
-        entries.extend(SpectrumEntry(v, r, True) for v in roots)
-        case = _case_tag(n, r)
-        if case == "even-odd" or (case == "half" and half_order(n) % 2):
-            entries.append(SpectrumEntry(4.0, r, False, DISCARD_REASON))
+    nu = n // 2
+    rs = np.arange(nu + 1)
+    roots = _solve_sectors(n, rs)
+    _check_roots(n, rs, roots, _sector_band(n, rs))
+    sectors = np.arange(n)
+    kept = np.arange(nu) < _kept_counts(n, sectors)[:, None]
+    values = np.where(kept, roots[np.minimum(sectors, n - sectors)], 4.0)
     expected = comb(n, 2)
-    if len(kept) != expected:
+    if kept.sum() != expected:
         raise CountMismatchError(
-            f"collected {len(kept)} eigenvalues for F_2(C_{n}), expected {expected}")
-    return SpectrumReport(n, 2, "contfrac", tuple(entries), tuple(sorted(kept)))
+            f"collected {kept.sum()} eigenvalues for F_2(C_{n}), expected {expected}")
+    return SpectrumReport(n, 2, "contfrac", values.ravel(), np.repeat(sectors, nu),
+                          kept.ravel(), DISCARD_REASON)
 
 
 def _transfer_polynomial(n: int, r: int) -> Polynomial:
@@ -242,7 +423,7 @@ def _transfer_polynomial(n: int, r: int) -> Polynomial:
     Runs the transfer recurrence (R, S) -> (S, Z S - R) on polynomials,
     from the case's terminal pair, then forms R - (Z - alpha) S.
     """
-    nu = half_order(n)
+    nu = n // 2
     c = math.cos(math.pi * r / n)
     alpha = 1.0 / c
     z = Polynomial([4.0 / (2 * c), -1.0 / (2 * c)])
@@ -293,7 +474,7 @@ def charpoly_rho_form(n: int, r: int, lam: float,
     multiplicative constant per (n, r).
     """
     _check_sector(n, r)
-    nu = half_order(n)
+    nu = n // 2
     if _is_half_turn(n, r):
         fours = nu - 1 if nu % 2 == 0 else nu - 2
         return float((lam - 2.0) * (lam - 4.0) ** fours)

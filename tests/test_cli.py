@@ -4,6 +4,8 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from tokenspectra import cli
 from tokenspectra.cli import main
 
@@ -92,6 +94,24 @@ class TestSpectrum:
         assert code == 0
         assert "4.0000*" in out
         assert "r=4" in out
+
+    def test_audit_single_sector_24(self, capsys):
+        # the row of sector 1 only, not those of r = 10, 11 and 12, and
+        # only the discarded values of sectors 1 and 23
+        for r in ("1", "23"):
+            code, out, _ = run(capsys, "spectrum", "--n", "24", "--k", "2",
+                               "--method", "contfrac", "--audit", "--r", r)
+            assert code == 0
+            rows = [line.split()[0] for line in out.splitlines()
+                    if line.startswith("  r=")]
+            assert rows == ["r=1"]
+            assert "r=1 (= r=23)" in out
+            assert "  discarded: 2 (4.0000@r=1, 4.0000@r=23)" in out
+        code, out, _ = run(capsys, "spectrum", "--n", "24", "--k", "2",
+                           "--method", "contfrac", "--audit", "--r", "12")
+        assert [line.split()[0] for line in out.splitlines()
+                if line.startswith("  r=")] == ["r=12"]
+        assert "  discarded: 0 ()" in out
 
     def test_7_1_cycle_values(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "7", "--k", "1")
@@ -221,9 +241,10 @@ class TestVerify:
 
         def defective(n, k):
             report = real(n, k)
-            kept = list(report.kept)
-            kept[0] += 1e-3
-            return replace(report, kept=tuple(sorted(kept)))
+            values = report.values.copy()
+            kept = np.flatnonzero(report.kept_mask)
+            values[kept[np.argmin(values[kept])]] += 1e-3
+            return replace(report, values=values)
 
         monkeypatch.setattr(cli, "overlift_spectrum", defective)
         code, _, err = run(capsys, "verify", "--n-max", "4")

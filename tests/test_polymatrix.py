@@ -15,7 +15,7 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           filter_spurious, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
-from tokenspectra.polymatrix import (blocked_mask, blocked_orbits,
+from tokenspectra.polymatrix import (blocked_mask,
                                      hermitian_quotient, reflection_basis,
                                      solve_sector)
 
@@ -190,7 +190,7 @@ class TestFilterSpurious:
         six = next(p for p in pairs if abs(p.value - 6) < 1e-6)
         short = orbits.reps.index((0, 2, 4))
         assert abs(six.vector[short]) > 0.1
-        assert blocked_orbits(orbits, 1) == [short]
+        assert np.flatnonzero(blocked_mask(np.asarray(orbits.periods), 6, 1)).tolist() == [short]
 
     def test_6_3_sector_0_keeps_six(self):
         orbits = enumerate_orbits(6, 3)
@@ -206,7 +206,7 @@ class TestFilterSpurious:
         orbits = enumerate_orbits(7, 3)
         m = build_poly_matrix(7, 3, orbits)
         for r in range(7):
-            assert blocked_orbits(orbits, r) == []
+            assert np.flatnonzero(blocked_mask(np.asarray(orbits.periods), 7, r)).tolist() == []
             verdicts = filter_spurious(sector_eigenpairs(m, r), orbits, r)
             assert all(v.kept == v.total for v in verdicts)
 
@@ -267,9 +267,7 @@ class TestFullSpectrum:
 
 
 def _blocked_mask(orbits, r):
-    mask = np.zeros(orbits.count, dtype=bool)
-    mask[blocked_orbits(orbits, r)] = True
-    return mask
+    return blocked_mask(np.asarray(orbits.periods), orbits.n, r)
 
 
 class TestSolveSector:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from itertools import combinations
 from math import comb
 
@@ -13,7 +14,10 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token,
                           token_neighbors)
-from tokenspectra.twotoken import _verify_roots
+from tokenspectra.polymatrix import (blocked_mask, check_bound,
+                                     hermitian_quotient, reflection_basis)
+from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
+                                   _solve_sectors, _sturm_counts)
 
 SQRT5 = math.sqrt(5)
 
@@ -41,6 +45,60 @@ PHI_5 = {
 
 def sample_lambdas(count=20, lo=-3.0, hi=11.0):
     return np.linspace(lo, hi, count) + 0.0137  # offset dodges exact poles
+
+
+# Dense references.  The library solves the secular equation and checks
+# the roots with Sturm counts on the band; these are the dense routes it
+# replaced, kept to compare against.
+
+def dense_sector_roots(n, r):
+    """Kept roots of sector r (r != n/2) from eigvalsh of the recurrence matrix J.
+
+    J is tridiag(1) in Z with alpha = 1/cos(r pi/n) in its first entry
+    and, per case, (-1)^r in its last entry (odd n), a symmetrized
+    doubled last coupling sqrt(2) (even n, even r), or one orbit fewer
+    (even n, odd r); lambda = 4 - 2 cos(r pi/n) Z.
+    """
+    nu = n // 2
+    c = math.cos(math.pi * r / n)
+    dim = nu - 1 if n % 2 == 0 and r % 2 else nu
+    diag = np.zeros(dim)
+    diag[0] = 1.0 / c
+    off = np.ones(dim - 1)
+    if n % 2:
+        diag[-1] += (-1) ** r
+    elif r % 2 == 0:
+        off[-1] = math.sqrt(2.0)
+    j = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.sort(4.0 - 2.0 * c * np.linalg.eigvalsh(j))
+
+
+def dense_verify_roots(n, r, roots, b):
+    """The dense check: roots against eigvalsh of the real form of H."""
+    where = f"F_2(C_{n}) sector r={r}"
+    nu = n // 2
+    periods = np.full(nu, n)
+    if n % 2 == 0:
+        periods[-1] = n // 2
+    blocked = blocked_mask(periods, n, r)
+    h, _, tol = hermitian_quotient(b, periods, blocked, where)
+    assert len(roots) == len(h)
+    basis = reflection_basis(np.arange(nu), n - np.arange(1, nu + 1), blocked, r, n)
+    s = basis.reduce(h, tol, where)
+    gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(s))))
+    check_bound(where, "root gap max|roots - eigvalsh(S)|", gap, tol)
+
+
+def banded(n, r):
+    """(rs, roots, band) of one sector, as mutable arrays for perturbing."""
+    rs = np.array([r])
+    return rs, _solve_sectors(n, np.minimum(rs, n - rs)), list(_sector_band(n, rs))
+
+
+def failure_pattern(n, r, quantity):
+    """The message of a failed bound: n, r, the quantity, its value and tol."""
+    return (rf"^F_2\(C_{n}\) sector r={r}: {re.escape(quantity)} "
+            r"\d\.\d{3}e[-+]\d+ exceeds tol \d\.\d{3}e[-+]\d+$")
 
 
 class TestBuildB2:
@@ -213,48 +271,189 @@ VERIFY_CASES = [(9, 2), (12, 4), (12, 5)]
 
 
 class TestVerifyRoots:
+    """Negative controls of the banded check, each run on the dense reference too."""
+
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_accepts_true_roots(self, n, r):
-        _verify_roots(n, r, sector_roots(n, r), build_b2(n, r))
+        rs, roots, band = banded(n, r)
+        _check_roots(n, rs, roots, band)
+        dense_verify_roots(n, r, sector_roots(n, r), build_b2(n, r))
 
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_rejects_perturbed_root(self, n, r):
-        roots = sector_roots(n, r).copy()
-        roots[1] += 1e-6
+        rs, roots, band = banded(n, r)
+        roots[0, 1] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=failure_pattern(n, r, "root gap max|roots - eig(S)|")):
+            _check_roots(n, rs, roots, band)
         with pytest.raises(NumericFailureError):
-            _verify_roots(n, r, roots, build_b2(n, r))
+            dense_verify_roots(n, r, roots[0, :len(sector_roots(n, r))], build_b2(n, r))
 
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_rejects_duplicated_root(self, n, r):
         b = build_b2(n, r)
-        roots = sector_roots(n, r).copy()
-        roots[2] = roots[1]
+        rs, roots, band = banded(n, r)
+        roots[0, 2] = roots[0, 1]
+        kept = roots[0, :len(sector_roots(n, r))]
         # every value is still an eigenvalue of b, so a per-root smallest
         # singular value test accepts the list; multiplicities do not
         tol = 1e-8 * (1.0 + float(np.max(np.abs(b))))
         eye = np.eye(len(b))
         assert all(np.linalg.svd(b - lam * eye, compute_uv=False)[-1] <= tol
-                   for lam in roots)
+                   for lam in kept)
+        with pytest.raises(NumericFailureError,
+                           match=failure_pattern(n, r, "root gap max|roots - eig(S)|")):
+            _check_roots(n, rs, roots, band)
         with pytest.raises(NumericFailureError):
-            _verify_roots(n, r, roots, b)
+            dense_verify_roots(n, r, kept, b)
 
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_rejects_reflection_breaking_perturbation(self, n, r):
         # Hermitian, so the skew check passes, but the phases no longer
         # make H real
+        rs, roots, band = banded(n, r)
+        band[2][0, 0] *= 1 + 1e-6j
+        band[0][0, 0] *= 1 - 1e-6j
+        with pytest.raises(NumericFailureError, match=failure_pattern(
+                n, r, "real form imaginary part max|Im S|")):
+            _check_roots(n, rs, roots, band)
         b = build_b2(n, r)
         b[0, 1] += 1e-6 * b[0, 1] * 1j
         b[1, 0] -= 1e-6 * b[1, 0] * 1j
         with pytest.raises(NumericFailureError,
                            match=rf"F_2\(C_{n}\) sector r={r}: real form imaginary part"):
-            _verify_roots(n, r, sector_roots(n, r), b)
+            dense_verify_roots(n, r, sector_roots(n, r), b)
+
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_skew_perturbation(self, n, r):
+        rs, roots, band = banded(n, r)
+        band[2][0, 0] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=failure_pattern(n, r, "skew max|H - H^*|")):
+            _check_roots(n, rs, roots, band)
+        b = build_b2(n, r)
+        b[0, 1] += 1e-6
+        with pytest.raises(NumericFailureError, match="skew"):
+            dense_verify_roots(n, r, sector_roots(n, r), b)
+
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_imaginary_diagonal(self, n, r):
+        # an imaginary diagonal entry makes H non-Hermitian, so the skew
+        # check (2e-6) sees it before the realness check (1e-6) does
+        rs, roots, band = banded(n, r)
+        band[1][0, 1] += 1e-6j
+        with pytest.raises(NumericFailureError,
+                           match=failure_pattern(n, r, "skew max|H - H^*|")):
+            _check_roots(n, rs, roots, band)
+        b = build_b2(n, r)
+        b[1, 1] += 1e-6j
+        with pytest.raises(NumericFailureError, match="skew"):
+            dense_verify_roots(n, r, sector_roots(n, r), b)
 
     def test_rejects_blocked_orbit_coupling(self):
         n, r = 12, 5
+        rs, roots, band = banded(n, r)
+        band[0][0, -1] = 1e-6
+        with pytest.raises(NumericFailureError, match=failure_pattern(
+                n, r, "blocked orbit coupling max|b[X, U]|")):
+            _check_roots(n, rs, roots, band)
         b = build_b2(n, r)
         b[-1, -2] = 1e-6
         with pytest.raises(NumericFailureError, match="blocked orbit"):
-            _verify_roots(n, r, sector_roots(n, r), b)
+            dense_verify_roots(n, r, sector_roots(n, r), b)
+
+    def test_band_left_unchanged(self):
+        rs, roots, band = banded(12, 4)
+        before = [v.copy() for v in band]
+        _check_roots(12, rs, roots, band)
+        assert all(np.array_equal(a, b) for a, b in zip(band, before))
+
+
+class TestBandedSectors:
+    @pytest.mark.parametrize("n", [*range(4, 81), 127, 128, 199, 200])
+    def test_roots_match_dense_recurrence_matrix(self, n):
+        roots = _solve_sectors(n, np.arange(n // 2 + 1))
+        for r in range(n // 2 + 1):
+            if 2 * r == n:
+                continue
+            want = dense_sector_roots(n, r)
+            assert_allclose(roots[r, :len(want)], want, rtol=0, atol=1e-12)
+            assert np.isnan(roots[r, len(want):]).all()
+
+    def test_half_turn_and_sector_zero_exact(self):
+        for n in (8, 10, 11):
+            nu = n // 2
+            roots = _solve_sectors(n, np.arange(nu + 1))
+            assert roots[0, 0] == 0.0
+            if n % 2 == 0:
+                m = nu - nu % 2  # the half-turn orbit is blocked for odd nu
+                assert roots[nu, :m].tolist() == [2.0] + [4.0] * (m - 1)
+
+    @pytest.mark.parametrize("n", range(4, 61))
+    def test_quotient_band_matches_dense_quotient(self, n):
+        rs = np.arange(n)
+        (lower, diag, upper), m, tol = _quotient_band(n, rs, _sector_band(n, rs))
+        nu = n // 2
+        periods = np.full(nu, n)
+        if n % 2 == 0:
+            periods[-1] = n // 2
+        for r in rs:
+            b = build_b2(n, r)
+            h, _, want_tol = hermitian_quotient(b, periods, blocked_mask(periods, n, r), "")
+            k = m[r]
+            assert h.shape == (k, k)
+            assert abs(tol[r] - want_tol) <= 1e-13 * want_tol
+            assert_allclose(diag[r, :k], np.diag(h), rtol=0, atol=1e-13)
+            assert_allclose(lower[r, :k - 1], np.diag(h, -1), rtol=0, atol=1e-13)
+            assert_allclose(upper[r, :k - 1], np.diag(h, 1), rtol=0, atol=1e-13)
+            assert not diag[r, k:].any() and not lower[r, k - 1:].any()
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_dense_check_accepts_roots(self, n):
+        for r in range(n):
+            dense_verify_roots(n, r, sector_roots(n, r), build_b2(n, r))
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 13, 60, 61])
+    def test_no_dense_linear_algebra(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra in the two-token route")
+
+        for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        report = spectrum_2token(n)
+        assert len(report.kept) == comb(n, 2)
+        sector_roots(n, n - 1)
+
+
+class TestSturmCounts:
+    def test_matches_eigvalsh(self):
+        # one matrix per column, as the sectors are passed
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(9, 6))
+        e2 = rng.uniform(0.01, 2.0, size=(8, 6))
+        x = rng.normal(scale=3.0, size=(40, 6))
+        full = np.array([True, False, True, True, False, True])
+        counts = _sturm_counts(a, e2, x, full)
+        for i in range(6):
+            m = 9 if full[i] else 8
+            off = np.sqrt(e2[:m - 1, i])
+            eig = np.linalg.eigvalsh(np.diag(a[:m, i]) + np.diag(off, 1) + np.diag(off, -1))
+            assert counts[:, i].tolist() == [int(np.sum(eig < v)) for v in x[:, i]]
+
+    def test_zero_pivots(self):
+        # S = [[0, 1], [1, 0]] has eigenvalues -1 and 1; at x = 0 the first
+        # pivot is exactly +0 and the second -inf
+        a = np.zeros((2, 1))
+        e2 = np.ones((1, 1))
+        x = np.array([[0.0, -1.5, 1.5, -0.5, 0.5]]).T
+        assert _sturm_counts(a, e2, x, np.array([True]))[:, 0].tolist() == [1, 0, 2, 1, 1]
+        # diag(2, 4, 4) with couplings floored at the smallest normal
+        # float: exact zero pivots at x = 2 and x = 4 give no 0/0, and the
+        # counts are those of the eigenvalues 2 - tiny/2 and 4 -+ sqrt(tiny)
+        a = np.array([[2.0, 4.0, 4.0]]).T
+        e2 = np.full((2, 1), np.finfo(float).tiny)
+        x = np.array([[2.0, 4.0, 3.0, 5.0]]).T
+        assert _sturm_counts(a, e2, x, np.array([True]))[:, 0].tolist() == [1, 2, 1, 3]
 
 
 class TestSpectrum2Token:
@@ -314,12 +513,17 @@ class TestSpectrum2Token:
             b = [(e.value, e.kept, e.reason) for e in report.sector_entries(n - r)]
             assert a == b, (n, r)
 
-    @pytest.mark.parametrize("n", [200, 201])
+    @pytest.mark.parametrize("n", [200, 201, 1000, 1001])
     def test_trace_invariants_beyond_brute_cap(self, n):
-        # tr L = sum of degrees and tr L^2 = sum deg^2 + sum deg; the
-        # degrees come from the token moves, not from a closed form
-        degrees = [len(token_neighbors(pair, n))
-                   for pair in combinations(range(n), 2)]
+        # tr L = sum of degrees and tr L^2 = sum deg^2 + sum deg; each
+        # degree counts the token moves {a, b} -> {a +- 1, b} and
+        # {a, b +- 1} onto a free vertex, not a closed form
+        a, b = np.triu_indices(n, 1)
+        degrees = sum(((t + step) % n != a) & ((t + step) % n != b)
+                      for t in (a, b) for step in (1, -1)).tolist()
+        rng = np.random.default_rng(n)
+        for i in rng.integers(len(a), size=50):
+            assert degrees[i] == len(token_neighbors((a[i], b[i]), n))
         kept = spectrum_2token(n).kept
         assert len(kept) == comb(n, 2)
         tol = 1e-8 * len(kept)  # 1e-8 per eigenvalue
