@@ -73,8 +73,6 @@ from .report import SpectrumReport
 # below rounding, since the convergence is quadratic.
 NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_STEPS = 64
-# points per block of Sturm counts, so that the working arrays stay in cache
-STURM_BLOCK = 1 << 16
 
 
 def _check_sector(n: int, r: int) -> None:
@@ -290,27 +288,23 @@ def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
     and the next pivot -+inf, the limit as that pivot tends to zero from
     its side, and the one after sees +-0 again; the count is that at x
     moved by an infinitesimal.  Positive e2 rules out 0/0.  Matrices
-    run along the contiguous axis, and the points in blocks of rows that
-    stay in cache.
+    run along the contiguous axis.
     """
     counts = np.empty(x.shape, dtype=np.min_scalar_type(len(a)))
     last = len(a) - 1
-    step = max(1, STURM_BLOCK // x.shape[1])
     with np.errstate(divide="ignore", over="ignore"):
-        for start in range(0, len(x), step):
-            xs, cnt = x[start:start + step], counts[start:start + step]
-            d = a[0] - xs
-            t = np.empty_like(d)
-            neg = np.signbit(d)
-            cnt[...] = neg
-            for j in range(1, last + 1):
-                np.divide(e2[j - 1], d, out=t)
-                np.subtract(a[j], xs, out=d)
-                d -= t
-                np.signbit(d, out=neg)
-                if j == last:
-                    neg &= full
-                cnt += neg
+        d = a[0] - x
+        t = np.empty_like(d)
+        neg = np.signbit(d)
+        counts[...] = neg
+        for j in range(1, last + 1):
+            np.divide(e2[j - 1], d, out=t)
+            np.subtract(a[j], x, out=d)
+            d -= t
+            np.signbit(d, out=neg)
+            if j == last:
+                neg &= full
+            counts += neg
     return counts
 
 

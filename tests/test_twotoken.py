@@ -517,13 +517,20 @@ class TestSpectrum2Token:
     def test_trace_invariants_beyond_brute_cap(self, n):
         # tr L = sum of degrees and tr L^2 = sum deg^2 + sum deg; each
         # degree counts the token moves {a, b} -> {a +- 1, b} and
-        # {a, b +- 1} onto a free vertex, not a closed form
+        # {a, b +- 1} onto a free vertex, not a closed form.  The moves
+        # are vectorized over all pairs and checked against the graph's
+        # neighbours on every pair up to n = 201, where that loop is cheap,
+        # and on 50 random pairs beyond it.
         a, b = np.triu_indices(n, 1)
         degrees = sum(((t + step) % n != a) & ((t + step) % n != b)
                       for t in (a, b) for step in (1, -1)).tolist()
-        rng = np.random.default_rng(n)
-        for i in rng.integers(len(a), size=50):
-            assert degrees[i] == len(token_neighbors((a[i], b[i]), n))
+        if n <= 201:
+            assert degrees == [len(token_neighbors(pair, n))
+                               for pair in combinations(range(n), 2)]
+        else:
+            rng = np.random.default_rng(n)
+            for i in rng.integers(len(a), size=50):
+                assert degrees[i] == len(token_neighbors((a[i], b[i]), n))
         kept = spectrum_2token(n).kept
         assert len(kept) == comb(n, 2)
         tol = 1e-8 * len(kept)  # 1e-8 per eigenvalue
