@@ -14,8 +14,7 @@ from .necklaces import (OrbitTable, count_burnside, count_moreau, count_polya,
 from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix,
                          expand_lift, filter_spurious, full_spectrum,
                          kept_eigenpairs, lift_eigenvector, sector_eigenpairs)
-from .report import (SpectrumEntry, SpectrumReport, multiset_contains,
-                     multisets_close)
+from .report import SpectrumReport, multiset_contains, multisets_close
 from .tokengraph import (TokenGraph, brute_spectrum, build_token_graph,
                          laplacian, token_neighbors)
 from .twotoken import (build_b2, charpoly_rho_form, charpoly_sector,
@@ -32,7 +31,7 @@ __all__ = [
     "EigenPair", "LiftedVector", "build_poly_matrix", "expand_lift",
     "filter_spurious", "full_spectrum", "kept_eigenpairs",
     "lift_eigenvector", "sector_eigenpairs",
-    "SpectrumEntry", "SpectrumReport", "multiset_contains", "multisets_close",
+    "SpectrumReport", "multiset_contains", "multisets_close",
     "TokenGraph", "brute_spectrum", "build_token_graph", "laplacian",
     "token_neighbors",
     "build_b2", "charpoly_rho_form", "charpoly_sector", "contfrac_q1",

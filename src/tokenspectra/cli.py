@@ -2,8 +2,12 @@
 
 Commands: orbits, matrix, spectrum, charpoly, verify.  Exit codes:
 0 success, 1 verification mismatch or numeric failure, 2 bad arguments.
-All configuration is by flags; no environment variables.  Eigenvalues
-print with 4 decimals in text tables; CSV and JSON carry full precision.
+All configuration is by flags; no environment variables.  Every command
+but verify writes text, CSV or JSON; matrix and spectrum also write
+LaTeX.  Eigenvalues print with 4 decimals in text and LaTeX tables; CSV
+and JSON carry full precision.  Spectrum output is rendered straight
+from the report's columns, sorted once by (sector, value).  Brute force
+has no sectors, so --r, --audit and LaTeX need overlift or contfrac.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .polymatrix import full_spectrum as overlift_spectrum
 from .report import (SpectrumReport, max_multiset_deviation, multiset_contains,
                      multisets_close)
 from .tokengraph import algebraic_connectivity, brute_spectrum
+from .tolerances import AGREE_TOL
 
 
 def _write(text: str, out: str | None) -> None:
@@ -106,95 +111,110 @@ def _fmt4(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
-def _audit_rows(report: SpectrumReport, n: int, sector: int | None = None):
-    """Per-sector table rows (label, cells), conjugate sectors merged.
+def _by_sector(report: SpectrumReport, r: int | None = None, merged: bool = False):
+    """(sector, trail indices) of every sector, or of sector r and, if merged, n - r.
 
-    With ``sector`` set, only the row of that sector or its conjugate.
+    One stable sort by (sector, value): sectors and values ascend, equal
+    values keep their trail order.  Brute force has one group, sector None.
     """
-    rows = []
-    for r in range(n // 2 + 1):
-        if sector is not None and sector not in (r, n - r):
-            continue
-        entries = sorted(report.sector_entries(r), key=lambda e: e.value)
-        if not entries:
-            continue
-        label = f"r={r}"
-        if 0 < r < n - r:
-            label += f" (= r={n - r})"
-        cells = [_fmt4(e.value) + ("" if e.kept else "*") for e in entries]
-        rows.append((label, cells))
-    return rows
+    if report.sectors is None:
+        return [(None, np.argsort(report.values, kind="stable"))]
+    order = np.lexsort((report.values, report.sectors))
+    rs, starts = np.unique(report.sectors[order], return_index=True)
+    return [(s, index) for s, index in zip(rs.tolist(), np.split(order, starts[1:]))
+            if r is None or s == r or merged and s == report.n - r]
 
 
-def _spectrum_json(report: SpectrumReport) -> str:
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value as an object array, each distinct float rendered once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[inverse]
+
+
+def _audit_rows(report: SpectrumReport, groups) -> list[tuple[str, list[str]]]:
+    """Per-sector table rows (label, cells); sector n - r shows in the row of r."""
+    n = report.n
+    return [(f"r={r}" + (f" (= r={n - r})" if 0 < r < n - r else ""),
+             [_fmt4(v) + ("" if kept else "*") for v, kept in
+              zip(report.values[index].tolist(), report.kept_mask[index].tolist())])
+            for r, index in groups if 2 * r <= n]
+
+
+def _spectrum_json(report: SpectrumReport, groups) -> str:
+    """The report as JSON, laid out as ``json.dumps(indent=2)`` lays it out.
+
+    Built by hand, as that encoder is slow on large spectra.  ``kept`` lists
+    the kept values of all ``groups`` (every sector, or one), ascending.
+    """
+    def array(items: list[str], depth: int) -> str:  # of items already rendered
+        pad = "\n" + "  " * depth
+        return f"[{pad}  " + f",{pad}  ".join(items) + f"{pad}]" if items else "[]"
+
+    text = _reprs(report.values)
     sectors = []
-    if report.method != "brute":
-        for r in range(report.n):
-            entries = report.sector_entries(r)
-            if not entries:
-                continue
-            sectors.append({
-                "r": r,
-                "eigenvalues": sorted(e.value for e in entries if e.kept),
-                "discarded": sorted(e.value for e in entries if not e.kept),
-            })
-    return json.dumps({
-        "n": report.n, "k": report.k, "method": report.method,
-        "sectors": sectors, "kept": list(report.kept),
-    }, indent=2)
+    for s, index in groups:
+        if s is not None:
+            kept = report.kept_mask[index]
+            values, dropped = (array(text[i].tolist(), 3)
+                               for i in (index[kept], index[~kept]))
+            sectors.append(f'{{\n      "r": {s},\n      "eigenvalues": {values},\n'
+                           f'      "discarded": {dropped}\n    }}')
+    kept = np.concatenate([index[report.kept_mask[index]] for _, index in groups])
+    kept = kept[np.argsort(report.values[kept], kind="stable")]
+    return (f'{{\n  "n": {report.n},\n  "k": {report.k},\n  "method": '
+            f'{json.dumps(report.method)},\n  "sectors": {array(sectors, 1)},\n'
+            f'  "kept": {array(text[kept].tolist(), 1)}\n}}')
 
 
 def cmd_spectrum(args) -> int:
     if args.r is not None and not 0 <= args.r < args.n:
         raise ParameterDomainError(f"sector r={args.r} must lie in [0, {args.n})")
+    if args.method == "brute" and (args.r is not None or args.audit
+                                   or args.format == "latex"):
+        raise ParameterDomainError("method brute has no sectors: --r, --audit and "
+                                   "--format latex need overlift or contfrac")
     report = _spectrum_by_method(args.method, args.n, args.k)
-    status = 0
-    check_note = ""
+    status, check_note = 0, ""
     if args.check_against:
-        other = _spectrum_by_method(args.check_against, args.n, args.k)
-        if multisets_close(report.kept, other.kept, args.tol):
-            dev = max_multiset_deviation(report.kept, other.kept)
-            check_note = (f"check {args.method} vs {args.check_against}: "
-                          f"agree within {args.tol:g} (max deviation {dev:.2e})")
+        other = _spectrum_by_method(args.check_against, args.n, args.k).kept
+        check_note = f"check {args.method} vs {args.check_against}: "
+        if multisets_close(report.kept, other, args.tol):
+            dev = max_multiset_deviation(report.kept, other)
+            check_note += f"agree within {args.tol:g} (max deviation {dev:.2e})"
         else:
-            check_note = (f"check {args.method} vs {args.check_against}: "
-                          f"MISMATCH beyond {args.tol:g}")
+            check_note += f"MISMATCH beyond {args.tol:g}"
             status = 1
     if args.format == "json":
-        _write(_spectrum_json(report), args.out)
+        _write(_spectrum_json(report, _by_sector(report, args.r)), args.out)
     elif args.format == "csv":
+        text = _reprs(report.values)
         lines = ["r,value,kept"]
-        entries = report.entries
-        if args.r is not None:
-            entries = report.sector_entries(args.r)
-        for e in sorted(entries, key=lambda e: (e.sector if e.sector is not None else -1, e.value)):
-            sec = "" if e.sector is None else str(e.sector)
-            lines.append(f"{sec},{e.value!r},{str(e.kept).lower()}")
+        for r, index in _by_sector(report, args.r):
+            sector = "" if r is None else r
+            lines += [f"{sector},{value},{'true' if kept else 'false'}" for value, kept in
+                      zip(text[index].tolist(), report.kept_mask[index].tolist())]
         _write("\n".join(lines) + "\n", args.out)
     elif args.format == "latex":
-        rows = _audit_rows(report, args.n)
-        lines = ["\\begin{tabular}{l" + "c" * max((len(c) for _, c in rows), default=0) + "}"]
+        rows = _audit_rows(report, _by_sector(report, args.r, merged=True))
+        lines = ["\\begin{tabular}{l" + "c" * max(len(c) for _, c in rows) + "}"]
         lines += [label.replace("=", "$=$") + " & " + " & ".join(cells) + " \\\\"
-                  for label, cells in rows]
-        lines.append("\\end{tabular}")
+                  for label, cells in rows] + ["\\end{tabular}"]
         _write("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"F_{args.k}(C_{args.n}) spectrum, method {args.method}: "
                  f"{len(report.kept)} eigenvalues"]
-        if args.audit and report.method != "brute":
-            rows = _audit_rows(report, args.n, args.r)
+        if args.audit:
+            groups = _by_sector(report, args.r, merged=True)
+            rows = _audit_rows(report, groups)
             width = max(len(label) for label, _ in rows)
-            for label, cells in rows:
-                lines.append(f"  {label:<{width}}  " + "  ".join(cells))
-            discarded = report.discarded
-            if args.r is not None:
-                discarded = [e for e in discarded if e.sector in (args.r, args.n - args.r)]
-            lines.append(f"  discarded: {len(discarded)} "
-                         f"({', '.join(f'{_fmt4(e.value)}@r={e.sector}' for e in discarded)})")
+            lines += [f"  {label:<{width}}  " + "  ".join(cells) for label, cells in rows]
+            dropped = [f"{_fmt4(v)}@r={r}" for r, index in groups
+                       for v in report.values[index[~report.kept_mask[index]]].tolist()]
+            lines.append(f"  discarded: {len(dropped)} ({', '.join(dropped)})")
             lines.append("  values marked * are not eigenvalues of the token graph")
         elif args.r is not None:
-            vals = sorted(e.value for e in report.sector_entries(args.r) if e.kept)
-            lines.append(f"  r={args.r}: " + "  ".join(_fmt4(v) for v in vals))
+            kept = np.sort(report.values[report.kept_mask & (report.sectors == args.r)])
+            lines.append(f"  r={args.r}: " + "  ".join(_fmt4(v) for v in kept.tolist()))
         else:
             lines.append("  " + "  ".join(_fmt4(v) for v in report.kept))
         if check_note:
@@ -208,13 +228,9 @@ def cmd_spectrum(args) -> int:
 def cmd_charpoly(args) -> int:
     coeffs = twotoken.charpoly_sector(args.n, args.r)
     roots = twotoken.sector_roots(args.n, args.r)
-    lo = args.lo
     hi = args.hi if args.hi is not None else float(np.ceil(roots[-1]) + 1.0)
-    samples = []
-    if args.samples:
-        poly = np.polynomial.Polynomial(coeffs[::-1])
-        for x in np.linspace(lo, hi, args.samples):
-            samples.append((float(x), float(poly(x))))
+    poly = np.polynomial.Polynomial(coeffs[::-1])
+    samples = [(x, float(poly(x))) for x in np.linspace(args.lo, hi, args.samples).tolist()]
     if args.format == "json":
         _write(json.dumps({
             "n": args.n, "r": args.r,
@@ -249,7 +265,7 @@ def _fmt_coeff(c: float) -> str:
     return repr(float(c))
 
 
-def run_verification(n_max: int = 12, tol: float = 1e-8, echo=print):
+def run_verification(n_max: int = 12, tol: float = AGREE_TOL, echo=print):
     """Cross-method verification sweep up to n_max.
 
     Checks per (n, k): counting routes agree; orbit sizes add to
@@ -286,7 +302,7 @@ def run_verification(n_max: int = 12, tol: float = 1e-8, echo=print):
             spectra += n
             check(multisets_close(brute.kept, lifted.kept, tol),
                   f"(n={n},k={k}) overlift vs brute")
-            check(len(lifted.discarded) == n * nu - comb(n, k),
+            check(np.count_nonzero(~lifted.kept_mask) == n * nu - comb(n, k),
                   f"(n={n},k={k}) discard count")
             if k == 2:
                 cf = twotoken.spectrum_2token(n)
@@ -324,12 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Laplacian spectra of k-token graphs of cycles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_k=True):
+    def common(p, formats=("text", "csv", "json"), need_k=True):
         p.add_argument("--n", type=int, required=True, help="cycle length")
         if need_k:
             p.add_argument("--k", type=int, required=True, help="token count")
-        p.add_argument("--format", choices=["text", "csv", "json", "latex"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("orbits", help="rotation orbits and the three counts")
@@ -337,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("matrix", help="render the orbit polynomial matrix")
-    common(p)
+    common(p, ("text", "csv", "json", "latex"))
     p.add_argument("--exponents", choices=["canonical", "balanced"],
                    default="canonical",
                    help="canonical keeps exponents in [0,n); balanced shows "
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("spectrum", help="compute the Laplacian spectrum")
-    common(p)
+    common(p, ("text", "csv", "json", "latex"))
     p.add_argument("--r", type=int, help="restrict output to one sector")
     p.add_argument("--method", choices=["brute", "overlift", "contfrac"],
                    default="overlift")
@@ -353,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-sector table with discarded values marked *")
     p.add_argument("--check-against", choices=["brute", "overlift", "contfrac"],
                    help="exit 1 unless this method agrees within --tol")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=AGREE_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("charpoly", help="two-token sector polynomial (k=2)")
@@ -368,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-method verification sweep")
     p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=AGREE_TOL)
     p.set_defaults(func=cmd_verify)
     return parser
 

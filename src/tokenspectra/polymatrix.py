@@ -52,13 +52,11 @@ from .errors import (CountMismatchError, NumericFailureError,
 from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
+from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
+                         RANK_TOL, RESIDUAL_TOL, quotient_tol)
 from .tokengraph import TokenGraph, build_token_graph, token_neighbors
 
 DISCARD_REASON = "nonzero on short orbit whose period the sector order does not divide"
-# absolute bounds of the sector solver: eigen-residuals of unit vectors,
-# and the imaginary parts of the discarded values
-RESIDUAL_TOL = 1e-8
-IMAG_TOL = 1e-7
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -118,9 +116,7 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
     return LaurentMatrix.from_terms(n, orbits.count, *zip(*terms))
 
 
-def sector_eigenpairs(matrix: LaurentMatrix, r: int, *,
-                      imag_tol: float = 1e-7,
-                      residual_tol: float = 1e-8) -> list[EigenPair]:
+def sector_eigenpairs(matrix: LaurentMatrix, r: int) -> list[EigenPair]:
     """Eigenpairs of the specialized matrix at sector r, ascending.
 
     The specialized matrix is not Hermitian in general, so a general
@@ -132,18 +128,18 @@ def sector_eigenpairs(matrix: LaurentMatrix, r: int, *,
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigensolver failed in sector {r}: {exc}") from exc
     bad_imag = float(np.max(np.abs(vals.imag)))
-    if bad_imag > imag_tol:
+    if bad_imag > IMAG_TOL:
         raise NumericFailureError(
-            f"sector {r}: eigenvalue imaginary part {bad_imag:.3e} exceeds {imag_tol:.0e}")
+            f"sector {r}: eigenvalue imaginary part {bad_imag:.3e} exceeds {IMAG_TOL:.0e}")
     order = np.argsort(vals.real)
     vals, vecs = vals[order], vecs[:, order]
     # residuals of the solver's complex eigenpairs; the realized values
-    # can differ by up to imag_tol, which the residual bound predates
+    # can differ by up to IMAG_TOL, which the residual bound predates
     res = np.max(np.abs(b @ vecs - vecs * vals), axis=0)
     worst = float(np.max(res))
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise NumericFailureError(
-            f"sector {r}: eigenpair residual {worst:.3e} exceeds {residual_tol:.0e}")
+            f"sector {r}: eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
     pairs = [EigenPair(float(val.real), r, vecs[:, idx], float(res[idx]))
              for idx, val in enumerate(vals)]
     return pairs
@@ -159,12 +155,11 @@ def blocked_mask(periods: np.ndarray, n: int, r: int) -> np.ndarray:
     return periods % sector_order(n, r) != 0
 
 
-def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
-                    cluster_tol: float = 1e-6,
-                    rank_tol: float = 1e-8) -> list[ClusterVerdict]:
+def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
+                    r: int) -> list[ClusterVerdict]:
     """Kept multiplicity per eigenvalue cluster of one sector.
 
-    Eigenvalues within cluster_tol are treated as one eigenspace.  The
+    Eigenvalues within CLUSTER_TOL are treated as one eigenspace.  The
     kept multiplicity is the cluster dimension minus the rank of the
     cluster basis restricted to the blocked-orbit rows; the kept vectors
     are the combinations vanishing there.  Working on eigenspaces (not
@@ -179,7 +174,7 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
     i = 0
     while i < len(pairs):
         j = i + 1
-        while j < len(pairs) and pairs[j].value - pairs[j - 1].value <= cluster_tol:
+        while j < len(pairs) and pairs[j].value - pairs[j - 1].value <= CLUSTER_TOL:
             j += 1
         group = pairs[i:j]
         m = len(group)
@@ -189,7 +184,7 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable, r: int, *,
         if blocked.any():
             restricted = q[blocked]
             _, sv, vh = np.linalg.svd(restricted)
-            rank = int(np.sum(sv > rank_tol))
+            rank = int(np.sum(sv > RANK_TOL))
             kept_vecs = q @ vh.conj().T[:, rank:]
         else:
             rank = 0
@@ -214,12 +209,12 @@ def hermitian_quotient(b: np.ndarray, periods: np.ndarray, blocked: np.ndarray,
     ``blocked`` the mask of orbits whose period the sector order does
     not divide.  With U the unblocked and X the blocked orbits, b[X, U]
     must vanish and H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods),
-    must be Hermitian; both are checked within tol = 1e-8 (1 + max|b|),
+    must be Hermitian; both are checked within tol = ``quotient_tol(max|b|)``,
     and a failure raises ``NumericFailureError`` prefixed by ``where``.
     Returns (H, scale, tol), where scale is the diagonal of D_U^(1/2)
     divided by its largest entry, so full orbits scale by exactly 1.
     """
-    tol = 1e-8 * (1.0 + float(np.abs(b).max()))
+    tol = quotient_tol(float(np.abs(b).max()))
     h = b
     if blocked.any():
         keep = np.flatnonzero(~blocked)
@@ -499,7 +494,7 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     r = pair.sector
     scale = float(np.max(np.abs(pair.vector)))
     loaded = blocked_mask(np.asarray(orbits.periods), n, r)
-    loaded &= np.abs(pair.vector) > 1e-10 * scale
+    loaded &= np.abs(pair.vector) > LIFT_SUPPORT_TOL * scale
     if loaded.any():
         i = int(np.argmax(loaded))
         raise PhaseConsistencyError(
@@ -514,7 +509,7 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     adj = (np.bincount(src, out.real[dst], m)
            + 1j * np.bincount(src, out.imag[dst], m))
     res = float(np.max(np.abs((graph.degrees - pair.value) * out - adj)))
-    if res > 1e-8:
+    if res > LIFT_RESIDUAL_TOL:
         raise NumericFailureError(
             f"lifted vector residual {res:.3e} for eigenvalue {pair.value} "
             f"in sector {r} of F_{k}(C_{n})")

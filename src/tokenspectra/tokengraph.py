@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, SizeLimitError
 from .report import SpectrumReport
+from .tolerances import ZERO_TOL
 
 DENSE_SPECTRUM_CAP = 5000
 # (n, k) pairs each cached table keeps; verify asks for each pair back to back
@@ -123,9 +124,9 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
     return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 
 
-def algebraic_connectivity(report: SpectrumReport, zero_tol: float = 1e-8) -> float:
-    """Smallest eigenvalue above zero_tol of an already computed spectrum."""
+def algebraic_connectivity(report: SpectrumReport) -> float:
+    """Smallest eigenvalue above ZERO_TOL of an already computed spectrum."""
     for v in report.kept:
-        if v > zero_tol:
+        if v > ZERO_TOL:
             return v
     raise ValueError("spectrum has no nonzero eigenvalue")

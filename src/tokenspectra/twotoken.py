@@ -67,11 +67,9 @@ from .errors import (CountMismatchError, NumericFailureError,
 from .laurent import root_table
 from .polymatrix import DISCARD_REASON, SQRT_HALF, check_bound
 from .report import SpectrumReport
+from .tolerances import (BRANCH_GUARD, CLOSED_FORM_IMAG_TOL, NEWTON_STEP_TOL,
+                         POLE_TOL, quotient_tol)
 
-# Newton iterations stop once every step is below this fraction of its
-# starting bracket; the step after which that holds leaves an error far
-# below rounding, since the convergence is quadratic.
-NEWTON_STEP_TOL = 1e-12
 NEWTON_MAX_STEPS = 64
 
 
@@ -127,7 +125,7 @@ def build_b2(n: int, r: int) -> np.ndarray:
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
-def contfrac_q1(lam: float, n: int, r: int, pole_tol: float = 1e-12) -> float:
+def contfrac_q1(lam: float, n: int, r: int) -> float:
     """Q_1 by backward recurrence from the case's terminal value."""
     _check_sector(n, r)
     if _is_half_turn(n, r):
@@ -138,18 +136,18 @@ def contfrac_q1(lam: float, n: int, r: int, pole_tol: float = 1e-12) -> float:
     z = (4.0 - lam) / (2.0 * c)
     if n % 2:
         den = z - (-1) ** r
-        if abs(den) < pole_tol:
+        if abs(den) < POLE_TOL:
             raise PoleError(f"terminal denominator vanishes at lambda={lam}")
         q = 1.0 / den
     elif r % 2 == 0:
-        if abs(z) < pole_tol:
+        if abs(z) < POLE_TOL:
             raise PoleError(f"terminal denominator vanishes at lambda={lam}")
         q = 2.0 / z
     else:
         q = 0.0
     for _ in range(nu - 2):
         den = z - q
-        if abs(den) < pole_tol:
+        if abs(den) < POLE_TOL:
             raise PoleError(f"continued fraction hits a pole at lambda={lam}")
         q = 1.0 / den
     return q
@@ -255,14 +253,14 @@ def _quotient_band(n: int, rs: np.ndarray, band):
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.  As
     in ``polymatrix.hermitian_quotient``, the blocked coupling
-    b[nu-1, nu-2] must vanish within tol = 1e-8 (1 + max|b|), and
+    b[nu-1, nu-2] must vanish within tol = ``quotient_tol(max|b|)``, and
     H = D^(1/2) b D^(-1/2) on the first m kept orbits.  Band entries past
     m are zero.  ``band`` is left unchanged.
     """
     lower, diag, upper = (np.array(v, dtype=complex) for v in band)
     biggest = np.maximum(np.abs(diag).max(axis=1),
                          np.maximum(np.abs(lower), np.abs(upper)).max(axis=1))
-    tol = 1e-8 * (1.0 + biggest)
+    tol = quotient_tol(biggest)
     m = _kept_counts(n, rs)
     if n % 2 == 0:
         blocked = m < n // 2
@@ -457,13 +455,12 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
     return p.coef[::-1] + 0.0  # adding 0.0 clears negative zeros
 
 
-def charpoly_rho_form(n: int, r: int, lam: float,
-                      guard: float = 0.1) -> float:
+def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     """The closed-form sector value at one lambda, via rho_1 and rho_2.
 
     rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 diagonalize the transfer step.
     Complex intermediates occur when Z^2 < 4; the result is real.  Not
-    defined within ``guard`` of the branch point Z^2 = 4; the polynomial
+    defined within BRANCH_GUARD of the branch point Z^2 = 4; the polynomial
     form is authoritative everywhere.  Equals charpoly_sector up to one
     multiplicative constant per (n, r).
     """
@@ -476,9 +473,9 @@ def charpoly_rho_form(n: int, r: int, lam: float,
     z = (4.0 - lam) / (2.0 * c)
     alpha = 1.0 / c
     disc = z * z - 4.0
-    if abs(disc) <= guard:
-        raise PoleError(
-            f"lambda={lam} puts Z^2-4 = {disc:.4f} inside the +-{guard} guard band")
+    if abs(disc) <= BRANCH_GUARD:
+        raise PoleError(f"lambda={lam} puts Z^2-4 = {disc:.4f} inside the "
+                        f"+-{BRANCH_GUARD} guard band")
     s = cmath.sqrt(complex(disc))
     rho1 = (z + s) / 2.0
     rho2 = (z - s) / 2.0
@@ -492,7 +489,7 @@ def charpoly_rho_form(n: int, r: int, lam: float,
     else:
         val = ((1 - (z - alpha) * rho1) * rho1 ** (nu - 2)
                - (1 - (z - alpha) * rho2) * rho2 ** (nu - 2)) / s
-    if abs(val.imag) > 1e-8:
+    if abs(val.imag) > CLOSED_FORM_IMAG_TOL:
         raise NumericFailureError(
             f"closed form returned imaginary part {val.imag:.3e} at lambda={lam}")
     return float(val.real)

@@ -90,14 +90,14 @@ def test_criterion_2_7_3_table_with_zero_discards():
     t0 = time.perf_counter()
     report = cached_overlift(7, 3)
     assert len(report.kept) == 35
-    assert report.discarded == ()
+    assert report.kept_mask.all()
     for r, want in TABLE_7_3.items():
-        got = sorted(e.value for e in report.sector_entries(r))
+        got = report.values[report.sectors == r]
         assert multisets_close(got, want, 1e-3), r
-        mirrored = sorted(e.value for e in report.sector_entries((7 - r) % 7))
+        mirrored = report.values[report.sectors == (7 - r) % 7]
         assert multisets_close(mirrored, want, 1e-3), r
     for v in (0.7530, 3.9363, 7.1125):
-        assert any(abs(e.value - v) < 1e-3 for e in report.sector_entries(1))
+        assert np.any(np.abs(report.values[report.sectors == 1] - v) < 1e-3)
     elapsed = _elapsed_since(t0)
     assert elapsed < 1.0
     _report(2, 1, elapsed, "F_3(C_7) sector table reproduced, no discards")
@@ -107,16 +107,16 @@ def test_criterion_3_discard_audit():
     t0 = time.perf_counter()
     r63 = cached_overlift(6, 3)
     assert len(r63.kept) == 20
-    assert len(r63.discarded) == 4
-    assert all(abs(e.value - 6.0) < 1e-6 for e in r63.discarded)
-    assert sorted(e.sector for e in r63.discarded) == [1, 2, 4, 5]
+    dropped = ~r63.kept_mask
+    assert np.count_nonzero(dropped) == 4
+    assert np.all(np.abs(r63.values[dropped] - 6.0) < 1e-6)
+    assert sorted(r63.sectors[dropped].tolist()) == [1, 2, 4, 5]
     r84 = cached_overlift(8, 4)
     assert len(r84.kept) == 70
-    eights = [e for e in r84.discarded if abs(e.value - 8.0) < 1e-6]
-    fours = [e for e in r84.discarded if abs(e.value - 4.0) < 1e-6]
-    assert len(eights) == 6
-    assert len(fours) == 4
-    assert len(r84.discarded) == 10
+    dropped = r84.values[~r84.kept_mask]
+    assert np.count_nonzero(np.abs(dropped - 8.0) < 1e-6) == 6
+    assert np.count_nonzero(np.abs(dropped - 4.0) < 1e-6) == 4
+    assert len(dropped) == 10
     elapsed = _elapsed_since(t0)
     assert elapsed < 2.0
     _report(3, 2, elapsed,
@@ -142,15 +142,15 @@ def test_criterion_5_two_token_tables_and_sweep():
     t0 = time.perf_counter()
     rep7 = cached_contfrac(7)
     for r, want in TABLE_2TOKEN_7.items():
-        got = sorted(e.value for e in rep7.sector_entries(r) if e.kept)
+        got = rep7.values[rep7.kept_mask & (rep7.sectors == r)]
         assert multisets_close(got, want, 1e-3), r
     rep8 = cached_contfrac(8)
     for r, want in TABLE_2TOKEN_8.items():
-        got = sorted(e.value for e in rep8.sector_entries(r) if e.kept)
+        got = rep8.values[rep8.kept_mask & (rep8.sectors == r)]
         assert multisets_close(got, want, 1e-3), r
-    starred = [e for e in rep8.discarded if abs(e.value - 4.0) < 1e-6]
-    assert len(starred) == 4
-    assert sorted(e.sector for e in starred) == [1, 3, 5, 7]
+    starred = ~rep8.kept_mask & (np.abs(rep8.values - 4.0) < 1e-6)
+    assert np.count_nonzero(starred) == 4
+    assert sorted(rep8.sectors[starred].tolist()) == [1, 3, 5, 7]
     for n in range(4, 41):
         assert multisets_close(cached_contfrac(n).kept,
                                cached_brute(n, 2).kept, 1e-8), n
@@ -199,14 +199,14 @@ def test_criterion_7_property_suite():
             a = np.sort(np.linalg.eigvals(matrix.specialize(r)).real)
             b = np.sort(np.linalg.eigvals(matrix.specialize(n - r)).real)
             assert_allclose(a, b, atol=1e-8)
-            ka = sorted(e.value for e in report.sector_entries(r) if e.kept)
-            kb = sorted(e.value for e in report.sector_entries(n - r) if e.kept)
+            ka = report.values[report.kept_mask & (report.sectors == r)]
+            kb = report.values[report.kept_mask & (report.sectors == n - r)]
             assert multisets_close(ka, kb, 1e-8), (n, k, r)
     # discard counts
     for n, k in ALL_PAIRS:
         report = cached_overlift(n, k)
         nu = enumerate_orbits(n, k).count
-        assert len(report.discarded) == n * nu - comb(n, k), (n, k)
+        assert np.count_nonzero(~report.kept_mask) == n * nu - comb(n, k), (n, k)
     # every kept eigenpair lifts with a small residual
     lifts = 0
     for n, k in ALL_PAIRS:

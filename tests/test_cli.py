@@ -3,8 +3,10 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tokenspectra import cli
 from tokenspectra.cli import main
@@ -14,6 +16,124 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "spectrum_pinned.json").read_text())
+
+OVERLIFT_6_3 = ("spectrum", "--n", "6", "--k", "3")
+CONTFRAC_8 = ("spectrum", "--n", "8", "--k", "2", "--method", "contfrac")
+
+TEXT_PINNED = {
+    OVERLIFT_6_3: """\
+F_3(C_6) spectrum, method overlift: 20 eigenvalues
+  0.0000  1.0000  1.0000  1.3944  1.4384  1.4384  2.0000  2.7639  3.0000  3.0000  \
+4.0000  4.0000  4.0000  5.0000  5.0000  5.5616  5.5616  6.0000  7.2361  8.6056
+""",
+    OVERLIFT_6_3 + ("--audit",): """\
+F_3(C_6) spectrum, method overlift: 20 eigenvalues
+  r=0          0.0000  2.7639  6.0000  7.2361
+  r=1 (= r=5)  1.0000  4.0000  5.0000  6.0000*
+  r=2 (= r=4)  1.4384  3.0000  5.5616  6.0000*
+  r=3          1.3944  2.0000  4.0000  8.6056
+  discarded: 4 (6.0000@r=1, 6.0000@r=2, 6.0000@r=4, 6.0000@r=5)
+  values marked * are not eigenvalues of the token graph
+""",
+    OVERLIFT_6_3 + ("--audit", "--r", "1"): """\
+F_3(C_6) spectrum, method overlift: 20 eigenvalues
+  r=1 (= r=5)  1.0000  4.0000  5.0000  6.0000*
+  discarded: 2 (6.0000@r=1, 6.0000@r=5)
+  values marked * are not eigenvalues of the token graph
+""",
+    OVERLIFT_6_3 + ("--format", "latex"): """\
+\\begin{tabular}{lcccc}
+r$=$0 & 0.0000 & 2.7639 & 6.0000 & 7.2361 \\\\
+r$=$1 ($=$ r$=$5) & 1.0000 & 4.0000 & 5.0000 & 6.0000* \\\\
+r$=$2 ($=$ r$=$4) & 1.4384 & 3.0000 & 5.5616 & 6.0000* \\\\
+r$=$3 & 1.3944 & 2.0000 & 4.0000 & 8.6056 \\\\
+\\end{tabular}
+""",
+    CONTFRAC_8: """\
+F_2(C_8) spectrum, method contfrac: 28 eigenvalues
+  0.0000  0.5858  0.5858  0.9486  0.9486  1.5060  1.7118  1.7118  2.0000  2.0000  \
+2.0000  3.1260  3.1260  3.4142  3.4142  4.0000  4.0000  4.0000  4.5173  4.5173  \
+4.8740  4.8740  4.8901  6.2882  6.2882  6.5341  6.5341  7.6039
+""",
+    CONTFRAC_8 + ("--audit",): """\
+F_2(C_8) spectrum, method contfrac: 28 eigenvalues
+  r=0          0.0000  1.5060  4.8901  7.6039
+  r=1 (= r=7)  0.5858  3.1260  4.0000*  6.2882
+  r=2 (= r=6)  0.9486  2.0000  4.5173  6.5341
+  r=3 (= r=5)  1.7118  3.4142  4.0000*  4.8740
+  r=4          2.0000  4.0000  4.0000  4.0000
+  discarded: 4 (4.0000@r=1, 4.0000@r=3, 4.0000@r=5, 4.0000@r=7)
+  values marked * are not eigenvalues of the token graph
+""",
+    CONTFRAC_8 + ("--audit", "--r", "1"): """\
+F_2(C_8) spectrum, method contfrac: 28 eigenvalues
+  r=1 (= r=7)  0.5858  3.1260  4.0000*  6.2882
+  discarded: 2 (4.0000@r=1, 4.0000@r=7)
+  values marked * are not eigenvalues of the token graph
+""",
+    CONTFRAC_8 + ("--format", "latex"): """\
+\\begin{tabular}{lcccc}
+r$=$0 & 0.0000 & 1.5060 & 4.8901 & 7.6039 \\\\
+r$=$1 ($=$ r$=$7) & 0.5858 & 3.1260 & 4.0000* & 6.2882 \\\\
+r$=$2 ($=$ r$=$6) & 0.9486 & 2.0000 & 4.5173 & 6.5341 \\\\
+r$=$3 ($=$ r$=$5) & 1.7118 & 3.4142 & 4.0000* & 4.8740 \\\\
+r$=$4 & 2.0000 & 4.0000 & 4.0000 & 4.0000 \\\\
+\\end{tabular}
+""",
+}
+
+
+def _assert_json_close(got, want, path="$"):
+    """Same layout, keys and strings; floats within 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, path
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            _assert_json_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_json_close(a, b, f"{path}[{i}]")
+    else:
+        assert got == want and type(got) is type(want), path
+
+
+class TestPinnedOutput:
+    """Spectrum output captured before the writers read the report's columns.
+
+    Text and LaTeX print four decimals and are pinned byte for byte.
+    CSV and JSON carry full precision, whose last digits may differ
+    between BLAS builds, so their layout, order and kept flags are
+    pinned exactly and their values within 1e-12.
+    """
+
+    @pytest.mark.parametrize("argv", list(TEXT_PINNED), ids=" ".join)
+    def test_text_and_latex(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == TEXT_PINNED[argv]
+
+    @pytest.mark.parametrize("command", list(PINNED))
+    def test_csv_and_json(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        want = PINNED[command]
+        if "--format json" in command:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            assert out.count("\n") == want.count("\n")
+            _assert_json_close(json.loads(out), json.loads(want))
+        else:
+            got_rows = [line.split(",") for line in out.splitlines()]
+            want_rows = [line.split(",") for line in want.splitlines()]
+            assert got_rows[0] == want_rows[0] == ["r", "value", "kept"]
+            assert [(r, kept) for r, _, kept in got_rows] == \
+                [(r, kept) for r, _, kept in want_rows]
+            for (_, got, _), (_, value, _) in zip(got_rows[1:], want_rows[1:]):
+                assert abs(float(got) - float(value)) <= 1e-12
 
 
 class TestOrbits:
@@ -151,6 +271,40 @@ class TestSpectrum:
         total_disc = sum(len(s["discarded"]) for s in data["sectors"])
         assert total_disc == 4
 
+    @pytest.mark.parametrize("n,k,method,r", [(8, 2, "contfrac", 1), (8, 2, "contfrac", 7),
+                                              (24, 2, "contfrac", 12), (6, 3, "overlift", 0),
+                                              (6, 3, "overlift", 2)])
+    def test_json_single_sector(self, capsys, n, k, method, r):
+        argv = ("spectrum", "--n", str(n), "--k", str(k), "--method", method)
+        _, whole, _ = run(capsys, *argv, "--format", "json")
+        code, out, _ = run(capsys, *argv, "--format", "json", "--r", str(r))
+        assert code == 0
+        data, whole = json.loads(out), json.loads(whole)
+        assert data["sectors"] == [s for s in whole["sectors"] if s["r"] == r]
+        assert data["kept"] == data["sectors"][0]["eigenvalues"]
+        assert data["kept"] == sorted(data["kept"])
+        assert out == json.dumps(data, indent=2) + "\n"
+        _, csv_out, _ = run(capsys, *argv, "--format", "csv", "--r", str(r))
+        rows = list(csv.DictReader(io.StringIO(csv_out)))
+        assert data["kept"] == [float(row["value"]) for row in rows if row["kept"] == "true"]
+        _, text, _ = run(capsys, *argv, "--r", str(r))
+        assert text.splitlines()[1] == f"  r={r}: " + "  ".join(
+            f"{v:.4f}" for v in data["kept"])
+
+    @pytest.mark.parametrize("r", ["1", "23", "12", "0"])
+    def test_latex_single_sector(self, capsys, r):
+        argv = ("spectrum", "--n", "24", "--k", "2", "--method", "contfrac")
+        _, whole, _ = run(capsys, *argv, "--format", "latex")
+        code, out, _ = run(capsys, *argv, "--format", "latex", "--r", r)
+        assert code == 0
+        low = min(int(r), 24 - int(r))
+        row = [line for line in whole.splitlines() if line.startswith(f"r$=${low} ")]
+        assert out.splitlines() == ["\\begin{tabular}{l" + "c" * 12 + "}", *row,
+                                    "\\end{tabular}"]
+        _, audit, _ = run(capsys, *argv, "--audit", "--r", r)
+        cells = [line.split()[-12:] for line in audit.splitlines() if line.startswith("  r=")]
+        assert cells == [row[0].removesuffix(" \\\\").split(" & ")[1:]]
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--k", "2",
                            "--format", "csv")
@@ -263,3 +417,22 @@ class TestArgumentHandling:
         code, _, _ = run(capsys, "spectrum", "--n", "6", "--k", "2",
                          "--r", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [("--r", "1"), ("--audit",), ("--format", "latex"),
+                                       ("--format", "json", "--r", "0"),
+                                       ("--format", "csv", "--r", "1")])
+    def test_brute_has_no_sectors(self, capsys, extra):
+        code, out, err = run(capsys, "spectrum", "--n", "6", "--k", "3",
+                             "--method", "brute", *extra)
+        assert (code, out) == (2, "")
+        assert "method brute has no sectors" in err
+        # the same request with sectors is fine
+        code, out, _ = run(capsys, "spectrum", "--n", "6", "--k", "3", *extra)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("command", [("orbits", "--k", "3"), ("charpoly", "--r", "1")])
+    def test_latex_only_where_rendered(self, capsys, command):
+        code, out, err = run(capsys, command[0], "--n", "6", *command[1:],
+                             "--format", "latex")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'latex'" in err

@@ -215,25 +215,26 @@ class TestFullSpectrum:
     def test_6_3_audit(self):
         report = cached_overlift(6, 3)
         assert len(report.kept) == 20
-        discarded = report.discarded
-        assert len(discarded) == 4
-        assert all(abs(e.value - 6) < 1e-6 for e in discarded)
-        assert sorted(e.sector for e in discarded) == [1, 2, 4, 5]
-        assert all(e.reason for e in discarded)
+        dropped = ~report.kept_mask
+        assert np.count_nonzero(dropped) == 4
+        assert np.all(np.abs(report.values[dropped] - 6) < 1e-6)
+        assert sorted(report.sectors[dropped].tolist()) == [1, 2, 4, 5]
+        assert report.reason
 
     def test_8_4_audit(self):
         report = cached_overlift(8, 4)
         assert len(report.kept) == 70
-        eights = [e for e in report.discarded if abs(e.value - 8) < 1e-6]
-        fours = [e for e in report.discarded if abs(e.value - 4) < 1e-6]
-        assert len(eights) == 6 and len(fours) == 4
-        assert len(report.discarded) == 10
-        assert sorted(e.sector for e in fours) == [1, 3, 5, 7]
+        dropped = ~report.kept_mask
+        eights = dropped & (np.abs(report.values - 8) < 1e-6)
+        fours = dropped & (np.abs(report.values - 4) < 1e-6)
+        assert np.count_nonzero(eights) == 6 and np.count_nonzero(fours) == 4
+        assert np.count_nonzero(dropped) == 10
+        assert sorted(report.sectors[fours].tolist()) == [1, 3, 5, 7]
 
     def test_7_3_no_discards(self):
         report = cached_overlift(7, 3)
         assert len(report.kept) == 35
-        assert report.discarded == ()
+        assert report.kept_mask.all()
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_oracle_equivalence_small(self, n):
@@ -246,15 +247,15 @@ class TestFullSpectrum:
         for n, k in [(6, 3), (8, 4), (10, 2), (12, 4), (9, 3)]:
             report = cached_overlift(n, k)
             nu = enumerate_orbits(n, k).count
-            assert len(report.entries) == n * nu
-            assert len(report.discarded) == n * nu - comb(n, k)
+            assert len(report.values) == n * nu
+            assert np.count_nonzero(~report.kept_mask) == n * nu - comb(n, k)
 
     def test_sector_conjugacy_of_kept_values(self):
         for n, k in [(6, 3), (8, 4), (9, 3)]:
             report = cached_overlift(n, k)
             for r in range(1, n):
-                a = sorted(e.value for e in report.sector_entries(r) if e.kept)
-                b = sorted(e.value for e in report.sector_entries(n - r) if e.kept)
+                a = report.values[report.kept_mask & (report.sectors == r)]
+                b = report.values[report.kept_mask & (report.sectors == n - r)]
                 assert multisets_close(a, b, 1e-8)
 
 
@@ -262,8 +263,9 @@ class TestFullSpectrum:
     def test_conjugate_sector_entries_identical(self, n, k):
         report = cached_overlift(n, k)
         for r in range(1, n):
-            assert report.sector_entries(n - r) == tuple(
-                replace(e, sector=n - r) for e in report.sector_entries(r))
+            a, b = report.sectors == r, report.sectors == n - r
+            assert report.values[a].tolist() == report.values[b].tolist()
+            assert report.kept_mask[a].tolist() == report.kept_mask[b].tolist()
 
 
 def _blocked_mask(orbits, r):

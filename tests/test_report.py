@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import cached_brute, cached_contfrac, cached_overlift
 
-from tokenspectra import SpectrumEntry, SpectrumReport, multisets_close
+from tokenspectra import SpectrumReport, multiset_contains, multisets_close
 from tokenspectra.report import max_multiset_deviation
 
 
@@ -12,6 +12,19 @@ def loop_multisets_close(a, b, tol):
     if len(a) != len(b):
         return False
     return all(abs(x - y) <= tol for x, y in zip(a, b))
+
+
+def loop_multiset_contains(sup, sub, tol):
+    """The greedy sweep the closed form replaced, as the reference."""
+    sup, sub = sorted(sup), sorted(sub)
+    i = 0
+    for x in sub:
+        while i < len(sup) and sup[i] < x - tol:
+            i += 1
+        if i >= len(sup) or sup[i] > x + tol:
+            return False
+        i += 1
+    return True
 
 
 def loop_max_deviation(a, b):
@@ -34,6 +47,24 @@ class TestMultisets:
         assert not multisets_close([1.0, 2.0], [1.0], 1.0)
         with pytest.raises(ValueError):
             max_multiset_deviation([1.0, 2.0], [1.0])
+
+    def test_contains_against_loop(self):
+        rng = np.random.default_rng(7)
+        outcomes = set()
+        for trial in range(2000):
+            sup = rng.integers(0, 12, size=int(rng.integers(0, 10))) / 4.0
+            sub = rng.integers(0, 12, size=int(rng.integers(0, 8))) / 4.0
+            if trial % 2:  # a sub-multiset of sup, moved by up to 2 tol
+                sub = rng.choice(sup, size=min(len(sup), len(sub)), replace=False) \
+                    + rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], size=min(len(sup), len(sub)))
+            tol = float(rng.choice([0.0, 0.25, 0.5]))
+            want = loop_multiset_contains(sup, sub, tol)
+            assert multiset_contains(sup, sub, tol) is want, (sup, sub, tol)
+            outcomes.add(want)
+        assert outcomes == {True, False}
+        assert multiset_contains([], [])
+        assert multiset_contains([1.0], [])
+        assert not multiset_contains([], [1.0])
 
     def test_ties_at_exactly_tol(self):
         # dyadic values: every difference below is exact, so |x - y| hits
@@ -60,31 +91,29 @@ class TestSpectrumReport:
             report.values[0] = 1.0
 
     def test_views(self):
+        # the columns keep the trail order and dtypes; kept is the one view
         report = SpectrumReport(5, 2, "demo", [3.0, 1.0, 4.0, 2.0], [0, 0, 1, 1],
                                 [True, True, False, True], "spurious")
         assert report.kept == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in report.kept)
-        assert report.entries == (SpectrumEntry(3.0, 0, True), SpectrumEntry(1.0, 0, True),
-                                  SpectrumEntry(4.0, 1, False, "spurious"),
-                                  SpectrumEntry(2.0, 1, True))
-        assert report.discarded == (SpectrumEntry(4.0, 1, False, "spurious"),)
-        assert report.sector_entries(1) == report.entries[2:]
-        assert report.sector_entries(2) == ()
-        assert all(type(e.value) is float and type(e.sector) is int for e in report.entries)
+        assert report.values.tolist() == [3.0, 1.0, 4.0, 2.0]
+        assert report.sectors.tolist() == [0, 0, 1, 1]
+        assert report.kept_mask.tolist() == [True, True, False, True]
+        assert (report.values.dtype, report.sectors.dtype, report.kept_mask.dtype) == (
+            np.float64, np.int64, np.bool_)
+        assert report.values[~report.kept_mask].tolist() == [4.0]
+        assert report.reason == "spurious"
 
     def test_brute_has_no_sectors(self):
         report = cached_brute(6, 2)
         assert report.sectors is None
-        assert report.sector_entries(0) == ()
-        assert [e.value for e in report.entries] == list(report.kept)
-        assert all(e.sector is None and e.kept and e.reason == "" for e in report.entries)
+        assert report.kept_mask.all()
+        assert report.values.tolist() == list(report.kept)
+        assert report.reason == ""
 
     @pytest.mark.parametrize("method", ["contfrac", "overlift"])
     def test_views_agree_with_columns(self, method):
         report = cached_contfrac(12) if method == "contfrac" else cached_overlift(8, 4)
-        entries = report.entries
-        assert len(entries) == len(report.values)
-        assert report.discarded == tuple(e for e in entries if not e.kept)
-        for r in range(report.n):
-            assert report.sector_entries(r) == tuple(e for e in entries if e.sector == r)
-        assert report.kept == tuple(sorted(e.value for e in entries if e.kept))
+        assert len(report.values) == len(report.sectors) == len(report.kept_mask)
+        assert sorted(set(report.sectors.tolist())) == list(range(report.n))
+        assert report.kept == tuple(sorted(report.values[report.kept_mask].tolist()))

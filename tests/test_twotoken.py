@@ -468,10 +468,10 @@ class TestSpectrum2Token:
     def test_n8_table_and_exclusions(self):
         report = cached_contfrac(8)
         assert len(report.kept) == 28
-        discarded = report.discarded
-        assert len(discarded) == 4
-        assert all(e.value == 4.0 for e in discarded)
-        assert sorted(e.sector for e in discarded) == [1, 3, 5, 7]
+        dropped = ~report.kept_mask
+        assert np.count_nonzero(dropped) == 4
+        assert report.values[dropped].tolist() == [4.0] * 4
+        assert sorted(report.sectors[dropped].tolist()) == [1, 3, 5, 7]
 
     def test_n5_algebraic_connectivity(self):
         report = cached_contfrac(5)
@@ -509,9 +509,9 @@ class TestSpectrum2Token:
     def test_conjugate_sectors_identical(self, n):
         report = cached_contfrac(n)
         for r in range(1, n):
-            a = [(e.value, e.kept, e.reason) for e in report.sector_entries(r)]
-            b = [(e.value, e.kept, e.reason) for e in report.sector_entries(n - r)]
-            assert a == b, (n, r)
+            a, b = report.sectors == r, report.sectors == n - r
+            assert report.values[a].tolist() == report.values[b].tolist(), (n, r)
+            assert report.kept_mask[a].tolist() == report.kept_mask[b].tolist(), (n, r)
 
     @pytest.mark.parametrize("n", [200, 201, 1000, 1001])
     def test_trace_invariants_beyond_brute_cap(self, n):
