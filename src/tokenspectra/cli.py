@@ -7,7 +7,8 @@ but verify writes text, CSV or JSON; matrix and spectrum also write
 LaTeX.  Eigenvalues print with 4 decimals in text and LaTeX tables; CSV
 and JSON carry full precision.  Spectrum output is rendered straight
 from the report's columns, sorted once by (sector, value).  Brute force
-has no sectors, so --r, --audit and LaTeX need overlift or contfrac.
+has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
+--audit is a text table and needs --format text.
 """
 from __future__ import annotations
 
@@ -173,6 +174,8 @@ def cmd_spectrum(args) -> int:
                                    or args.format == "latex"):
         raise ParameterDomainError("method brute has no sectors: --r, --audit and "
                                    "--format latex need overlift or contfrac")
+    if args.audit and args.format != "text":
+        raise ParameterDomainError("--audit prints a text table: it needs --format text")
     report = _spectrum_by_method(args.method, args.n, args.k)
     status, check_note = 0, ""
     if args.check_against:

@@ -40,39 +40,8 @@ class LaurentPoly:
             acc[e] = acc.get(e, 0) + c
         return cls(n, {e: c for e, c in sorted(acc.items()) if c != 0})
 
-    @classmethod
-    def constant(cls, n: int, c: int) -> "LaurentPoly":
-        return cls.from_terms(n, [(0, c)])
-
-    @classmethod
-    def monomial(cls, n: int, c: int, e: int) -> "LaurentPoly":
-        return cls.from_terms(n, [(e, c)])
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.n != other.n:
-            raise ParameterDomainError(
-                f"modulus mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        return LaurentPoly.from_terms(
-            self.n, list(self.coeffs.items()) + list(other.coeffs.items()))
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        terms = [(e1 + e2, c1 * c2)
-                 for e1, c1 in self.coeffs.items()
-                 for e2, c2 in other.coeffs.items()]
-        return LaurentPoly.from_terms(self.n, terms)
 
     def eval_root(self, r: int) -> complex:
         """Value at z = exp(2*pi*i*r/n) for 0 <= r < n."""
@@ -159,9 +128,9 @@ class LaurentMatrix:
     ``coeff[t] * z^exp[t]`` to entry ``(row[t], col[t])``.  Terms are
     canonical: sorted by (row, col, exp), exponents in [0, n), at most
     one term per (row, col, exp) and no zero coefficient.  The
-    constructor takes a square grid of LaurentPoly; ``from_terms`` builds
-    from term arrays directly.  The grid (``entries``) is rebuilt on
-    demand for rendering and output.  Immutable after construction.
+    constructor takes term arrays in any order.  The grid of LaurentPoly
+    (``entries``) is rebuilt on demand for rendering and output.
+    Immutable after construction.
     """
 
     n: int
@@ -171,22 +140,8 @@ class LaurentMatrix:
     exp: np.ndarray
     coeff: np.ndarray
 
-    def __init__(self, n: int, entries) -> None:
-        terms = [(i, j, e, c)
-                 for i, cells in enumerate(entries)
-                 for j, p in enumerate(cells)
-                 for e, c in p.coeffs.items()]
-        self._set_terms(n, len(entries),
-                        *np.array(terms, dtype=np.int64).reshape(-1, 4).T)
-
-    @classmethod
-    def from_terms(cls, n: int, order: int, row, col, exp, coeff) -> "LaurentMatrix":
+    def __init__(self, n: int, order: int, row, col, exp, coeff) -> None:
         """Matrix with the given terms; repeated (row, col, exp) terms add up."""
-        matrix = cls.__new__(cls)
-        matrix._set_terms(n, order, row, col, exp, coeff)
-        return matrix
-
-    def _set_terms(self, n, order, row, col, exp, coeff) -> None:
         row, col, exp, coeff = (np.asarray(a, dtype=np.int64)
                                 for a in (row, col, exp, coeff))
         key = (row * order + col) * n + exp % n

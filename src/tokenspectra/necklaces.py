@@ -2,8 +2,8 @@
 
 One orbit per necklace with k black and n-k white beads.  The orbit
 table fixes a canonical representative per orbit (the lexicographically
-least rotation), records each orbit's period, and can locate any subset
-as representative-plus-shift.  Three counting routes are provided:
+least rotation), records each orbit's period, and places every subset by
+its rank (``subset_rank``) as rep + shift.  Three counting routes are provided:
 
 * fixed-point count:  T(n,k) = (1/n) * sum over r with o(r) | k of
   C(d(r), k/o(r)), where d(r) = gcd(n, r) and o(r) = n/d(r);
@@ -22,7 +22,7 @@ from math import comb, gcd
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import CACHE_SIZE, check_params, check_token_set
+from .tokengraph import CACHE_SIZE, check_params, check_token_set, subset_rank
 
 
 def sector_order(n: int, r: int) -> int:
@@ -91,12 +91,12 @@ def period(subset, n: int) -> int:
 class OrbitTable:
     """Canonical orbit data for Z_n acting on k-subsets by rotation.
 
-    ``reps`` are lexicographically least in their orbits and sorted;
-    ``lookup`` maps every k-subset to (representative index, shift) with
-    the smallest nonnegative shift.  ``orbit_of`` and ``shift_of`` hold
-    the same pairs as int arrays over all k-subsets in lexicographic
-    order, the vertex order of the token graph.  The reflection
-    X -> -X of the cycle maps orbit i onto orbit ``mirror_of[i]``:
+    ``reps`` are lexicographically least in their orbits and sorted.
+    ``orbit_of`` and ``shift_of`` are int arrays over all k-subsets in
+    lexicographic order, the vertex order of the token graph: the subset
+    of rank x (``subset_rank``) is rep_(orbit_of[x]) + shift_of[x], with
+    the smallest nonnegative shift.  The reflection X -> -X of the cycle
+    maps orbit i onto orbit ``mirror_of[i]``:
     -rep_i = rep_(mirror_of[i]) + ``mirror_shift[i]``.  Immutable after
     construction.
     """
@@ -105,7 +105,6 @@ class OrbitTable:
     k: int
     reps: tuple[tuple[int, ...], ...]
     periods: tuple[int, ...]
-    lookup: dict = field(repr=False, compare=False)
     orbit_of: np.ndarray = field(repr=False, compare=False)
     shift_of: np.ndarray = field(repr=False, compare=False)
     mirror_of: np.ndarray = field(repr=False, compare=False)
@@ -115,48 +114,40 @@ class OrbitTable:
     def count(self) -> int:
         return len(self.reps)
 
-    def locate(self, subset) -> tuple[int, int]:
-        s = tuple(sorted(subset))
-        try:
-            return self.lookup[s]
-        except KeyError:
-            raise ParameterDomainError(
-                f"{subset} is not a {self.k}-subset of Z_{self.n}") from None
-
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_orbits(n: int, k: int) -> OrbitTable:
-    """One canonical representative per orbit, with periods and lookup.
+    """One canonical representative per orbit, with periods and positions.
 
-    Plain filter enumeration over all C(n, k) subsets.  Lexicographic
-    iteration meets each orbit first at its lexicographically least
-    member, so representatives come out canonical and sorted for free.
+    The least rotation of a subset X contains 0, so it is X - x for some
+    x in X: of those k rotations, the one of least rank is the
+    representative of X's orbit and the first x that reaches it is the
+    shift.  The periods come from ``period`` (the smallest rotation
+    fixing each representative) and must equal the orbit sizes.
     """
     check_params(n, k)
-    reps: list[tuple[int, ...]] = []
-    periods: list[int] = []
-    lookup: dict[tuple[int, ...], tuple[int, int]] = {}
-    located: list[tuple[int, int]] = []
-    for s in combinations(range(n), k):
-        if s not in lookup:
-            p = period(s, n)
-            i = len(reps)
-            reps.append(s)
-            periods.append(p)
-            for j in range(p):
-                lookup[rotate(s, j, n)] = (i, j)
-        located.append(lookup[s])
-    if sum(periods) != comb(n, k):
-        raise NumericFailureError("orbit sizes do not add up to C(n, k)")
-    orbit_of, shift_of = np.array(located, dtype=np.int64).T
-    mirror_of, mirror_shift = np.array(
-        [lookup[tuple(sorted(-x % n for x in rep))] for rep in reps],
-        dtype=np.int64).T
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+    least = np.arange(len(subsets))
+    shift_of = np.zeros(len(subsets), dtype=np.int64)
+    for i in range(k):
+        # X - x_i in ascending order is X rolled left by i, minus x_i, mod n
+        x = subsets[:, i]
+        rank = subset_rank((np.roll(subsets, -i, axis=1) - x[:, None]) % n, n)
+        better = rank < least
+        least[better] = rank[better]
+        shift_of[better] = x[better]
+    rep_at = np.flatnonzero(least == np.arange(len(subsets)))
+    orbit_of = np.searchsorted(rep_at, least)
+    reps = tuple(map(tuple, subsets[rep_at].tolist()))
+    periods = tuple(period(rep, n) for rep in reps)
+    if not np.array_equal(periods, np.bincount(orbit_of)):
+        raise NumericFailureError("orbit periods do not match the orbit sizes")
+    mirror = subset_rank(np.sort(-subsets[rep_at] % n, axis=1), n)
+    mirror_of, mirror_shift = orbit_of[mirror], shift_of[mirror]
     check_mirror(mirror_of, mirror_shift, np.array(periods))
     for arr in (orbit_of, shift_of, mirror_of, mirror_shift):
         arr.flags.writeable = False
-    return OrbitTable(n, k, tuple(reps), tuple(periods), lookup,
-                      orbit_of, shift_of, mirror_of, mirror_shift)
+    return OrbitTable(n, k, reps, periods, orbit_of, shift_of, mirror_of, mirror_shift)
 
 
 def check_mirror(mirror_of: np.ndarray, mirror_shift: np.ndarray,

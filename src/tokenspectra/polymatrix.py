@@ -54,9 +54,8 @@ from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
                          RANK_TOL, RESIDUAL_TOL, quotient_tol)
-from .tokengraph import TokenGraph, build_token_graph, token_neighbors
+from .tokengraph import TokenGraph, build_token_graph, subset_rank, token_neighbors
 
-DISCARD_REASON = "nonzero on short orbit whose period the sector order does not divide"
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -104,16 +103,16 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
         raise ParameterDomainError(f"unknown shift choice {shift!r}")
     if orbits is None:
         orbits = enumerate_orbits(n, k)
-    terms = []
-    for i, rep in enumerate(orbits.reps):
-        nbs = token_neighbors(rep, n)
-        terms.append((i, i, 0, len(nbs)))
-        for nb in nbs:
-            j, s = orbits.locate(nb)
-            if shift == "largest":
-                s += n - orbits.periods[j]
-            terms.append((i, j, s, -1))
-    return LaurentMatrix.from_terms(n, orbits.count, *zip(*terms))
+    moves = [token_neighbors(rep, n) for rep in orbits.reps]
+    row = np.repeat(np.arange(orbits.count), [len(nbs) for nbs in moves])
+    at = subset_rank([nb for nbs in moves for nb in nbs], n)
+    col, exp = orbits.orbit_of[at], orbits.shift_of[at]
+    if shift == "largest":
+        exp = exp + n - np.asarray(orbits.periods)[col]
+    # each neighbour adds 1 to the diagonal and -z^s to its orbit's column
+    return LaurentMatrix(n, orbits.count, np.tile(row, 2), np.concatenate([row, col]),
+                         np.concatenate([np.zeros_like(exp), exp]),
+                         np.repeat([1, -1], len(row)))
 
 
 def sector_eigenpairs(matrix: LaurentMatrix, r: int) -> list[EigenPair]:
@@ -446,7 +445,7 @@ def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
         raise CountMismatchError(
             f"kept {kept.sum()} eigenvalues for F_{k}(C_{n}), expected {expected}")
     sectors = np.repeat(np.arange(n), [len(v) for v, _ in by_sector])
-    return SpectrumReport(n, k, "overlift", values, sectors, kept, DISCARD_REASON)
+    return SpectrumReport(n, k, "overlift", values, sectors, kept)
 
 
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
@@ -527,8 +526,7 @@ def expand_lift(base: LaurentMatrix) -> np.ndarray:
     """
     n, nu = base.n, base.order
     fwd = base.terms
-    rev = LaurentMatrix.from_terms(n, nu, base.col, base.row, -base.exp,
-                                   base.coeff).terms
+    rev = LaurentMatrix(n, nu, base.col, base.row, -base.exp, base.coeff).terms
     if not np.array_equal(fwd, rev):
         # a term in one list but not the other sits in an offending entry
         i, j, _, _ = min(set(map(tuple, fwd.tolist())) ^ set(map(tuple, rev.tolist())))

@@ -20,11 +20,10 @@ class SpectrumReport:
 
     The trail is stored by columns, and these columns are the whole
     interface: entry i has value ``values[i]``, sector ``sectors[i]`` and
-    keep flag ``kept_mask[i]``, and every discarded entry has the one
-    ``reason``.  ``sectors`` is None for methods that do not work sector
-    by sector (brute force).  The arrays are read-only copies.  ``kept``
-    is the ascending spectrum of the graph; the discarded values are
-    ``values[~kept_mask]``.
+    keep flag ``kept_mask[i]``.  ``sectors`` is None for methods that do
+    not work sector by sector (brute force).  The arrays are read-only
+    copies.  ``kept`` is the ascending spectrum of the graph; the
+    discarded values are ``values[~kept_mask]``.
     """
 
     n: int
@@ -33,7 +32,6 @@ class SpectrumReport:
     values: np.ndarray
     sectors: np.ndarray | None
     kept_mask: np.ndarray
-    reason: str = ""
 
     def __post_init__(self):
         for name, dtype in (("values", float), ("sectors", np.int64),

@@ -6,13 +6,14 @@ is reached from the other by moving a single token to an unoccupied
 neighbouring cycle vertex; equivalently, their symmetric difference is
 {a, b} with b = a +- 1 (mod n).  This module constructs that graph, its
 Laplacian, and the dense-eigensolver spectrum that every other route in
-the library is validated against.
+the library is validated against.  ``subset_rank`` is the one map from
+configurations to positions, here and in the orbit arrays of ``necklaces``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -45,6 +46,21 @@ def check_token_set(elements, n: int) -> tuple[int, ...]:
     return elems
 
 
+def subset_rank(subsets, n: int) -> np.ndarray:
+    """Lexicographic rank of each sorted k-subset of Z_n, over the last axis.
+
+    ``subsets`` holds sorted rows s_0 < ... < s_(k-1) of elements of
+    [0, n); a row's rank is its position in ``combinations(range(n), k)``,
+    C(n, k) - 1 - sum over i of C(n - 1 - s_i, k - i) (Knuth, TAOCP 4A,
+    7.2.1.3).  Rows are not validated.
+    """
+    subsets = np.asarray(subsets, dtype=np.int64)
+    k = subsets.shape[-1]
+    # binom[a * k + i] = C(a, k - i)
+    binom = np.array([comb(a, k - i) for a in range(n) for i in range(k)], dtype=np.int64)
+    return comb(n, k) - 1 - binom.take((n - 1 - subsets) * k + np.arange(k)).sum(axis=-1)
+
+
 def token_neighbors(subset, n: int) -> list[tuple[int, ...]]:
     """Configurations reached by one token move to an empty adjacent vertex.
 
@@ -64,16 +80,15 @@ def token_neighbors(subset, n: int) -> list[tuple[int, ...]]:
 class TokenGraph:
     """The k-token graph of the n-cycle, vertices in lexicographic order.
 
+    Vertex i is ``vertices[i]``, the subset of rank i (``subset_rank``).
     ``edges`` holds the adjacency lists as two int arrays (source, target),
-    one column per directed edge, grouped by source; ``degrees`` holds
-    the vertex degrees.
+    one column per directed edge, grouped by source in ``token_neighbors``
+    order; ``degrees`` holds the vertex degrees.
     """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
-    adjacency: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False, compare=False)
     edges: np.ndarray = field(repr=False, compare=False)
     degrees: np.ndarray = field(repr=False, compare=False)
 
@@ -82,23 +97,20 @@ class TokenGraph:
         return len(self.vertices)
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return int(self.degrees[i])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def build_token_graph(n: int, k: int) -> TokenGraph:
     check_params(n, k)
     vertices = tuple(combinations(range(n), k))
-    index = {v: i for i, v in enumerate(vertices)}
-    adjacency = tuple(
-        tuple(index[nb] for nb in token_neighbors(v, n)) for v in vertices)
-    degrees = np.array([len(nbs) for nbs in adjacency], dtype=np.int64)
-    edges = np.stack([np.repeat(np.arange(len(vertices)), degrees),
-                      np.fromiter(chain.from_iterable(adjacency), dtype=np.int64,
-                                  count=int(degrees.sum()))])
+    moves = [token_neighbors(v, n) for v in vertices]
+    degrees = np.array([len(nbs) for nbs in moves], dtype=np.int64)
+    targets = subset_rank([nb for nbs in moves for nb in nbs], n)
+    edges = np.stack([np.repeat(np.arange(len(vertices)), degrees), targets])
     edges.flags.writeable = False
     degrees.flags.writeable = False
-    return TokenGraph(n, k, vertices, adjacency, index, edges, degrees)
+    return TokenGraph(n, k, vertices, edges, degrees)
 
 
 def laplacian(graph: TokenGraph) -> np.ndarray:

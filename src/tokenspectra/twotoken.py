@@ -65,7 +65,7 @@ from numpy.polynomial import Polynomial
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
 from .laurent import root_table
-from .polymatrix import DISCARD_REASON, SQRT_HALF, check_bound
+from .polymatrix import SQRT_HALF, check_bound
 from .report import SpectrumReport
 from .tolerances import (BRANCH_GUARD, CLOSED_FORM_IMAG_TOL, NEWTON_STEP_TOL,
                          POLE_TOL, quotient_tol)
@@ -406,7 +406,7 @@ def spectrum_2token(n: int) -> SpectrumReport:
         raise CountMismatchError(
             f"collected {kept.sum()} eigenvalues for F_2(C_{n}), expected {expected}")
     return SpectrumReport(n, 2, "contfrac", values.ravel(), np.repeat(sectors, nu),
-                          kept.ravel(), DISCARD_REASON)
+                          kept.ravel())
 
 
 def _transfer_polynomial(n: int, r: int) -> Polynomial:

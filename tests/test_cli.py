@@ -430,6 +430,17 @@ class TestArgumentHandling:
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--k", "3", *extra)
         assert code == 0 and out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "latex"])
+    @pytest.mark.parametrize("method", ["overlift", "contfrac"])
+    def test_audit_needs_text(self, capsys, fmt, method):
+        argv = ("spectrum", "--n", "6", "--k", "2", "--method", method, "--format", fmt)
+        code, out, err = run(capsys, *argv, "--audit")
+        assert (code, out) == (2, "")
+        assert "--audit prints a text table" in err
+        # the same request without --audit is fine
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
     @pytest.mark.parametrize("command", [("orbits", "--k", "3"), ("charpoly", "--r", "1")])
     def test_latex_only_where_rendered(self, capsys, command):
         code, out, err = run(capsys, command[0], "--n", "6", *command[1:],

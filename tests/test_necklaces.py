@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, gcd
 
 import numpy as np
@@ -7,6 +8,7 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           build_token_graph, count_burnside, count_moreau,
                           count_polya, enumerate_orbits, period)
 from tokenspectra.necklaces import check_mirror, euler_phi, moebius, rotate
+from tokenspectra.tokengraph import subset_rank
 
 # orbit counts for k = 2..7, n = 3..12 (blank cells omitted)
 ORBIT_COUNT_TABLE = {
@@ -72,9 +74,13 @@ class TestEnumerateOrbits:
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (10, 4)])
     def test_lookup_round_trip_total(self, n, k):
+        # every subset is rep + shift at its rank, with the smallest shift
         table = enumerate_orbits(n, k)
-        assert len(table.lookup) == comb(n, k)
-        for subset, (i, j) in table.lookup.items():
+        subsets = list(combinations(range(n), k))
+        assert len(table.orbit_of) == len(table.shift_of) == comb(n, k)
+        assert subset_rank(subsets, n).tolist() == list(range(comb(n, k)))
+        for subset, i, j in zip(subsets, table.orbit_of.tolist(),
+                                table.shift_of.tolist()):
             assert rotate(table.reps[i], j, n) == subset
             assert 0 <= j < table.periods[i]
 
@@ -82,18 +88,15 @@ class TestEnumerateOrbits:
     def test_orbit_arrays_follow_vertex_order(self, n, k):
         table = enumerate_orbits(n, k)
         graph = build_token_graph(n, k)
-        assert [table.lookup[v] for v in graph.vertices] == list(
-            zip(table.orbit_of.tolist(), table.shift_of.tolist()))
+        at = subset_rank(graph.vertices, n)
+        assert at.tolist() == list(range(graph.order))
+        assert [rotate(table.reps[i], j, n) for i, j in
+                zip(table.orbit_of[at].tolist(), table.shift_of[at].tolist())] == list(
+            graph.vertices)
 
     def test_caches_are_bounded(self):
         for cached in (enumerate_orbits, build_token_graph):
             assert cached.cache_info().maxsize is not None
-
-    def test_locate_validates(self):
-        table = enumerate_orbits(6, 3)
-        assert table.locate((4, 0, 1)) == table.lookup[(0, 1, 4)]
-        with pytest.raises(ParameterDomainError):
-            table.locate((0, 1))
 
     def test_orbit_sizes_sum(self):
         for n in range(3, 13):

@@ -15,9 +15,11 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           filter_spurious, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
+from tokenspectra.necklaces import rotate
 from tokenspectra.polymatrix import (blocked_mask,
                                      hermitian_quotient, reflection_basis,
                                      solve_sector)
+from tokenspectra.tokengraph import subset_rank
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -98,7 +100,7 @@ class TestBuildPolyMatrix:
         i = orbits.reps.index((0, 2, 4))
         assert m.entries[i][i] == parse_laurent("6-z^2-z^-2", 7)
         for j, rep in enumerate(orbits.reps):
-            assert m.entries[j][j].coeffs[0] == len(g.adjacency[g.index[rep]])
+            assert m.entries[j][j].coeffs[0] == g.degree(subset_rank(rep, 7))
 
     def test_off_diagonal_coefficients_negative(self):
         m = build_poly_matrix(8, 4)
@@ -219,7 +221,10 @@ class TestFullSpectrum:
         assert np.count_nonzero(dropped) == 4
         assert np.all(np.abs(report.values[dropped] - 6) < 1e-6)
         assert sorted(report.sectors[dropped].tolist()) == [1, 2, 4, 5]
-        assert report.reason
+        # each sector keeps one value per orbit it does not block
+        periods = np.array(enumerate_orbits(6, 3).periods)
+        assert np.bincount(report.sectors[report.kept_mask]).tolist() == [
+            np.count_nonzero(~blocked_mask(periods, 6, r)) for r in range(6)]
 
     def test_8_4_audit(self):
         report = cached_overlift(8, 4)
@@ -482,9 +487,10 @@ class TestLiftEigenvector:
         lap = laplacian(g)
         for pair in kept_eigenpairs(n, k):
             want = np.zeros(g.order, dtype=complex)
-            for subset, (i, j) in orbits.lookup.items():
-                want[g.index[subset]] = pair.vector[i] * cmath.exp(
-                    2j * math.pi * ((pair.sector * j) % n) / n)
+            for i, (rep, p) in enumerate(zip(orbits.reps, orbits.periods)):
+                for j in range(p):
+                    want[subset_rank(rotate(rep, j, n), n)] = pair.vector[i] * cmath.exp(
+                        2j * math.pi * ((pair.sector * j) % n) / n)
             got = lift_eigenvector(pair, orbits, g, lap).values
             assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -533,7 +539,8 @@ class TestExpandLift:
         assert multisets_close(spec, cached_brute(7, 2).kept, 1e-8)
 
     def test_loop_base_gives_cycle(self):
-        base = LaurentMatrix(4, ((parse_laurent("2-z-z^3", 4),),))
+        base = LaurentMatrix(4, 1, [0, 0, 0], [0, 0, 0], [0, 1, 3], [2, -1, -1])
+        assert base.entries == ((parse_laurent("2-z-z^3", 4),),)
         spec = np.sort(np.linalg.eigvalsh(expand_lift(base)))
         assert_allclose(spec, [0, 2, 2, 4], atol=1e-12)
 

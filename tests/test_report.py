@@ -93,7 +93,7 @@ class TestSpectrumReport:
     def test_views(self):
         # the columns keep the trail order and dtypes; kept is the one view
         report = SpectrumReport(5, 2, "demo", [3.0, 1.0, 4.0, 2.0], [0, 0, 1, 1],
-                                [True, True, False, True], "spurious")
+                                [True, True, False, True])
         assert report.kept == (1.0, 2.0, 3.0)
         assert all(type(v) is float for v in report.kept)
         assert report.values.tolist() == [3.0, 1.0, 4.0, 2.0]
@@ -102,14 +102,12 @@ class TestSpectrumReport:
         assert (report.values.dtype, report.sectors.dtype, report.kept_mask.dtype) == (
             np.float64, np.int64, np.bool_)
         assert report.values[~report.kept_mask].tolist() == [4.0]
-        assert report.reason == "spurious"
 
     def test_brute_has_no_sectors(self):
         report = cached_brute(6, 2)
         assert report.sectors is None
         assert report.kept_mask.all()
         assert report.values.tolist() == list(report.kept)
-        assert report.reason == ""
 
     @pytest.mark.parametrize("method", ["contfrac", "overlift"])
     def test_views_agree_with_columns(self, method):
