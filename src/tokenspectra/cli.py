@@ -89,11 +89,12 @@ def cmd_matrix(args) -> int:
     matrix = build_poly_matrix(args.n, args.k)
     balanced = args.exponents == "balanced"
     if args.format == "json":
+        entries = matrix.entries
         payload = {
             "n": args.n, "k": args.k, "order": matrix.order,
             "entries": [[{str(e): c for e, c in p.coeffs.items()}
-                         for p in row] for row in matrix.entries],
-            "text": [[p.render(balanced) for p in row] for row in matrix.entries],
+                         for p in row] for row in entries],
+            "text": [[p.render(balanced) for p in row] for row in entries],
         }
         _write(json.dumps(payload, indent=2), args.out)
     elif args.format == "latex":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
 import numpy as np
@@ -126,7 +126,8 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     fixing each representative) and must equal the orbit sizes.
     """
     check_params(n, k)
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64,
+                          count=comb(n, k) * k).reshape(-1, k)
     least = np.arange(len(subsets))
     shift_of = np.zeros(len(subsets), dtype=np.int64)
     for i in range(k):

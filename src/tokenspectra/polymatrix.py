@@ -29,8 +29,9 @@ to the identity (each two-dimensional dihedral representation is of
 real type).  Reordering the orbits into fixed points and mirror pairs,
 scaling by half phases and rotating each pair (``RealBasis``) makes H a
 real symmetric matrix S, so every sector is solved by a real ``eigh``.
-The realness of S is checked; the kept residual is still measured
-against the complex H.
+``RealBasis.reduce`` forms S from one copy of b and checks the coupling,
+the skew and the realness on the way; the kept residual is measured
+against b itself.
 
 ``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
 construction (a general eigensolve, then a rank test on the eigenspaces
@@ -200,41 +201,6 @@ def check_bound(where: str, quantity: str, value: float, tol: float) -> None:
             f"{where}: {quantity} {value:.3e} exceeds tol {tol:.3e}")
 
 
-def hermitian_quotient(b: np.ndarray, periods: np.ndarray, blocked: np.ndarray,
-                       where: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """The Hermitian quotient of a sector matrix on its unblocked orbits.
-
-    ``b`` is the sector matrix, ``periods`` the orbit periods and
-    ``blocked`` the mask of orbits whose period the sector order does
-    not divide.  With U the unblocked and X the blocked orbits, b[X, U]
-    must vanish and H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods),
-    must be Hermitian; both are checked within tol = ``quotient_tol(max|b|)``,
-    and a failure raises ``NumericFailureError`` prefixed by ``where``.
-    Returns (H, scale, tol), where scale is the diagonal of D_U^(1/2)
-    divided by its largest entry, so full orbits scale by exactly 1.
-    """
-    tol = quotient_tol(float(np.abs(b).max()))
-    h = b
-    if blocked.any():
-        keep = np.flatnonzero(~blocked)
-        coupling = float(np.abs(b.take(np.flatnonzero(blocked), 0).take(keep, 1))
-                         .max(initial=0.0))
-        check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
-        h = b.take(keep, 0).take(keep, 1)
-        periods = periods[keep]
-    top = periods.max()
-    short = np.flatnonzero(periods != top)
-    scale = np.ones(len(periods))
-    if short.size:
-        scale[short] = np.sqrt(periods[short] / top)
-        h = h.copy() if h is b else h
-        h[short] *= scale[short, None]
-        h[:, short] /= scale[short]
-    skew = float(np.abs(h - h.conj().T).max())
-    check_bound(where, "skew max|H - H^*|", skew, tol)
-    return h, scale, tol
-
-
 class RealBasis:
     """A unitary basis in which a sector's Hermitian quotient is real.
 
@@ -249,62 +215,92 @@ class RealBasis:
     pair i < j = sigma(i), with the half phase exp(-i pi r t_i / n) of the
     pair's lower member.
 
-    ``order`` lists the positions of H as [fixed points | pair lows |
+    ``order`` lists the unblocked orbits as [fixed points | pair lows |
     pair highs], ``phase`` holds the half phase of each entry of
-    ``order``, and ``fixed`` counts the fixed points.
+    ``order`` and ``fixed`` counts the fixed points.  ``root`` holds
+    sqrt(p / top) for the period p of each entry, top the largest, and
+    ``blocked`` masks the blocked orbits.
     """
 
     # a plain class: generating a dataclass would add about 1 ms to
     # every import of the package
-    __slots__ = ("order", "phase", "fixed")
+    __slots__ = ("order", "phase", "fixed", "root", "blocked")
 
-    def __init__(self, order: np.ndarray, phase: np.ndarray, fixed: int):
-        self.order, self.phase, self.fixed = order, phase, fixed
+    def __init__(self, order: np.ndarray, phase: np.ndarray, fixed: int,
+                 periods: np.ndarray, blocked: np.ndarray):
+        self.order, self.phase, self.fixed, self.blocked = order, phase, fixed, blocked
+        self.root = np.sqrt(periods[order] / periods[order].max())
 
     def _blocks(self) -> tuple[slice, slice]:
         f = self.fixed
         m = (len(self.order) - f) // 2
         return slice(f, f + m), slice(f + m, None)
 
-    def reduce(self, h: np.ndarray, tol: float, where: str) -> np.ndarray:
-        """The real symmetric matrix S of ``h`` in this basis.
+    def reduce(self, b: np.ndarray, where: str) -> np.ndarray:
+        """The real symmetric matrix S of the sector matrix ``b`` in this basis.
 
-        Rotates the pairs in place on contiguous views of one permuted
-        copy of ``h``; max|Im S| must stay within tol, or
-        ``NumericFailureError`` names it, prefixed by ``where``.
+        With U the unblocked and X the blocked orbits, b[X, U] must
+        vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods), must
+        be Hermitian and S must be real, each within
+        tol = ``quotient_tol(max|b|)``; a failure raises
+        ``NumericFailureError`` naming the quantity, prefixed by ``where``.
+        One permuted copy of b[U, U] has its rows scaled by
+        conj(phase) * root and its columns by phase / root, which is
+        H in the phased basis and has the same max|H - H^*|; then its
+        pairs are rotated in place.
         """
-        lo, hi = self._blocks()
-        s = h.take(self.order, 0).take(self.order, 1)
+        tol = quotient_tol(float(np.abs(b).max()))
+        coupling = float(np.abs(b[np.ix_(self.blocked, self.order)]).max(initial=0.0))
+        check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
+        s = b[np.ix_(self.order, self.order)]
+        # roots before phases: the same roundings as forming H first
+        s *= self.root[:, None]
+        s /= self.root
         s *= self.phase.conj()[:, None]
         s *= self.phase
-        # columns (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2), then the
-        # rows as the conjugate transpose: (lo + hi)/sqrt(2), -i (lo - hi)/sqrt(2)
-        diff = s[:, lo] - s[:, hi]
-        s[:, lo] += s[:, hi]
-        s[:, lo] *= SQRT_HALF
-        np.multiply(diff, 1j * SQRT_HALF, out=s[:, hi])
-        diff = s[lo] - s[hi]
-        s[lo] += s[hi]
-        s[lo] *= SQRT_HALF
-        np.multiply(diff, -1j * SQRT_HALF, out=s[hi])
-        del diff
+        skew = np.conj(s.T)
+        skew -= s
+        check_bound(where, "skew max|H - H^*|", float(np.abs(skew).max()), tol)
+        del skew
+        if len(self.order) > self.fixed:
+            lo, hi = self._blocks()
+            # columns (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2), then the
+            # rows as the conjugate transpose: (lo + hi)/sqrt(2), -i (lo - hi)/sqrt(2)
+            diff = s[:, lo] - s[:, hi]
+            s[:, lo] += s[:, hi]
+            s[:, lo] *= SQRT_HALF
+            np.multiply(diff, 1j * SQRT_HALF, out=s[:, hi])
+            diff = s[lo] - s[hi]
+            s[lo] += s[hi]
+            s[lo] *= SQRT_HALF
+            np.multiply(diff, -1j * SQRT_HALF, out=s[hi])
+            del diff
         check_bound(where, "real form imaginary part max|Im S|",
                     float(np.abs(s.imag).max()), tol)
         return np.ascontiguousarray(s.real)
 
     def vectors(self, u: np.ndarray) -> np.ndarray:
-        """Map eigenvectors of S (columns of ``u``) to eigenvectors of H."""
-        lo, hi = self._blocks()
-        w = np.empty(u.shape, dtype=complex)
-        w[self.order[:self.fixed]] = u[:self.fixed] * self.phase[:self.fixed, None]
-        half = (self.phase[lo] * SQRT_HALF)[:, None]
-        w[self.order[lo]] = (u[lo] + 1j * u[hi]) * half
-        w[self.order[hi]] = (u[lo] - 1j * u[hi]) * half
-        return w
+        """Map eigenvectors of S (columns of ``u``) to unit eigenvectors of b.
+
+        The rotations and phases are undone and D_U^(-1/2) applied; the
+        rows of the blocked orbits are exactly zero.
+        """
+        f = self.fixed
+        factor = (self.phase / self.root)[:, None]
+        v = np.zeros((len(self.blocked), u.shape[1]), dtype=self.phase.dtype)
+        v[self.order[:f]] = u[:f] * factor[:f]
+        if len(self.order) > f:
+            lo, hi = self._blocks()
+            half = factor[lo] * SQRT_HALF
+            v[self.order[lo]] = (u[lo] + 1j * u[hi]) * half
+            v[self.order[hi]] = (u[lo] - 1j * u[hi]) * half
+        v /= np.linalg.norm(v, axis=0)
+        return v
 
 
 def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
-                     blocked: np.ndarray, r: int, n: int) -> RealBasis:
+                     periods: np.ndarray, blocked: np.ndarray, r: int,
+                     n: int) -> RealBasis:
     """The ``RealBasis`` of sector r on the unblocked orbits.
 
     ``mirror_of`` and ``mirror_shift`` give the reflection of every
@@ -314,16 +310,13 @@ def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
     a basis vector.
     """
     keep = np.flatnonzero(~blocked)
-    position = np.full(len(blocked), -1)
-    position[keep] = np.arange(len(keep))
-    mirror = position[mirror_of[keep]]
-    here = np.arange(len(keep))
-    fixed = np.flatnonzero(mirror == here)
-    lows = np.flatnonzero(mirror > here)
-    order = np.concatenate([fixed, lows, mirror[lows]])
-    shift = mirror_shift[keep][np.concatenate([fixed, lows, lows])]
+    mirror = mirror_of[keep]
+    fixed = keep[mirror == keep]
+    lows = keep[mirror > keep]
+    order = np.concatenate([fixed, lows, mirror_of[lows]])
+    shift = mirror_shift[np.concatenate([fixed, lows, lows])]
     phase = root_table(2 * n)[(-r * shift) % (2 * n)]
-    return RealBasis(order, phase, len(fixed))
+    return RealBasis(order, phase, len(fixed), periods, blocked)
 
 
 @dataclass(frozen=True)
@@ -347,46 +340,37 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
     """Split the sector matrix b = B(w^r) into kept and discarded values.
 
     The kept values are the eigenvalues of the Hermitian quotient H on
-    the unblocked orbits (see ``hermitian_quotient``), found by a real
-    ``eigh``: H is real at r = 0 and r = n/2, and elsewhere its real
-    form S in the reflection basis (see ``RealBasis``) is solved.  The
-    eigenvectors w of H give v = [D_U^(-1/2) w; 0] scaled to unit norm.
-    Since b[X, U] vanishes, their residual against b is
-    D_U^(-1/2) (H w - w lambda) on the rows U and b[X, U] v on the rows
-    X, with the complex H; it must stay within RESIDUAL_TOL.  The
-    discarded values are ``eig`` of b[X, X]; their imaginary parts must
-    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
+    the unblocked orbits, found by a real ``eigh`` of its real form S
+    (see ``RealBasis.reduce``).  A real b (r = 0 and r = n/2, and every
+    sector when k = 1) is reduced in the basis where every unblocked
+    orbit is fixed with phase 1, so S is H itself; any other b in the
+    reflection basis.  The kept vectors v are unit eigenvectors of b,
+    exactly zero on the blocked orbits, and their residuals
+    max|b v - v lambda| must stay within RESIDUAL_TOL.  The discarded
+    values are ``eig`` of b[X, X]; their imaginary parts must stay
+    within IMAG_TOL and their residuals within RESIDUAL_TOL.
     """
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
     periods = np.asarray(orbits.periods)
     blocked = blocked_mask(periods, n, r)
-    if not b.imag.any():
-        b = b.real.copy()  # sectors 0 and n/2: the root table gives +-1 exactly
-    h, scale, tol = hermitian_quotient(b, periods, blocked, where)
-    basis = None
-    if np.iscomplexobj(h):
-        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift,
+    if b.imag.any():
+        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
                                  blocked, r, n)
+    else:
+        b = b.real.copy()  # the root table gives +-1 exactly
+        keep = np.flatnonzero(~blocked)
+        basis = RealBasis(keep, np.ones(len(keep)), len(keep), periods, blocked)
     try:
-        vals, w = np.linalg.eigh(h if basis is None else basis.reduce(h, tol, where))
+        vals, v = np.linalg.eigh(basis.reduce(b, where))
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
-    if basis is not None:
-        w = basis.vectors(w)
-    unscale = (1.0 / scale)[:, None]
-    diff = h @ w
-    diff -= w * vals
-    diff *= unscale
-    res = np.max(np.abs(diff), axis=0)
-    del diff, h
-    w *= unscale
-    norms = np.linalg.norm(w, axis=0)
-    w /= norms
-    res /= norms
+    v = basis.vectors(v)
+    res = b @ v
+    res -= v * vals
+    res = np.max(np.abs(res), axis=0)
     discarded = np.empty(0)
     if blocked.any():
-        res = np.maximum(res, np.max(np.abs(b[blocked][:, ~blocked] @ w), axis=0))
         bxx = b[np.ix_(blocked, blocked)]
         try:
             dvals, dvecs = np.linalg.eig(bxx)
@@ -399,11 +383,7 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
         discarded = np.sort(dvals.real)
     check_bound(where, "kept vector residual", float(np.max(res, initial=0.0)),
                 RESIDUAL_TOL)
-    full = None
-    if vectors:
-        full = np.zeros((len(periods), len(vals)), dtype=complex)
-        full[~blocked] = w
-    return SectorSolution(r, vals, res, discarded, full)
+    return SectorSolution(r, vals, res, discarded, v if vectors else None)
 
 
 def _sector_solutions(matrix: LaurentMatrix, orbits: OrbitTable, *,

@@ -125,27 +125,33 @@ def build_b2(n: int, r: int) -> np.ndarray:
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
+def _terminal(n: int, r: int, z):
+    """The terminal pair (R, S), Q = R/S, of the backward recurrence at Z = z.
+
+    ``z`` is a float or a ``Polynomial`` in lambda.  Odd n ends at
+    1/(z - (-1)^r), even r at 2/z, and odd r at 0, past the blocked
+    half-turn orbit.
+    """
+    if n % 2:
+        return 1, z - (-1) ** r
+    if r % 2 == 0:
+        return 2, z
+    return 0, 1
+
+
 def contfrac_q1(lam: float, n: int, r: int) -> float:
     """Q_1 by backward recurrence from the case's terminal value."""
     _check_sector(n, r)
     if _is_half_turn(n, r):
         raise ParameterDomainError(
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
-    nu = n // 2
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
-    if n % 2:
-        den = z - (-1) ** r
-        if abs(den) < POLE_TOL:
-            raise PoleError(f"terminal denominator vanishes at lambda={lam}")
-        q = 1.0 / den
-    elif r % 2 == 0:
-        if abs(z) < POLE_TOL:
-            raise PoleError(f"terminal denominator vanishes at lambda={lam}")
-        q = 2.0 / z
-    else:
-        q = 0.0
-    for _ in range(nu - 2):
+    rr, ss = _terminal(n, r, z)
+    if abs(ss) < POLE_TOL:
+        raise PoleError(f"terminal denominator vanishes at lambda={lam}")
+    q = rr / ss
+    for _ in range(n // 2 - 2):
         den = z - q
         if abs(den) < POLE_TOL:
             raise PoleError(f"continued fraction hits a pole at lambda={lam}")
@@ -252,7 +258,7 @@ def _quotient_band(n: int, rs: np.ndarray, band):
 
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.  As
-    in ``polymatrix.hermitian_quotient``, the blocked coupling
+    in ``polymatrix.RealBasis.reduce``, the blocked coupling
     b[nu-1, nu-2] must vanish within tol = ``quotient_tol(max|b|)``, and
     H = D^(1/2) b D^(-1/2) on the first m kept orbits.  Band entries past
     m are zero.  ``band`` is left unchanged.
@@ -328,8 +334,9 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     quotient H (``_quotient_band``) the skew max|H - H^*| must stay
     within tol.  The reflection of the cycle fixes every orbit,
     -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
-    H into a real symmetric S with the same eigenvalues (as
-    ``polymatrix.RealBasis`` does), and max|Im S| must stay within tol.
+    H into a real symmetric S with the same eigenvalues (the reflection
+    basis of ``polymatrix.RealBasis.reduce`` with every orbit fixed), and
+    max|Im S| must stay within tol.
     Then for the sorted roots x_i, Sturm counts of S must show
     count(x_i - tol) <= i < count(x_i + tol), that is, the i-th
     eigenvalue of S lies within tol of x_i, which also checks
@@ -415,24 +422,11 @@ def _transfer_polynomial(n: int, r: int) -> Polynomial:
     Runs the transfer recurrence (R, S) -> (S, Z S - R) on polynomials,
     from the case's terminal pair, then forms R - (Z - alpha) S.
     """
-    nu = n // 2
     c = math.cos(math.pi * r / n)
     alpha = 1.0 / c
     z = Polynomial([4.0 / (2 * c), -1.0 / (2 * c)])
-    if n % 2:
-        rr, ss = Polynomial([1.0]), z - (-1) ** r
-        steps = nu - 2
-    elif r % 2 == 0:
-        rr, ss = Polynomial([2.0]), z.copy()
-        steps = nu - 2
-    else:
-        rr, ss = Polynomial([1.0]), z.copy()
-        steps = nu - 3
-    if steps < 0:
-        # one inverse transfer step; the 2x2 step has determinant 1
-        rr, ss = z * rr - ss, rr
-        steps = 0
-    for _ in range(steps):
+    rr, ss = _terminal(n, r, z)
+    for _ in range(n // 2 - 2):
         rr, ss = ss, z * ss - rr
     return rr - (z - alpha) * ss
 

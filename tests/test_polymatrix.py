@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -16,10 +17,10 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
 from tokenspectra.necklaces import rotate
-from tokenspectra.polymatrix import (blocked_mask,
-                                     hermitian_quotient, reflection_basis,
+from tokenspectra.polymatrix import (RealBasis, blocked_mask, reflection_basis,
                                      solve_sector)
 from tokenspectra.tokengraph import subset_rank
+from tokenspectra.tolerances import quotient_tol
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -277,6 +278,21 @@ def _blocked_mask(orbits, r):
     return blocked_mask(np.asarray(orbits.periods), orbits.n, r)
 
 
+def _sector_basis(b, orbits, r):
+    """(b, basis) as ``solve_sector`` reduces them.
+
+    A real b is reduced as a real array, every unblocked orbit fixed with
+    phase 1; any other b in the reflection basis.
+    """
+    periods = np.asarray(orbits.periods)
+    blocked = _blocked_mask(orbits, r)
+    if b.imag.any():
+        return b, reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
+                                   blocked, r, orbits.n)
+    keep = np.flatnonzero(~blocked)
+    return b.real.copy(), RealBasis(keep, np.ones(len(keep)), len(keep), periods, blocked)
+
+
 class TestSolveSector:
     @pytest.mark.parametrize("n", range(3, 15))
     def test_matches_eig_and_filter_route(self, n):
@@ -353,25 +369,54 @@ class TestSolveSector:
         b = build_poly_matrix(8, 4, orbits).specialize(2)
         assert solve_sector(b, orbits, 2, vectors=False).vectors is None
 
+    @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
+    def test_residuals_are_those_of_the_returned_vectors(self, n, k):
+        # one product against b itself, blocked rows included
+        orbits = enumerate_orbits(n, k)
+        m = build_poly_matrix(n, k, orbits)
+        for r in range(n):
+            b, _ = _sector_basis(m.specialize(r), orbits, r)
+            sol = solve_sector(b, orbits, r)
+            want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
+            assert np.array_equal(sol.residuals, want), (n, k, r)
+
+    def test_peak_memory_of_a_complex_sector(self):
+        # one permuted copy of b becomes S; with the kept vectors, b v and
+        # v lambda the traced peak stays near three complex nu x nu matrices
+        orbits = enumerate_orbits(16, 8)
+        b = build_poly_matrix(16, 8, orbits).specialize(1)
+        tracemalloc.start()
+        try:
+            solve_sector(b, orbits, 1, vectors=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * b.nbytes, peak / b.nbytes
+
 
 class TestReflectionBasis:
     @pytest.mark.parametrize("n", range(3, 15))
     def test_real_form_of_every_sector(self, n):
-        # S = V^* H V is real within tol, and the scatter of ``vectors``
-        # is the unitary V itself
+        # S = V^* H V, H = D^(1/2) b D^(-1/2) on the unblocked orbits, is
+        # real within tol, and ``vectors`` gives D^(-1/2) V, column scaled
         for k in range(1, n // 2 + 1):
             orbits = enumerate_orbits(n, k)
             periods = np.asarray(orbits.periods)
             for shift in ("smallest", "largest"):
                 m = build_poly_matrix(n, k, orbits, shift=shift)
                 for r in range(n):
-                    blocked = blocked_mask(periods, n, r)
-                    h, _, tol = hermitian_quotient(m.specialize(r), periods, blocked, "test")
-                    basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift,
-                                             blocked, r, n)
-                    s = basis.reduce(h, tol, "test")
-                    v = basis.vectors(np.eye(len(h)))
-                    assert_allclose(v.conj().T @ v, np.eye(len(h)), rtol=0, atol=1e-13)
+                    b, basis = _sector_basis(m.specialize(r), orbits, r)
+                    blocked = _blocked_mask(orbits, r)
+                    keep = np.flatnonzero(~blocked)
+                    root = np.sqrt(periods[keep])
+                    h = b[np.ix_(keep, keep)] * root[:, None] / root
+                    tol = quotient_tol(np.abs(b).max())
+                    s = basis.reduce(b, "test")
+                    v = basis.vectors(np.eye(len(keep)))
+                    assert not v[blocked].any()
+                    v = v[keep] * root[:, None]
+                    v /= np.linalg.norm(v, axis=0)
+                    assert_allclose(v.conj().T @ v, np.eye(len(keep)), rtol=0, atol=1e-13)
                     full = v.conj().T @ h @ v
                     assert np.max(np.abs(full.imag)) <= tol, (n, k, shift, r)
                     assert_allclose(s, full.real, rtol=0, atol=1e-12)
@@ -379,16 +424,27 @@ class TestReflectionBasis:
 
     def test_order_is_fixed_points_then_pairs(self):
         orbits = enumerate_orbits(8, 4)
-        blocked = blocked_mask(np.asarray(orbits.periods), 8, 3)
-        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, blocked, 3, 8)
-        keep = np.flatnonzero(~blocked)
-        sigma = orbits.mirror_of[keep]
+        periods = np.asarray(orbits.periods)
+        blocked = blocked_mask(periods, 8, 3)
+        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
+                                 blocked, 3, 8)
+        sigma = orbits.mirror_of
         f = basis.fixed
         m = (len(basis.order) - f) // 2
-        assert sorted(basis.order.tolist()) == list(range(len(keep)))
-        assert np.all(sigma[basis.order[:f]] == keep[basis.order[:f]])
-        assert np.array_equal(sigma[basis.order[f:f + m]], keep[basis.order[f + m:]])
+        assert sorted(basis.order.tolist()) == np.flatnonzero(~blocked).tolist()
+        assert np.all(sigma[basis.order[:f]] == basis.order[:f])
+        assert np.array_equal(sigma[basis.order[f:f + m]], basis.order[f + m:])
         assert_allclose(basis.phase[f:f + m], basis.phase[f + m:], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_skew_of_a_real_sector_raises(self, r):
+        # a real b skips the phases and pairs, not the skew check
+        orbits = enumerate_orbits(8, 4)
+        b = build_poly_matrix(8, 4, orbits).specialize(r)
+        b[0, 1] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=rf"^F_4\(C_8\) sector r={r}: skew max\|H - H\^\*\| "):
+            solve_sector(b, orbits, r)
 
     def test_reflection_breaking_perturbation_raises(self):
         # a Hermitian perturbation that the reflection does not map to

@@ -14,8 +14,9 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token,
                           token_neighbors)
-from tokenspectra.polymatrix import (blocked_mask, check_bound,
-                                     hermitian_quotient, reflection_basis)
+from tokenspectra.laurent import root_table
+from tokenspectra.polymatrix import blocked_mask, check_bound, reflection_basis
+from tokenspectra.tolerances import quotient_tol
 from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
                                    _solve_sectors, _sturm_counts)
 
@@ -73,20 +74,24 @@ def dense_sector_roots(n, r):
     return np.sort(4.0 - 2.0 * c * np.linalg.eigvalsh(j))
 
 
-def dense_verify_roots(n, r, roots, b):
-    """The dense check: roots against eigvalsh of the real form of H."""
-    where = f"F_2(C_{n}) sector r={r}"
+def two_token_basis(n, r):
+    """The reflection basis of sector r: every orbit {0, h} is fixed, shift n - h."""
     nu = n // 2
     periods = np.full(nu, n)
     if n % 2 == 0:
         periods[-1] = n // 2
-    blocked = blocked_mask(periods, n, r)
-    h, _, tol = hermitian_quotient(b, periods, blocked, where)
-    assert len(roots) == len(h)
-    basis = reflection_basis(np.arange(nu), n - np.arange(1, nu + 1), blocked, r, n)
-    s = basis.reduce(h, tol, where)
+    return reflection_basis(np.arange(nu), n - np.arange(1, nu + 1), periods,
+                            blocked_mask(periods, n, r), r, n)
+
+
+def dense_verify_roots(n, r, roots, b):
+    """The dense check: roots against eigvalsh of the real form S of b."""
+    where = f"F_2(C_{n}) sector r={r}"
+    s = two_token_basis(n, r).reduce(b, where)
+    assert len(roots) == len(s)
     gap = float(np.max(np.abs(np.sort(roots) - np.linalg.eigvalsh(s))))
-    check_bound(where, "root gap max|roots - eigvalsh(S)|", gap, tol)
+    check_bound(where, "root gap max|roots - eigvalsh(S)|", gap,
+                quotient_tol(float(np.abs(b).max())))
 
 
 def banded(n, r):
@@ -391,21 +396,24 @@ class TestBandedSectors:
 
     @pytest.mark.parametrize("n", range(4, 61))
     def test_quotient_band_matches_dense_quotient(self, n):
+        # the band under the phases of _check_roots is the real form S
+        # that RealBasis.reduce makes of the dense sector matrix
         rs = np.arange(n)
         (lower, diag, upper), m, tol = _quotient_band(n, rs, _sector_band(n, rs))
         nu = n // 2
-        periods = np.full(nu, n)
-        if n % 2 == 0:
-            periods[-1] = n // 2
+        phase = root_table(2 * n)[(-rs[:, None] * (n - np.arange(1, nu + 1))) % (2 * n)]
         for r in rs:
             b = build_b2(n, r)
-            h, _, want_tol = hermitian_quotient(b, periods, blocked_mask(periods, n, r), "")
-            k = m[r]
-            assert h.shape == (k, k)
+            s = two_token_basis(n, r).reduce(b, "")
+            k, p = m[r], phase[r, :m[r]]
+            assert s.shape == (k, k)
+            want_tol = quotient_tol(float(np.abs(b).max()))
             assert abs(tol[r] - want_tol) <= 1e-13 * want_tol
-            assert_allclose(diag[r, :k], np.diag(h), rtol=0, atol=1e-13)
-            assert_allclose(lower[r, :k - 1], np.diag(h, -1), rtol=0, atol=1e-13)
-            assert_allclose(upper[r, :k - 1], np.diag(h, 1), rtol=0, atol=1e-13)
+            assert_allclose(diag[r, :k] * p.conj() * p, np.diag(s), rtol=0, atol=1e-13)
+            assert_allclose(lower[r, :k - 1] * p[1:].conj() * p[:-1], np.diag(s, -1),
+                            rtol=0, atol=1e-13)
+            assert_allclose(upper[r, :k - 1] * p[:-1].conj() * p[1:], np.diag(s, 1),
+                            rtol=0, atol=1e-13)
             assert not diag[r, k:].any() and not lower[r, k - 1:].any()
 
     @pytest.mark.parametrize("n", range(4, 17))
