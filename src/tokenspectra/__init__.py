@@ -16,7 +16,7 @@ from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix,
                          kept_eigenpairs, lift_eigenvector, sector_eigenpairs)
 from .report import SpectrumReport, multiset_contains, multisets_close
 from .tokengraph import (TokenGraph, brute_spectrum, build_token_graph,
-                         laplacian, token_neighbors)
+                         laplacian)
 from .twotoken import (build_b2, charpoly_rho_form, charpoly_sector,
                        contfrac_q1, sector_roots, spectrum_2token)
 
@@ -33,7 +33,6 @@ __all__ = [
     "lift_eigenvector", "sector_eigenpairs",
     "SpectrumReport", "multiset_contains", "multisets_close",
     "TokenGraph", "brute_spectrum", "build_token_graph", "laplacian",
-    "token_neighbors",
     "build_b2", "charpoly_rho_form", "charpoly_sector", "contfrac_q1",
     "sector_roots", "spectrum_2token",
     "__version__",

@@ -338,7 +338,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _checked(convert, ok, what: str):
+    """An argparse ``type``: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse: "invalid int value" on bad text
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+    tolerance = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
+    cycle_length = _checked(int, lambda v: v >= 3, "an integer >= 3")
     parser = argparse.ArgumentParser(
         prog="tokenspectra",
         description="Laplacian spectra of k-token graphs of cycles")
@@ -372,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-sector table with discarded values marked *")
     p.add_argument("--check-against", choices=["brute", "overlift", "contfrac"],
                    help="exit 1 unless this method agrees within --tol")
-    p.add_argument("--tol", type=float, default=AGREE_TOL)
+    p.add_argument("--tol", type=tolerance, default=AGREE_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("charpoly", help="two-token sector polynomial (k=2)")
     common(p, need_k=False)
     p.add_argument("--r", type=int, required=True, help="sector index")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=count, default=0,
                    help="also emit this many (lambda, phi) samples")
     p.add_argument("--lo", type=float, default=0.0, help="sample range start")
     p.add_argument("--hi", type=float, default=None,
@@ -386,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("verify", help="cross-method verification sweep")
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--tol", type=float, default=AGREE_TOL)
+    p.add_argument("--n-max", type=cycle_length, default=12)
+    p.add_argument("--tol", type=tolerance, default=AGREE_TOL)
     p.set_defaults(func=cmd_verify)
     return parser
 

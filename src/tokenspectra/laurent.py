@@ -80,24 +80,15 @@ _TERM_RE = re.compile(r"([+-]?)(\d*)(z(?:\^(-?\d+))?)?")
 def parse_laurent(text: str, n: int) -> LaurentPoly:
     """Parse signed-monomial text like ``6-z^2-z^-2`` into canonical form."""
     s = text.replace(" ", "")
-    if s in ("", "0"):
-        return LaurentPoly(n, {})
     terms = []
     pos = 0
     while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos:
-            raise ParameterDomainError(f"cannot parse {text!r} at {s[pos:]!r}")
-        sign, digits, zpart, expo = m.groups()
+        # every group is optional, so the pattern matches; a term needs digits or z
+        sign, digits, zpart, expo = (m := _TERM_RE.match(s, pos)).groups()
         if not digits and not zpart:
             raise ParameterDomainError(f"cannot parse {text!r} at {s[pos:]!r}")
-        coeff = int(digits) if digits else 1
-        if sign == "-":
-            coeff = -coeff
-        if zpart:
-            e = int(expo) if expo is not None else 1
-        else:
-            e = 0
+        coeff = (int(digits) if digits else 1) * (-1 if sign == "-" else 1)
+        e = (int(expo) if expo is not None else 1) if zpart else 0
         terms.append((e, coeff))
         pos = m.end()
     return LaurentPoly.from_terms(n, terms)

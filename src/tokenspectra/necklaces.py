@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import CACHE_SIZE, check_params, check_token_set, subset_rank
+from .tokengraph import CACHE_SIZE, check_params, check_token_set, k_subsets, subset_rank
 
 
 def sector_order(n: int, r: int) -> int:
@@ -31,15 +30,8 @@ def sector_order(n: int, r: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def euler_phi(m: int) -> int:
@@ -126,8 +118,7 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     fixing each representative) and must equal the orbit sizes.
     """
     check_params(n, k)
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64,
-                          count=comb(n, k) * k).reshape(-1, k)
+    subsets = k_subsets(n, k)
     least = np.arange(len(subsets))
     shift_of = np.zeros(len(subsets), dtype=np.int64)
     for i in range(k):
@@ -176,10 +167,15 @@ def _exact_div(total: int, n: int, what: str) -> int:
     return q
 
 
-def count_burnside(n: int, k: int) -> int:
-    """Orbit count via the fixed-point sum over all rotations."""
+def _check_count_domain(n: int, k: int) -> None:
+    """The counts hold for 1 <= k <= n, wider than ``check_params``."""
     if n < 1 or k < 1 or k > n:
         raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+
+
+def count_burnside(n: int, k: int) -> int:
+    """Orbit count via the fixed-point sum over all rotations."""
+    _check_count_domain(n, k)
     total = 0
     for r in range(n):
         d = gcd(n, r) if r else n
@@ -191,15 +187,13 @@ def count_burnside(n: int, k: int) -> int:
 
 def count_polya(n: int, k: int) -> int:
     """Orbit count via the totient sum over divisors of gcd(n, k)."""
-    if n < 1 or k < 1 or k > n:
-        raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_count_domain(n, k)
     total = sum(euler_phi(d) * comb(n // d, k // d) for d in divisors(gcd(n, k)))
     return _exact_div(total, n, "totient")
 
 
 def count_moreau(n: int, k: int) -> int:
     """Count of aperiodic orbits (period exactly n), via the Moebius sum."""
-    if n < 1 or k < 1 or k > n:
-        raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    _check_count_domain(n, k)
     total = sum(moebius(d) * comb(n // d, k // d) for d in divisors(gcd(n, k)))
     return _exact_div(total, n, "Moebius")

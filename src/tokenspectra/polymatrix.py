@@ -55,7 +55,7 @@ from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
                          RANK_TOL, RESIDUAL_TOL, quotient_tol)
-from .tokengraph import TokenGraph, build_token_graph, subset_rank, token_neighbors
+from .tokengraph import TokenGraph, build_token_graph, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -104,9 +104,7 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
         raise ParameterDomainError(f"unknown shift choice {shift!r}")
     if orbits is None:
         orbits = enumerate_orbits(n, k)
-    moves = [token_neighbors(rep, n) for rep in orbits.reps]
-    row = np.repeat(np.arange(orbits.count), [len(nbs) for nbs in moves])
-    at = subset_rank([nb for nbs in moves for nb in nbs], n)
+    row, at = token_moves(np.array(orbits.reps), n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
     if shift == "largest":
         exp = exp + n - np.asarray(orbits.periods)[col]

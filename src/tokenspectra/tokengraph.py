@@ -6,14 +6,14 @@ is reached from the other by moving a single token to an unoccupied
 neighbouring cycle vertex; equivalently, their symmetric difference is
 {a, b} with b = a +- 1 (mod n).  This module constructs that graph, its
 Laplacian, and the dense-eigensolver spectrum that every other route in
-the library is validated against.  ``subset_rank`` is the one map from
-configurations to positions, here and in the orbit arrays of ``necklaces``.
+the library is validated against.  ``k_subsets``, ``subset_rank`` and
+``token_moves`` enumerate, place and connect configurations for every module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -61,19 +61,25 @@ def subset_rank(subsets, n: int) -> np.ndarray:
     return comb(n, k) - 1 - binom.take((n - 1 - subsets) * k + np.arange(k)).sum(axis=-1)
 
 
-def token_neighbors(subset, n: int) -> list[tuple[int, ...]]:
-    """Configurations reached by one token move to an empty adjacent vertex.
+def k_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of Z_n as a sorted row; row i has rank i (``subset_rank``)."""
+    return np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64,
+                       count=comb(n, k) * k).reshape(-1, k)
 
-    Each valid (token, direction) move yields a distinct neighbour, so the
-    degree of ``subset`` is the length of the returned list.
+
+def token_moves(subsets, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every move of one token to a free adjacent vertex: (source row, target rank).
+
+    Token i of a sorted row s of ``subsets`` moves to s_i + 1 unless token
+    i + 1 sits there, and to s_i - 1 unless token i - 1 does (cyclically,
+    mod n).  Moves come by row, then token, up before down; targets differ.
     """
-    occupied = set(subset)
-    out = []
-    for a in subset:
-        for b in ((a + 1) % n, (a - 1) % n):
-            if b not in occupied:
-                out.append(tuple(sorted((occupied - {a}) | {b})))
-    return out
+    moved = np.stack([(subsets + 1) % n, (subsets - 1) % n], axis=2)
+    blocker = np.stack([np.roll(subsets, -1, axis=1), np.roll(subsets, 1, axis=1)], axis=2)
+    row, token, way = np.nonzero(moved != blocker)
+    targets = subsets[row]
+    targets[np.arange(len(row)), token] = moved[row, token, way]
+    return row, subset_rank(np.sort(targets, axis=1), n)
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class TokenGraph:
 
     Vertex i is ``vertices[i]``, the subset of rank i (``subset_rank``).
     ``edges`` holds the adjacency lists as two int arrays (source, target),
-    one column per directed edge, grouped by source in ``token_neighbors``
-    order; ``degrees`` holds the vertex degrees.
+    one column per directed edge in ``token_moves`` order (by source, then
+    moving token, up before down); ``degrees`` holds the vertex degrees.
     """
 
     n: int
@@ -103,14 +109,12 @@ class TokenGraph:
 @lru_cache(maxsize=CACHE_SIZE)
 def build_token_graph(n: int, k: int) -> TokenGraph:
     check_params(n, k)
-    vertices = tuple(combinations(range(n), k))
-    moves = [token_neighbors(v, n) for v in vertices]
-    degrees = np.array([len(nbs) for nbs in moves], dtype=np.int64)
-    targets = subset_rank([nb for nbs in moves for nb in nbs], n)
-    edges = np.stack([np.repeat(np.arange(len(vertices)), degrees), targets])
+    subsets = k_subsets(n, k)
+    edges = np.stack(token_moves(subsets, n))
+    degrees = np.bincount(edges[0], minlength=len(subsets))
     edges.flags.writeable = False
     degrees.flags.writeable = False
-    return TokenGraph(n, k, vertices, edges, degrees)
+    return TokenGraph(n, k, tuple(map(tuple, subsets.tolist())), edges, degrees)
 
 
 def laplacian(graph: TokenGraph) -> np.ndarray:

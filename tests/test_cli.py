@@ -447,3 +447,28 @@ class TestArgumentHandling:
                              "--format", "latex")
         assert (code, out) == (2, "")
         assert "invalid choice: 'latex'" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "-1"), "--samples"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "2.5"), "--samples"),
+        (("spectrum", "--n", "6", "--k", "2", "--check-against", "brute", "--tol", "-1"),
+         "--tol"),
+        (("spectrum", "--n", "6", "--k", "2", "--check-against", "brute", "--tol", "nan"),
+         "--tol"),
+        (("spectrum", "--n", "6", "--k", "2", "--check-against", "brute", "--tol", "inf"),
+         "--tol"),
+        (("verify", "--tol", "-1"), "--tol"),
+        (("verify", "--tol", "nan"), "--tol"),
+        (("verify", "--n-max", "2"), "--n-max"),
+    ])
+    def test_numeric_arguments_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: " in err
+
+    def test_zero_samples_and_zero_tolerance_are_valid(self, capsys):
+        code, out, _ = run(capsys, "charpoly", "--n", "8", "--r", "1", "--samples", "0")
+        assert code == 0 and "lambda,phi" not in out
+        # the sweep runs; whether exact agreement holds is its verdict
+        _, out, _ = run(capsys, "verify", "--n-max", "3", "--tol", "0")
+        assert "5 checks, 4 spectra compared" in out

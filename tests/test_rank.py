@@ -2,19 +2,22 @@
 
 ``reference_orbits`` is the plain filter enumeration with a dict from
 every k-subset to (orbit, shift); ``reference_terms`` and
-``reference_edges`` locate each ``token_neighbors`` move through such
-dicts.  The library derives the same data from ``subset_rank`` alone.
+``reference_edges`` locate each move of the set-based reference rule
+``conftest.token_neighbors`` through such dicts.  The library derives
+the same data from its array move rule ``token_moves`` and
+``subset_rank`` alone.
 """
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
+from conftest import token_neighbors
 
 from tokenspectra import (NumericFailureError, build_poly_matrix,
                           build_token_graph, enumerate_orbits, necklaces)
 from tokenspectra.necklaces import period, rotate
-from tokenspectra.tokengraph import subset_rank, token_neighbors
+from tokenspectra.tokengraph import subset_rank
 
 SMALL_PAIRS = [(n, k) for n in range(3, 15) for k in range(1, n // 2 + 1)]
 

@@ -3,13 +3,15 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute
+from conftest import cached_brute, token_neighbors
 from numpy.testing import assert_allclose
 
 from tokenspectra import (ParameterDomainError, SizeLimitError,
-                          build_token_graph, laplacian, multiset_contains,
-                          token_neighbors)
+                          build_token_graph, laplacian, multiset_contains)
 from tokenspectra.tokengraph import algebraic_connectivity, subset_rank
+
+
+PAIRS_TO_16 = [(n, k) for n in range(3, 17) for k in range(1, n // 2 + 1)]
 
 
 def cycle_laplacian_spectrum(n):
@@ -43,13 +45,22 @@ class TestBuildTokenGraph:
         g = build_token_graph(6, 2)
         assert list(g.vertices) == sorted(g.vertices)
 
-    @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (8, 2)])
+    @pytest.mark.parametrize("n,k", PAIRS_TO_16)
     def test_adjacency_symmetric_loop_free(self, n, k):
         g = build_token_graph(n, k)
         pairs = list(zip(*g.edges.tolist()))
         assert all(i != j for i, j in pairs)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == {(j, i) for i, j in pairs}
+
+    @pytest.mark.parametrize("n,k", PAIRS_TO_16)
+    def test_degree_is_twice_the_block_count(self, n, k):
+        # oracle-free past the set-based reference: each maximal run of
+        # cyclically consecutive tokens moves its first token down and its
+        # last token up, and nothing else moves
+        v = np.array(build_token_graph(n, k).vertices)
+        blocks = np.count_nonzero((np.roll(v, -1, axis=1) - v) % n != 1, axis=1)
+        assert build_token_graph(n, k).degrees.tolist() == (2 * blocks).tolist()
 
     @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (9, 2)])
     def test_adjacent_iff_symmetric_difference_is_cycle_edge(self, n, k):

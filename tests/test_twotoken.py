@@ -6,14 +6,13 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_contfrac, cached_overlift
+from conftest import cached_brute, cached_contfrac, cached_overlift, token_neighbors
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
                           PoleError, build_b2, build_poly_matrix,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
-                          multisets_close, sector_roots, spectrum_2token,
-                          token_neighbors)
+                          multisets_close, sector_roots, spectrum_2token)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound, reflection_basis
 from tokenspectra.tolerances import quotient_tol
