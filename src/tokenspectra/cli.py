@@ -64,7 +64,7 @@ def cmd_orbits(args) -> int:
         _write(json.dumps({
             "n": args.n, "k": args.k,
             "representatives": [list(r) for r in table.reps],
-            "periods": list(table.periods),
+            "periods": table.periods.tolist(),
             "burnside": burnside, "polya": polya, "moreau": moreau,
             "enumerated": table.count,
         }, indent=2), args.out)

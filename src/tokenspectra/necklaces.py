@@ -79,6 +79,23 @@ def period(subset, n: int) -> int:
     raise NumericFailureError("rotation by n must fix every subset")
 
 
+def periods_of(subsets: np.ndarray, n: int) -> np.ndarray:
+    """``period`` of every sorted row of ``subsets``, in one pass per divisor.
+
+    For each divisor d of n, ascending, the rows still without a period
+    are rotated by d and ranked (``subset_rank``); a row whose rank is
+    unchanged has period d.  Rotation by n fixes every row.
+    """
+    ranks = subset_rank(subsets, n)
+    out = np.zeros(len(subsets), dtype=np.int64)
+    todo = np.arange(len(subsets))
+    for d in divisors(n):
+        fixed = subset_rank(np.sort((subsets[todo] + d) % n, axis=1), n) == ranks[todo]
+        out[todo[fixed]] = d
+        todo = todo[~fixed]
+    return out
+
+
 @dataclass(frozen=True)
 class OrbitTable:
     """Canonical orbit data for Z_n acting on k-subsets by rotation.
@@ -87,16 +104,17 @@ class OrbitTable:
     ``orbit_of`` and ``shift_of`` are int arrays over all k-subsets in
     lexicographic order, the vertex order of the token graph: the subset
     of rank x (``subset_rank``) is rep_(orbit_of[x]) + shift_of[x], with
-    the smallest nonnegative shift.  The reflection X -> -X of the cycle
+    the smallest nonnegative shift.  ``periods`` is an int array of the
+    orbit periods.  The reflection X -> -X of the cycle
     maps orbit i onto orbit ``mirror_of[i]``:
     -rep_i = rep_(mirror_of[i]) + ``mirror_shift[i]``.  Immutable after
-    construction.
+    construction; the arrays are read-only.
     """
 
     n: int
     k: int
     reps: tuple[tuple[int, ...], ...]
-    periods: tuple[int, ...]
+    periods: np.ndarray = field(repr=False, compare=False)
     orbit_of: np.ndarray = field(repr=False, compare=False)
     shift_of: np.ndarray = field(repr=False, compare=False)
     mirror_of: np.ndarray = field(repr=False, compare=False)
@@ -114,7 +132,7 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     The least rotation of a subset X contains 0, so it is X - x for some
     x in X: of those k rotations, the one of least rank is the
     representative of X's orbit and the first x that reaches it is the
-    shift.  The periods come from ``period`` (the smallest rotation
+    shift.  The periods come from ``periods_of`` (the smallest rotation
     fixing each representative) and must equal the orbit sizes.
     """
     check_params(n, k)
@@ -130,16 +148,17 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
         shift_of[better] = x[better]
     rep_at = np.flatnonzero(least == np.arange(len(subsets)))
     orbit_of = np.searchsorted(rep_at, least)
-    reps = tuple(map(tuple, subsets[rep_at].tolist()))
-    periods = tuple(period(rep, n) for rep in reps)
+    reps = subsets[rep_at]
+    periods = periods_of(reps, n)
     if not np.array_equal(periods, np.bincount(orbit_of)):
         raise NumericFailureError("orbit periods do not match the orbit sizes")
-    mirror = subset_rank(np.sort(-subsets[rep_at] % n, axis=1), n)
+    mirror = subset_rank(np.sort(-reps % n, axis=1), n)
     mirror_of, mirror_shift = orbit_of[mirror], shift_of[mirror]
-    check_mirror(mirror_of, mirror_shift, np.array(periods))
-    for arr in (orbit_of, shift_of, mirror_of, mirror_shift):
+    check_mirror(mirror_of, mirror_shift, periods)
+    for arr in (periods, orbit_of, shift_of, mirror_of, mirror_shift):
         arr.flags.writeable = False
-    return OrbitTable(n, k, reps, periods, orbit_of, shift_of, mirror_of, mirror_shift)
+    return OrbitTable(n, k, tuple(map(tuple, reps.tolist())), periods, orbit_of, shift_of,
+                      mirror_of, mirror_shift)
 
 
 def check_mirror(mirror_of: np.ndarray, mirror_shift: np.ndarray,

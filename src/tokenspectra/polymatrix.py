@@ -107,7 +107,7 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
     row, at = token_moves(np.array(orbits.reps), n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
     if shift == "largest":
-        exp = exp + n - np.asarray(orbits.periods)[col]
+        exp = exp + n - orbits.periods[col]
     # each neighbour adds 1 to the diagonal and -z^s to its orbit's column
     return LaurentMatrix(n, orbits.count, np.tile(row, 2), np.concatenate([row, col]),
                          np.concatenate([np.zeros_like(exp), exp]),
@@ -167,7 +167,7 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
     scale and nearly parallel vectors from a defective cluster cannot
     distort the decision.
     """
-    blocked = blocked_mask(np.asarray(orbits.periods), orbits.n, r)
+    blocked = blocked_mask(orbits.periods, orbits.n, r)
     verdicts = []
     i = 0
     while i < len(pairs):
@@ -350,7 +350,7 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
     """
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
-    periods = np.asarray(orbits.periods)
+    periods = orbits.periods
     blocked = blocked_mask(periods, n, r)
     if b.imag.any():
         basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
@@ -408,15 +408,22 @@ def _sector_solutions(matrix: LaurentMatrix, orbits: OrbitTable, *,
 def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
     """Union of the kept sector spectra; exactly C(n, k) values kept.
 
-    Each sector's audit entries are ascending by value.
+    Each sector's audit entries are ascending up to ``CLUSTER_TOL``: a
+    kept value comes before every discarded value it is within
+    CLUSTER_TOL of, so ties are broken by a rule, not by rounding.
     """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits, shift=shift)
     by_sector: list = [None] * n  # (values, kept mask) of each sector
     for sol in _sector_solutions(matrix, orbits, vectors=False):
-        values = np.concatenate([sol.kept, sol.discarded])
-        order = np.argsort(values, kind="stable")
-        by_sector[sol.sector] = (values[order], order < len(sol.kept))
+        # discarded value j goes after every kept value up to it + tol
+        at = np.searchsorted(sol.kept, sol.discarded + CLUSTER_TOL, side="right")
+        at += np.arange(len(at))
+        mask = np.ones(len(sol.kept) + len(at), dtype=bool)
+        mask[at] = False
+        values = np.empty(len(mask))
+        values[mask], values[at] = sol.kept, sol.discarded
+        by_sector[sol.sector] = (values, mask)
     values, kept = (np.concatenate(column) for column in zip(*by_sector))
     expected = comb(n, k)
     if kept.sum() != expected:
@@ -461,31 +468,32 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     with w = exp(2*pi*i/n).  Well defined on a short orbit only when
     f_i = 0 or the sector order divides the orbit period, which the
     sector solver guarantees; a violation here is a solver bug and
-    raises.  The residual |L x - lambda x| is checked through the
-    graph's edge arrays, so ``lap`` is accepted for compatibility but
-    not read.
+    raises.  The residual |L x - lambda x| is checked at every vertex
+    through the graph's CSR adjacency, one gather and one segmented sum,
+    so a lift costs O(C(n, k) + edges); ``lap`` is accepted for
+    compatibility but not read.
     """
     n, k = orbits.n, orbits.k
     if graph is None:
         graph = build_token_graph(n, k)
     r = pair.sector
-    scale = float(np.max(np.abs(pair.vector)))
-    loaded = blocked_mask(np.asarray(orbits.periods), n, r)
-    loaded &= np.abs(pair.vector) > LIFT_SUPPORT_TOL * scale
+    size = np.abs(pair.vector)
+    loaded = blocked_mask(orbits.periods, n, r)
+    loaded &= size > LIFT_SUPPORT_TOL * size.max()
     if loaded.any():
         i = int(np.argmax(loaded))
         raise PhaseConsistencyError(
             f"component {i} nonzero on orbit of period {orbits.periods[i]} "
             f"with sector order {sector_order(n, r)}")
-    out = pair.vector[orbits.orbit_of] * root_table(n)[(r * orbits.shift_of) % n]
+    # w^(r*s) for each shift s, then one gather over the configurations
+    out = pair.vector[orbits.orbit_of] * root_table(n)[r * np.arange(n) % n][orbits.shift_of]
     if not np.any(out):
         raise NumericFailureError("lifted vector is zero")
-    # L x = deg x - sum over neighbours; bincount takes real weights only
-    src, dst = graph.edges
-    m = graph.order
-    adj = (np.bincount(src, out.real[dst], m)
-           + 1j * np.bincount(src, out.imag[dst], m))
-    res = float(np.max(np.abs((graph.degrees - pair.value) * out - adj)))
+    # L x = deg x - sum over neighbours; no vertex is isolated, so no
+    # reduceat segment is empty (see build_token_graph)
+    res = (graph.degrees - pair.value) * out
+    res -= np.add.reduceat(out[graph.targets], graph.offsets[:-1])
+    res = float(np.abs(res).max())
     if res > LIFT_RESIDUAL_TOL:
         raise NumericFailureError(
             f"lifted vector residual {res:.3e} for eigenvalue {pair.value} "

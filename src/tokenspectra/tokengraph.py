@@ -8,6 +8,11 @@ neighbouring cycle vertex; equivalently, their symmetric difference is
 Laplacian, and the dense-eigensolver spectrum that every other route in
 the library is validated against.  ``k_subsets``, ``subset_rank`` and
 ``token_moves`` enumerate, place and connect configurations for every module.
+
+The adjacency is stored once, in compressed sparse row (CSR) form: the
+neighbours of vertex i are ``targets[offsets[i]:offsets[i + 1]]``.  A
+product with the adjacency is then one gather and one segmented sum,
+``np.add.reduceat(x[targets], offsets[:-1])``.
 """
 from __future__ import annotations
 
@@ -87,15 +92,19 @@ class TokenGraph:
     """The k-token graph of the n-cycle, vertices in lexicographic order.
 
     Vertex i is ``vertices[i]``, the subset of rank i (``subset_rank``).
-    ``edges`` holds the adjacency lists as two int arrays (source, target),
-    one column per directed edge in ``token_moves`` order (by source, then
-    moving token, up before down); ``degrees`` holds the vertex degrees.
+    The adjacency is in CSR form: the directed edges leaving vertex i go
+    to ``targets[offsets[i]:offsets[i + 1]]``, in ``token_moves`` order
+    (moving token, up before down), and ``offsets`` has C(n, k) + 1
+    entries.  ``degrees`` holds the vertex degrees, the differences of
+    ``offsets``; every degree is at least 1 (see ``build_token_graph``).
+    The arrays are read-only.
     """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
-    edges: np.ndarray = field(repr=False, compare=False)
+    targets: np.ndarray = field(repr=False, compare=False)
+    offsets: np.ndarray = field(repr=False, compare=False)
     degrees: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -108,21 +117,34 @@ class TokenGraph:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def build_token_graph(n: int, k: int) -> TokenGraph:
+    """The token graph F_k(C_n) with its CSR adjacency.
+
+    ``token_moves`` yields the moves grouped by source row, so its
+    targets are the CSR column array as they come.  No vertex is
+    isolated: with 1 <= k <= n/2 some token has a free cycle neighbour,
+    which ``np.add.reduceat`` over ``offsets[:-1]`` relies on (it returns
+    the segment's first entry, not 0, for an empty segment).
+    """
     check_params(n, k)
     subsets = k_subsets(n, k)
-    edges = np.stack(token_moves(subsets, n))
-    degrees = np.bincount(edges[0], minlength=len(subsets))
-    edges.flags.writeable = False
-    degrees.flags.writeable = False
-    return TokenGraph(n, k, tuple(map(tuple, subsets.tolist())), edges, degrees)
+    source, targets = token_moves(subsets, n)
+    degrees = np.bincount(source, minlength=len(subsets))
+    offsets = np.zeros(len(subsets) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    for arr in (targets, offsets, degrees):
+        arr.flags.writeable = False
+    return TokenGraph(n, k, tuple(map(tuple, subsets.tolist())), targets, offsets, degrees)
 
 
 def laplacian(graph: TokenGraph) -> np.ndarray:
-    """Degree diagonal minus adjacency, in the graph's vertex order."""
+    """Degree diagonal minus adjacency, in the graph's vertex order.
+
+    A vertex's targets are distinct, so each off-diagonal entry is set once.
+    """
     m = graph.order
     lap = np.zeros((m, m))
-    np.subtract.at(lap, tuple(graph.edges), 1.0)
-    lap[np.diag_indices(m)] += graph.degrees
+    lap[np.repeat(np.arange(m), graph.degrees), graph.targets] = -1.0
+    lap[np.diag_indices(m)] = graph.degrees
     return lap
 
 

@@ -8,7 +8,7 @@ realness, Sturm root gap) scale with its largest entry: ``quotient_tol``.
 AGREE_TOL = 1e-8  # pointwise gap at which two sorted spectra agree; the CLI's --tol
 RESIDUAL_TOL = 1e-8  # max|b v - lambda v| of a unit eigenvector of a sector matrix
 IMAG_TOL = 1e-7  # imaginary part of a sector eigenvalue that must be real
-CLUSTER_TOL = 1e-6  # filter_spurious: eigenvalues this close span one eigenspace
+CLUSTER_TOL = 1e-6  # values this close tie (full_spectrum) or span one eigenspace (filter_spurious)
 RANK_TOL = 1e-8  # filter_spurious: singular values above this count towards the rank
 LIFT_SUPPORT_TOL = 1e-10  # lift: components up to this times the largest count as zero
 LIFT_RESIDUAL_TOL = 1e-8  # lift: |L x - lambda x| of the lifted vector

@@ -7,8 +7,8 @@ import pytest
 from tokenspectra import (NumericFailureError, ParameterDomainError,
                           build_token_graph, count_burnside, count_moreau,
                           count_polya, enumerate_orbits, period)
-from tokenspectra.necklaces import check_mirror, euler_phi, moebius, rotate
-from tokenspectra.tokengraph import subset_rank
+from tokenspectra.necklaces import check_mirror, euler_phi, moebius, periods_of, rotate
+from tokenspectra.tokengraph import k_subsets, subset_rank
 
 # orbit counts for k = 2..7, n = 3..12 (blank cells omitted)
 ORBIT_COUNT_TABLE = {
@@ -43,6 +43,13 @@ class TestPeriod:
             for k in range(1, n // 2 + 1):
                 table = enumerate_orbits(n, k)
                 assert all(n % p == 0 for p in table.periods)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_vectorized_periods_match_period(self, n):
+        # every subset, not only the orbit representatives
+        for k in range(1, n // 2 + 1):
+            subsets = k_subsets(n, k)
+            assert periods_of(subsets, n).tolist() == [period(s, n) for s in subsets.tolist()]
 
     def test_rejects_bad_subset(self):
         with pytest.raises(ParameterDomainError):
@@ -142,7 +149,7 @@ class TestMirror:
         with pytest.raises(NumericFailureError, match="not an involution"):
             check_mirror(not_involution, t, periods)
         swapped = np.arange(len(sigma))
-        long, short = 0, table.periods.index(2)
+        long, short = 0, table.periods.tolist().index(2)
         swapped[[long, short]] = short, long
         with pytest.raises(NumericFailureError, match="preserve periods"):
             check_mirror(swapped, t, periods)

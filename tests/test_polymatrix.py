@@ -13,14 +13,14 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           ParameterDomainError, PhaseConsistencyError,
                           build_poly_matrix,
                           build_token_graph, enumerate_orbits, expand_lift,
-                          filter_spurious, kept_eigenpairs, laplacian,
+                          filter_spurious, full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, parse_laurent,
                           sector_eigenpairs)
 from tokenspectra.necklaces import rotate
 from tokenspectra.polymatrix import (RealBasis, blocked_mask, reflection_basis,
                                      solve_sector)
 from tokenspectra.tokengraph import subset_rank
-from tokenspectra.tolerances import quotient_tol
+from tokenspectra.tolerances import CLUSTER_TOL, quotient_tol
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -264,6 +264,25 @@ class TestFullSpectrum:
                 b = report.values[report.kept_mask & (report.sectors == n - r)]
                 assert multisets_close(a, b, 1e-8)
 
+
+    # every case with n <= 16 where a kept and a discarded value of one
+    # sector tie below 1e-9 (lambda = 4 in sector n/2, n = 2 mod 4)
+    @pytest.mark.parametrize("shift", ["smallest", "largest"])
+    @pytest.mark.parametrize("n,k", [(6, 2), (10, 2), (10, 4), (14, 2), (14, 4), (14, 6)])
+    def test_kept_values_precede_tied_discarded_ones(self, n, k, shift):
+        report = full_spectrum(n, k, shift)
+        ties = 0
+        for r in range(n):
+            values = report.values[report.sectors == r]
+            kept = report.kept_mask[report.sectors == r]
+            assert np.all(np.diff(values) >= -CLUSTER_TOL), r
+            # smallest kept value after each position
+            later = np.minimum.accumulate(np.where(kept, values, np.inf)[::-1])[::-1]
+            later = np.append(later[1:], np.inf)
+            assert np.all(later[~kept] > values[~kept] + CLUSTER_TOL), r
+            gap = np.abs(values[kept][:, None] - values[~kept])
+            ties += np.count_nonzero(gap <= CLUSTER_TOL)
+        assert ties > 0
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     def test_conjugate_sector_entries_identical(self, n, k):
@@ -560,8 +579,9 @@ class TestLiftEigenvector:
                 assert lifted.residual < 1e-8
 
 
-    def test_sparse_residual_matches_dense_laplacian(self):
-        n, k = 8, 4
+    # odd n, short orbits and k = n/2
+    @pytest.mark.parametrize("n,k", [(8, 4), (9, 3), (10, 5), (12, 6)])
+    def test_sparse_residual_matches_dense_laplacian(self, n, k):
         orbits = enumerate_orbits(n, k)
         g = build_token_graph(n, k)
         lap = laplacian(g)

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import token_neighbors
+from conftest import edge_pairs, token_neighbors
 
 from tokenspectra import (NumericFailureError, build_poly_matrix,
                           build_token_graph, enumerate_orbits, necklaces)
@@ -96,16 +96,16 @@ class TestAgainstDictReference:
     @pytest.mark.parametrize("n,k", SMALL_PAIRS)
     def test_edges(self, n, k):
         graph = build_token_graph(n, k)
-        assert list(zip(*graph.edges.tolist())) == reference_edges(n, k)
+        assert edge_pairs(graph) == reference_edges(n, k)
         assert graph.degrees.tolist() == [
             len(token_neighbors(v, n)) for v in graph.vertices]
 
 
 def test_orbit_sizes_checked_against_period(monkeypatch):
-    # periods come from the smallest fixing rotation, not from the ranks,
-    # so a wrong period is caught by comparing it with the orbit sizes
+    # periods come from the smallest fixing rotation, not from the orbit
+    # sizes, so a wrong period is caught by comparing it with them
     enumerate_orbits.cache_clear()
-    monkeypatch.setattr(necklaces, "period", lambda subset, n: n)
+    monkeypatch.setattr(necklaces, "periods_of", lambda subsets, n: np.full(len(subsets), n))
     try:
         with pytest.raises(NumericFailureError, match="orbit sizes"):
             enumerate_orbits(6, 3)  # orbit (0, 2, 4) has period 2

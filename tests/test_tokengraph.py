@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, token_neighbors
+from conftest import cached_brute, edge_pairs, token_neighbors
 from numpy.testing import assert_allclose
 
 from tokenspectra import (ParameterDomainError, SizeLimitError,
@@ -47,8 +47,7 @@ class TestBuildTokenGraph:
 
     @pytest.mark.parametrize("n,k", PAIRS_TO_16)
     def test_adjacency_symmetric_loop_free(self, n, k):
-        g = build_token_graph(n, k)
-        pairs = list(zip(*g.edges.tolist()))
+        pairs = edge_pairs(build_token_graph(n, k))
         assert all(i != j for i, j in pairs)
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == {(j, i) for i, j in pairs}
@@ -62,10 +61,19 @@ class TestBuildTokenGraph:
         blocks = np.count_nonzero((np.roll(v, -1, axis=1) - v) % n != 1, axis=1)
         assert build_token_graph(n, k).degrees.tolist() == (2 * blocks).tolist()
 
+    def test_csr_offsets_cover_targets_and_no_vertex_is_isolated(self):
+        # lift_eigenvector's np.add.reduceat needs every segment nonempty
+        for n in range(3, 13):
+            for k in range(1, n // 2 + 1):
+                g = build_token_graph(n, k)
+                assert g.offsets[0] == 0 and g.offsets[-1] == len(g.targets), (n, k)
+                assert np.array_equal(np.diff(g.offsets), g.degrees), (n, k)
+                assert g.degrees.min() >= 1, (n, k)
+
     @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (9, 2)])
     def test_adjacent_iff_symmetric_difference_is_cycle_edge(self, n, k):
         g = build_token_graph(n, k)
-        for i, j in zip(*g.edges.tolist()):
+        for i, j in edge_pairs(g):
             diff = sorted(set(g.vertices[i]) ^ set(g.vertices[j]))
             assert len(diff) == 2
             x, y = diff
@@ -108,8 +116,7 @@ class TestLaplacian:
 
     def test_edge_arrays_follow_adjacency(self):
         g = build_token_graph(8, 3)
-        src, dst = g.edges
-        assert list(zip(src.tolist(), dst.tolist())) == [
+        assert edge_pairs(g) == [
             (i, j) for i, v in enumerate(g.vertices)
             for j in subset_rank(token_neighbors(v, 8), 8).tolist()]
         assert g.degrees.tolist() == [g.degree(i) for i in range(g.order)]
@@ -143,7 +150,7 @@ class TestBruteSpectrum:
 
     def test_degree_sum_is_twice_edges(self):
         g = build_token_graph(9, 3)
-        degsum = g.edges.shape[1]
+        degsum = len(g.targets)
         assert degsum % 2 == 0
         # trace of the Laplacian equals the degree sum
         assert_allclose(np.trace(laplacian(g)), degsum)
