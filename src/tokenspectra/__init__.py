@@ -8,12 +8,12 @@ fraction and transfer-matrix closed forms.
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PhaseConsistencyError, PoleError,
                      SizeLimitError)
-from .laurent import LaurentMatrix, LaurentPoly, parse_laurent
+from .laurent import LaurentMatrix
 from .necklaces import (OrbitTable, count_burnside, count_moreau, count_polya,
                         enumerate_orbits, period)
 from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix,
-                         expand_lift, filter_spurious, full_spectrum,
-                         kept_eigenpairs, lift_eigenvector, sector_eigenpairs)
+                         filter_spurious, full_spectrum, kept_eigenpairs,
+                         lift_eigenvector, sector_eigenpairs)
 from .report import SpectrumReport, multiset_contains, multisets_close
 from .tokengraph import (TokenGraph, brute_spectrum, build_token_graph,
                          laplacian)
@@ -25,12 +25,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CountMismatchError", "NumericFailureError", "ParameterDomainError",
     "PhaseConsistencyError", "PoleError", "SizeLimitError",
-    "LaurentMatrix", "LaurentPoly", "parse_laurent",
+    "LaurentMatrix",
     "OrbitTable", "count_burnside", "count_moreau", "count_polya",
     "enumerate_orbits", "period",
-    "EigenPair", "LiftedVector", "build_poly_matrix", "expand_lift",
-    "filter_spurious", "full_spectrum", "kept_eigenpairs",
-    "lift_eigenvector", "sector_eigenpairs",
+    "EigenPair", "LiftedVector", "build_poly_matrix", "filter_spurious",
+    "full_spectrum", "kept_eigenpairs", "lift_eigenvector", "sector_eigenpairs",
     "SpectrumReport", "multiset_contains", "multisets_close",
     "TokenGraph", "brute_spectrum", "build_token_graph", "laplacian",
     "build_b2", "charpoly_rho_form", "charpoly_sector", "contfrac_q1",

@@ -89,19 +89,16 @@ def cmd_matrix(args) -> int:
     matrix = build_poly_matrix(args.n, args.k)
     balanced = args.exponents == "balanced"
     if args.format == "json":
-        entries = matrix.entries
         payload = {
             "n": args.n, "k": args.k, "order": matrix.order,
-            "entries": [[{str(e): c for e, c in p.coeffs.items()}
-                         for p in row] for row in entries],
-            "text": [[p.render(balanced) for p in row] for row in entries],
+            "entries": matrix.entries, "text": matrix.cell_texts(balanced),
         }
         _write(json.dumps(payload, indent=2), args.out)
     elif args.format == "latex":
         _write(matrix.render_latex(balanced) + "\n", args.out)
     elif args.format == "csv":
-        lines = [",".join(f'"{p.render(balanced)}"' for p in row)
-                 for row in matrix.entries]
+        lines = [",".join(f'"{cell}"' for cell in row)
+                 for row in matrix.cell_texts(balanced)]
         _write("\n".join(lines) + "\n", args.out)
     else:
         _write(matrix.render(balanced) + "\n", args.out)

@@ -251,11 +251,8 @@ class RealBasis:
         coupling = float(np.abs(b[np.ix_(self.blocked, self.order)]).max(initial=0.0))
         check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
         s = b[np.ix_(self.order, self.order)]
-        # roots before phases: the same roundings as forming H first
-        s *= self.root[:, None]
-        s /= self.root
-        s *= self.phase.conj()[:, None]
-        s *= self.phase
+        s *= (self.phase.conj() * self.root)[:, None]
+        s *= self.phase / self.root
         skew = np.conj(s.T)
         skew -= s
         check_bound(where, "skew max|H - H^*|", float(np.abs(skew).max()), tol)
@@ -500,28 +497,3 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
             f"in sector {r} of F_{k}(C_{n})")
     return LiftedVector(pair.value, r, out, res)
 
-
-def expand_lift(base: LaurentMatrix) -> np.ndarray:
-    """Expand a genuine cyclic lift base to its full order-(nu*n) matrix.
-
-    Valid only when the base is reversal symmetric: the coefficient of
-    z^e in entry (i, j) must equal the coefficient of z^(n-e) in entry
-    (j, i).  Orbit matrices with short orbits fail this and are
-    rejected; they do not expand to a genuine lift.  The spectrum of the
-    result equals the union over r of the specialized spectra.
-    """
-    n, nu = base.n, base.order
-    fwd = base.terms
-    rev = LaurentMatrix(n, nu, base.col, base.row, -base.exp, base.coeff).terms
-    if not np.array_equal(fwd, rev):
-        # a term in one list but not the other sits in an offending entry
-        i, j, _, _ = min(set(map(tuple, fwd.tolist())) ^ set(map(tuple, rev.tolist())))
-        raise ParameterDomainError(
-            f"entry ({i},{j}) is not the exponent reversal of ({j},{i}); "
-            "the matrix is not a genuine lift base")
-    g = np.arange(n)
-    rows = base.row[:, None] * n + g
-    cols = base.col[:, None] * n + (g + base.exp[:, None]) % n
-    out = np.zeros((nu * n, nu * n))
-    np.add.at(out, (rows, cols), base.coeff[:, None])
-    return out

@@ -5,12 +5,23 @@ per pair instead of redoing dense eigensolves.  ``token_neighbors`` is
 the move rule in plain set arithmetic, the tests' independent reference
 for the library's array rule ``tokengraph.token_moves``.  ``edge_pairs``
 reads a graph's CSR adjacency back as (source, target) pairs.
+
+A Laurent polynomial mod z^n = 1 is a dict {exponent: coefficient}
+with canonical exponents in [0, n), ascending, and no zero
+coefficient: the form of a ``LaurentMatrix.entries`` cell.
+``parse_laurent`` reads the paper's published matrices into that form,
+``eval_root`` evaluates one with ``cmath`` term by term, and
+``expand_lift`` unrolls a genuine lift base to the full cyclic lift.
 """
+import cmath
+import math
+import re
 from functools import lru_cache
 
 import numpy as np
 
-from tokenspectra import brute_spectrum, full_spectrum, spectrum_2token
+from tokenspectra import (LaurentMatrix, ParameterDomainError, brute_spectrum,
+                          full_spectrum, spectrum_2token)
 
 
 @lru_cache(maxsize=None)
@@ -51,3 +62,55 @@ def edge_pairs(graph):
     """
     source = np.repeat(np.arange(graph.order), np.diff(graph.offsets))
     return list(zip(source.tolist(), graph.targets.tolist()))
+
+
+_TERM_RE = re.compile(r"([+-]?)(\d*)(z(?:\^(-?\d+))?)?")
+
+
+def parse_laurent(text, n):
+    """Parse signed-monomial text like ``6-z^2-z^-2`` into canonical form."""
+    s = text.replace(" ", "")
+    acc = {}
+    pos = 0
+    while pos < len(s):
+        # every group is optional, so the pattern matches; a term needs digits or z
+        sign, digits, zpart, expo = (m := _TERM_RE.match(s, pos)).groups()
+        if not digits and not zpart:
+            raise ParameterDomainError(f"cannot parse {text!r} at {s[pos:]!r}")
+        coeff = (int(digits) if digits else 1) * (-1 if sign == "-" else 1)
+        e = ((int(expo) if expo is not None else 1) if zpart else 0) % n
+        acc[e] = acc.get(e, 0) + coeff
+        pos = m.end()
+    return {e: c for e, c in sorted(acc.items()) if c != 0}
+
+
+def eval_root(coeffs, n, r):
+    """Value of {exponent: coefficient} at z = exp(2*pi*i*r/n)."""
+    return sum((c * cmath.exp(2j * math.pi * ((r * e) % n) / n)
+                for e, c in coeffs.items()), start=0j)
+
+
+def expand_lift(base):
+    """Expand a genuine cyclic lift base to its full order-(nu*n) matrix.
+
+    Valid only when the base is reversal symmetric: the coefficient of
+    z^e in entry (i, j) must equal the coefficient of z^(n-e) in entry
+    (j, i).  Orbit matrices with short orbits fail this and are
+    rejected; they do not expand to a genuine lift.  The spectrum of the
+    result equals the union over r of the specialized spectra.
+    """
+    n, nu = base.n, base.order
+    fwd = base.terms
+    rev = LaurentMatrix(n, nu, base.col, base.row, -base.exp, base.coeff).terms
+    if not np.array_equal(fwd, rev):
+        # a term in one list but not the other sits in an offending entry
+        i, j, _, _ = min(set(map(tuple, fwd.tolist())) ^ set(map(tuple, rev.tolist())))
+        raise ParameterDomainError(
+            f"entry ({i},{j}) is not the exponent reversal of ({j},{i}); "
+            "the matrix is not a genuine lift base")
+    g = np.arange(n)
+    rows = base.row[:, None] * n + g
+    cols = base.col[:, None] * n + (g + base.exp[:, None]) % n
+    out = np.zeros((nu * n, nu * n))
+    np.add.at(out, (rows, cols), base.coeff[:, None])
+    return out

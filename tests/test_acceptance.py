@@ -9,14 +9,13 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_contfrac, cached_overlift
+from conftest import cached_brute, cached_contfrac, cached_overlift, expand_lift
 from numpy.testing import assert_allclose
 
 from tokenspectra import (build_poly_matrix, build_token_graph, charpoly_sector,
                           count_burnside, count_polya, enumerate_orbits,
-                          expand_lift, full_spectrum, kept_eigenpairs,
-                          laplacian, lift_eigenvector, multiset_contains,
-                          multisets_close)
+                          full_spectrum, kept_eigenpairs, laplacian,
+                          lift_eigenvector, multiset_contains, multisets_close)
 from tokenspectra.report import max_multiset_deviation
 from tokenspectra.tokengraph import algebraic_connectivity
 

@@ -19,6 +19,10 @@ def run(capsys, *argv):
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "spectrum_pinned.json").read_text())
+# matrix output captured while B(z) was still rendered through a grid of
+# polynomial objects; every cell is exact integer text, pinned byte for byte
+MATRIX_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "matrix_pinned.json").read_text())
 
 OVERLIFT_6_3 = ("spectrum", "--n", "6", "--k", "3")
 CONTFRAC_8 = ("spectrum", "--n", "8", "--k", "2", "--method", "contfrac")
@@ -168,6 +172,11 @@ class TestOrbits:
 
 
 class TestMatrix:
+    @pytest.mark.parametrize("command", list(MATRIX_PINNED))
+    def test_pinned_output(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert (code, out, err) == (0, MATRIX_PINNED[command], "")
+
     def test_6_3_canonical(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "6", "--k", "3")
         assert code == 0

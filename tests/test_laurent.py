@@ -4,95 +4,125 @@ import random
 
 import numpy as np
 import pytest
+from conftest import eval_root, parse_laurent
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tokenspectra import (LaurentMatrix, LaurentPoly, ParameterDomainError,
-                          build_poly_matrix, parse_laurent)
+from tokenspectra import LaurentMatrix, ParameterDomainError, build_poly_matrix
 from tokenspectra.laurent import root_table
 
 
-def random_poly(rng, n, max_terms=5):
-    terms = [(rng.randrange(-2 * n, 2 * n), rng.randint(-4, 4))
-             for _ in range(rng.randint(0, max_terms))]
-    return LaurentPoly.from_terms(n, terms)
+def one_cell(n, terms):
+    """The 1x1 LaurentMatrix whose entry sums the (exponent, coefficient) terms."""
+    exps, coeffs = zip(*terms) if terms else ((), ())
+    return LaurentMatrix(n, 1, [0] * len(exps), [0] * len(exps), exps, coeffs)
+
+
+def text(n, terms, balanced=False):
+    return one_cell(n, terms).cell_texts(balanced)[0][0]
+
+
+def random_terms(rng, n, max_terms=5):
+    return [(rng.randrange(-2 * n, 2 * n), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, max_terms))]
+
+
+@st.composite
+def term_matrices(draw):
+    """A LaurentMatrix from random integer term arrays, repeats and zeros included."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.integers(1, 4))
+    count = draw(st.integers(0, 12))
+
+    def column(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=count, max_size=count))
+
+    return LaurentMatrix(n, order, column(0, order - 1), column(0, order - 1),
+                         column(-3 * n, 3 * n), column(-12, 12))
 
 
 class TestLaurentPoly:
+    """Canonical storage and evaluation of one entry, as a 1x1 matrix."""
+
     def test_canonical_storage(self):
-        p = LaurentPoly.from_terms(6, [(7, 2), (-2, 1), (1, -2), (0, 0)])
-        assert p.coeffs == {4: 1}  # exponent 7 = 1 cancels the -2 there
+        m = one_cell(6, [(7, 2), (-2, 1), (1, -2), (0, 0)])
+        assert m.entries == (({4: 1},),)  # exponent 7 = 1 cancels the -2 there
 
     def test_negative_exponent_wraps(self):
-        assert LaurentPoly.from_terms(6, [(-2, 1)]) == LaurentPoly.from_terms(6, [(4, 1)])
+        assert np.array_equal(one_cell(6, [(-2, 1)]).terms, one_cell(6, [(4, 1)]).terms)
 
     def test_eval_vanishing_sum(self):
         # z + z^3 + z^5 at the primitive 6th root: w(1 + w^2 + w^4) = 0
-        p = LaurentPoly.from_terms(6, [(1, 1), (3, 1), (5, 1)])
-        assert abs(p.eval_root(1)) < 1e-12
+        m = one_cell(6, [(1, 1), (3, 1), (5, 1)])
+        assert abs(m.specialize(1)[0, 0]) < 1e-12
 
     def test_eval_constant(self):
-        p = LaurentPoly.from_terms(9, [(0, 1)])
+        m = one_cell(9, [(0, 1)])
         for r in range(9):
-            assert p.eval_root(r) == 1
+            assert m.specialize(r)[0, 0] == 1
 
     def test_eval_inverse_monomial(self):
         n = 7
-        p = LaurentPoly.from_terms(n, [(n - 1, 1)])
         expected = cmath.exp(2j * math.pi / n).conjugate()
-        assert abs(p.eval_root(1) - expected) < 1e-12
+        assert abs(one_cell(n, [(n - 1, 1)]).specialize(1)[0, 0] - expected) < 1e-12
+        assert abs(one_cell(n, [(-1, 1)]).specialize(1)[0, 0] - expected) < 1e-12
 
     def test_eval_rejects_bad_sector(self):
         with pytest.raises(ParameterDomainError):
-            LaurentPoly.from_terms(5, [(0, 1)]).eval_root(5)
+            one_cell(5, [(0, 1)]).specialize(5)
+        with pytest.raises(ParameterDomainError):
+            one_cell(5, [(0, 1)]).specialize(-1)
 
     def test_conjugate_sectors(self):
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(3, 12)
-            p = random_poly(rng, n)
+            m = one_cell(n, random_terms(rng, n))
             r = rng.randrange(1, n)
-            a = p.eval_root(r)
-            b = p.eval_root(n - r) if r else p.eval_root(0)
-            assert abs(a - b.conjugate()) < 1e-12
+            assert m.specialize(r)[0, 0] == m.specialize(n - r)[0, 0].conjugate()
+            assert abs(m.specialize(r)[0, 0] - eval_root(m.entries[0][0], n, r)) < 1e-12
 
 
 class TestRendering:
     def test_signed_monomial_style(self):
-        p = LaurentPoly.from_terms(6, [(0, -1), (2, -1)])
-        assert p.render() == "-1-z^2"
+        assert text(6, [(0, -1), (2, -1)]) == "-1-z^2"
 
     def test_canonical_multi_term(self):
-        p = LaurentPoly.from_terms(6, [(1, -1), (3, -1), (5, -1)])
-        assert p.render() == "-z-z^3-z^5"
+        assert text(6, [(1, -1), (3, -1), (5, -1)]) == "-z-z^3-z^5"
 
     def test_balanced_corner(self):
-        p = LaurentPoly.from_terms(9, [(0, 4), (4, -1), (5, -1)])
-        assert p.render(balanced=True) == "4-z^4-z^-4"
-        assert p.render() == "4-z^4-z^5"
+        terms = [(0, 4), (4, -1), (5, -1)]
+        assert text(9, terms, balanced=True) == "4-z^4-z^-4"
+        assert text(9, terms) == "4-z^4-z^5"
 
     def test_loop_entry(self):
-        p = LaurentPoly.from_terms(4, [(0, 2), (1, -1), (3, -1)])
-        assert p.render() == "2-z-z^3"
-        assert p.render(balanced=True) == "2-z-z^-1"
+        terms = [(0, 2), (1, -1), (3, -1)]
+        assert text(4, terms) == "2-z-z^3"
+        assert text(4, terms, balanced=True) == "2-z-z^-1"
 
     def test_zero_and_coefficients(self):
-        assert LaurentPoly(5, {}).render() == "0"
-        assert LaurentPoly.from_terms(5, [(2, 3)]).render() == "3z^2"
-        assert LaurentPoly.from_terms(5, [(0, 1), (1, 2)]).render() == "1+2z"
+        assert text(5, []) == "0"
+        assert text(5, [(1, 2), (1, -2)]) == "0"
+        assert text(5, [(2, 3)]) == "3z^2"
+        assert text(5, [(0, 1), (1, 2)]) == "1+2z"
+        assert text(5, [(0, -12), (4, 10)], balanced=True) == "-12+10z^-1"
 
-    def test_parse_round_trip(self):
-        rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(2, 11)
-            p = random_poly(rng, n)
-            for balanced in (False, True):
-                assert parse_laurent(p.render(balanced), n) == p
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(term_matrices())
+    def test_parse_round_trip(self, m):
+        # every cell, in both exponent styles, parses back to its terms
+        for balanced in (False, True):
+            cells = m.cell_texts(balanced)
+            assert len(cells) == m.order and all(len(row) == m.order for row in cells)
+            for row, want_row in zip(cells, m.entries):
+                for cell, want in zip(row, want_row):
+                    assert parse_laurent(cell, m.n) == want, (cell, want)
 
     def test_parse_paper_style(self):
-        assert parse_laurent("6 - z^2 - z^-2", 7) == LaurentPoly.from_terms(
-            7, [(0, 6), (2, -1), (5, -1)])
-        assert parse_laurent("-1-z^-2", 6) == LaurentPoly.from_terms(
-            6, [(0, -1), (4, -1)])
+        assert parse_laurent("6 - z^2 - z^-2", 7) == {0: 6, 2: -1, 5: -1}
+        assert parse_laurent("-1-z^-2", 6) == {0: -1, 4: -1}
+        assert parse_laurent("-z^4-1", 8) == {0: -1, 4: -1}
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ParameterDomainError):
@@ -133,7 +163,7 @@ class TestLaurentMatrix:
         m = build_poly_matrix(n, k, shift=shift)
         grid = m.entries
         for r in range(n):
-            want = np.array([[p.eval_root(r) for p in row] for row in grid])
+            want = np.array([[eval_root(p, n, r) for p in row] for row in grid])
             assert_allclose(m.specialize(r), want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
@@ -157,7 +187,7 @@ class TestLaurentMatrix:
             grid = m.entries
             assert len(grid) == m.order and all(len(row) == m.order for row in grid)
             terms = [[i, j, e, c] for i, row in enumerate(grid)
-                     for j, p in enumerate(row) for e, c in p.coeffs.items()]
+                     for j, p in enumerate(row) for e, c in p.items()]
             assert terms == m.terms.tolist()
             again = LaurentMatrix(8, m.order, *m.terms[::-1].T)
             assert np.array_equal(again.terms, m.terms)
@@ -167,8 +197,7 @@ class TestLaurentMatrix:
                           [7, -1, 4, 2], [3, 2, -2, 1])
         # z^-1 and z^4 cancel in (0, 1); z^7 = z^2 merges in (1, 0)
         assert m.terms.tolist() == [[1, 0, 2, 4]]
-        assert m.entries[0][1] == LaurentPoly(5, {})
-        assert m.entries[1][0] == LaurentPoly.from_terms(5, [(2, 4)])
+        assert m.entries == (({}, {}), ({2: 4}, {}))
 
     def test_specialize_rejects_bad_sector(self):
         with pytest.raises(ParameterDomainError):

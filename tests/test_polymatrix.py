@@ -6,16 +6,15 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_overlift
+from conftest import cached_brute, cached_overlift, expand_lift, parse_laurent
 from numpy.testing import assert_allclose
 
 from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           ParameterDomainError, PhaseConsistencyError,
                           build_poly_matrix,
-                          build_token_graph, enumerate_orbits, expand_lift,
-                          filter_spurious, full_spectrum, kept_eigenpairs, laplacian,
-                          lift_eigenvector, multisets_close, parse_laurent,
-                          sector_eigenpairs)
+                          build_token_graph, enumerate_orbits, filter_spurious,
+                          full_spectrum, kept_eigenpairs, laplacian,
+                          lift_eigenvector, multisets_close, sector_eigenpairs)
 from tokenspectra.necklaces import rotate
 from tokenspectra.polymatrix import (RealBasis, blocked_mask, reflection_basis,
                                      solve_sector)
@@ -95,19 +94,19 @@ class TestBuildPolyMatrix:
         m = build_poly_matrix(7, 3)
         orbits = enumerate_orbits(7, 3)
         g = build_token_graph(7, 3)
-        degrees = sorted(m.entries[i][i].coeffs[0] for i in range(5))
+        degrees = sorted(m.entries[i][i][0] for i in range(5))
         assert degrees == [2, 4, 4, 4, 6]
         # the degree-6 representative is adjacent to rotations of itself
         i = orbits.reps.index((0, 2, 4))
         assert m.entries[i][i] == parse_laurent("6-z^2-z^-2", 7)
         for j, rep in enumerate(orbits.reps):
-            assert m.entries[j][j].coeffs[0] == g.degree(subset_rank(rep, 7))
+            assert m.entries[j][j][0] == g.degree(subset_rank(rep, 7))
 
     def test_off_diagonal_coefficients_negative(self):
         m = build_poly_matrix(8, 4)
         for i in range(m.order):
             for j in range(m.order):
-                for e, c in m.entries[i][j].coeffs.items():
+                for e, c in m.entries[i][j].items():
                     if i == j and e == 0:
                         assert c > 0
                     else:
@@ -627,7 +626,7 @@ class TestExpandLift:
             want = np.zeros((m.order * n, m.order * n))
             for i, row in enumerate(m.entries):
                 for j, p in enumerate(row):
-                    for e, c in p.coeffs.items():
+                    for e, c in p.items():
                         for g in range(n):
                             want[i * n + g, j * n + (g + e) % n] += c
             assert np.array_equal(expand_lift(m), want)
