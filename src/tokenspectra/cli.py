@@ -6,7 +6,8 @@ All configuration is by flags; no environment variables.  Every command
 but verify writes text, CSV or JSON; matrix and spectrum also write
 LaTeX.  Eigenvalues print with 4 decimals in text and LaTeX tables; CSV
 and JSON carry full precision.  Spectrum output is rendered straight
-from the report's columns, sorted once by (sector, value).  Brute force
+from the report's columns, sorted once by (sector, value) with each kept
+value before every discarded value within CLUSTER_TOL of it.  Brute force
 has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
 --audit is a text table and needs --format text.
 """
@@ -29,7 +30,7 @@ from .polymatrix import full_spectrum as overlift_spectrum
 from .report import (SpectrumReport, max_multiset_deviation, multiset_contains,
                      multisets_close)
 from .tokengraph import algebraic_connectivity, brute_spectrum
-from .tolerances import AGREE_TOL
+from .tolerances import AGREE_TOL, CLUSTER_TOL
 
 
 def _write(text: str, out: str | None) -> None:
@@ -113,12 +114,13 @@ def _fmt4(value: float) -> str:
 def _by_sector(report: SpectrumReport, r: int | None = None, merged: bool = False):
     """(sector, trail indices) of every sector, or of sector r and, if merged, n - r.
 
-    One stable sort by (sector, value): sectors and values ascend, equal
-    values keep their trail order.  Brute force has one group, sector None.
+    One sort by (sector, value), with discarded values ranked CLUSTER_TOL
+    higher so that tied kept values come first; brute force: one group, sector None.
     """
+    values, dropped = report.values, ~report.kept_mask
     if report.sectors is None:
-        return [(None, np.argsort(report.values, kind="stable"))]
-    order = np.lexsort((report.values, report.sectors))
+        return [(None, np.argsort(values, kind="stable"))]
+    order = np.lexsort((values, dropped, values + CLUSTER_TOL * dropped, report.sectors))
     rs, starts = np.unique(report.sectors[order], return_index=True)
     return [(s, index) for s, index in zip(rs.tolist(), np.split(order, starts[1:]))
             if r is None or s == r or merged and s == report.n - r]
@@ -348,6 +350,7 @@ def _checked(convert, ok, what: str):
 def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda v: v >= 0, "an integer >= 0")
     tolerance = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
+    finite = _checked(float, lambda v: abs(v) < float("inf"), "a finite number")
     cycle_length = _checked(int, lambda v: v >= 3, "an integer >= 3")
     parser = argparse.ArgumentParser(
         prog="tokenspectra",
@@ -390,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="sector index")
     p.add_argument("--samples", type=count, default=0,
                    help="also emit this many (lambda, phi) samples")
-    p.add_argument("--lo", type=float, default=0.0, help="sample range start")
-    p.add_argument("--hi", type=float, default=None,
+    p.add_argument("--lo", type=finite, default=0.0, help="sample range start")
+    p.add_argument("--hi", type=finite, default=None,
                    help="sample range end (default: past the largest root)")
     p.set_defaults(func=cmd_charpoly)
 

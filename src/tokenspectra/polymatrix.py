@@ -54,7 +54,7 @@ from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
-                         RANK_TOL, RESIDUAL_TOL, quotient_tol)
+                         RANK_TOL, RESIDUAL_TOL, check_bound, quotient_tol)
 from .tokengraph import TokenGraph, build_token_graph, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
@@ -125,19 +125,14 @@ def sector_eigenpairs(matrix: LaurentMatrix, r: int) -> list[EigenPair]:
         vals, vecs = np.linalg.eig(b)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigensolver failed in sector {r}: {exc}") from exc
-    bad_imag = float(np.max(np.abs(vals.imag)))
-    if bad_imag > IMAG_TOL:
-        raise NumericFailureError(
-            f"sector {r}: eigenvalue imaginary part {bad_imag:.3e} exceeds {IMAG_TOL:.0e}")
+    check_bound(f"sector r={r}", "eigenvalue imaginary part",
+                float(np.max(np.abs(vals.imag))), IMAG_TOL)
     order = np.argsort(vals.real)
     vals, vecs = vals[order], vecs[:, order]
     # residuals of the solver's complex eigenpairs; the realized values
     # can differ by up to IMAG_TOL, which the residual bound predates
     res = np.max(np.abs(b @ vecs - vecs * vals), axis=0)
-    worst = float(np.max(res))
-    if worst > RESIDUAL_TOL:
-        raise NumericFailureError(
-            f"sector {r}: eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    check_bound(f"sector r={r}", "eigenpair residual", float(np.max(res)), RESIDUAL_TOL)
     pairs = [EigenPair(float(val.real), r, vecs[:, idx], float(res[idx]))
              for idx, val in enumerate(vals)]
     return pairs
@@ -190,13 +185,6 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
         verdicts.append(ClusterVerdict(mean, r, m, m - rank, kept_vecs))
         i = j
     return verdicts
-
-
-def check_bound(where: str, quantity: str, value: float, tol: float) -> None:
-    """Raise NumericFailureError naming the failed quantity unless value <= tol."""
-    if not value <= tol:  # a NaN fails too
-        raise NumericFailureError(
-            f"{where}: {quantity} {value:.3e} exceeds tol {tol:.3e}")
 
 
 class RealBasis:
@@ -381,52 +369,43 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
     return SectorSolution(r, vals, res, discarded, v if vectors else None)
 
 
-def _sector_solutions(matrix: LaurentMatrix, orbits: OrbitTable, *,
-                      vectors: bool):
-    """Yield the ``SectorSolution`` of every sector r = 0..n-1.
+def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
+                      vectors: bool) -> list[SectorSolution]:
+    """The ``SectorSolution`` of every sector r = 0..n-1, in sector order.
 
     Only the sectors r <= n/2 are solved.  The coefficients of B(z) are
     integers and the root table is conjugate symmetric, so B(w^(n-r)) is
     exactly the conjugate of B(w^r): its eigenvalues and residuals are
     the same and its eigenvectors the conjugates.  Both sectors have the
-    same order n/gcd(n, r), so they block the same orbits.  Sector n - r
-    is yielded right after sector r, so only one sector's vectors are
-    held at a time.
+    same order n/gcd(n, r), so they block the same orbits.
     """
-    n = matrix.n
-    for r in range(n // 2 + 1):
-        sol = solve_sector(matrix.specialize(r), orbits, r, vectors=vectors)
-        yield sol
-        if 0 < r < n - r:
-            conj = None if sol.vectors is None else sol.vectors.conj()
-            yield replace(sol, sector=n - r, vectors=conj)
+    orbits = enumerate_orbits(n, k)
+    matrix = build_poly_matrix(n, k, orbits, shift=shift)
+    sols = [solve_sector(matrix.specialize(r), orbits, r, vectors=vectors)
+            for r in range(n // 2 + 1)]
+    for r in range(n // 2 + 1, n):
+        sol = sols[n - r]
+        conj = None if sol.vectors is None else sol.vectors.conj()
+        sols.append(replace(sol, sector=r, vectors=conj))
+    return sols
 
 
 def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
     """Union of the kept sector spectra; exactly C(n, k) values kept.
 
-    Each sector's audit entries are ascending up to ``CLUSTER_TOL``: a
-    kept value comes before every discarded value it is within
-    CLUSTER_TOL of, so ties are broken by a rule, not by rounding.
+    Each sector's audit entries are its kept values, ascending, then its
+    discarded values, ascending, so the kept mask follows from the counts
+    alone and no tie between the two is broken by rounding.
     """
-    orbits = enumerate_orbits(n, k)
-    matrix = build_poly_matrix(n, k, orbits, shift=shift)
-    by_sector: list = [None] * n  # (values, kept mask) of each sector
-    for sol in _sector_solutions(matrix, orbits, vectors=False):
-        # discarded value j goes after every kept value up to it + tol
-        at = np.searchsorted(sol.kept, sol.discarded + CLUSTER_TOL, side="right")
-        at += np.arange(len(at))
-        mask = np.ones(len(sol.kept) + len(at), dtype=bool)
-        mask[at] = False
-        values = np.empty(len(mask))
-        values[mask], values[at] = sol.kept, sol.discarded
-        by_sector[sol.sector] = (values, mask)
-    values, kept = (np.concatenate(column) for column in zip(*by_sector))
+    sols = _sector_solutions(n, k, shift, vectors=False)
+    columns = [v for sol in sols for v in (sol.kept, sol.discarded)]
+    values, counts = np.concatenate(columns), [len(v) for v in columns]
+    kept = np.repeat(np.tile([True, False], n), counts)
     expected = comb(n, k)
     if kept.sum() != expected:
         raise CountMismatchError(
             f"kept {kept.sum()} eigenvalues for F_{k}(C_{n}), expected {expected}")
-    sectors = np.repeat(np.arange(n), [len(v) for v, _ in by_sector])
+    sectors = np.repeat(np.arange(n).repeat(2), counts)
     return SpectrumReport(n, k, "overlift", values, sectors, kept)
 
 
@@ -436,14 +415,9 @@ def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
     Pairs come in sector order, ascending by value within a sector, each
     checked against its own sector's specialized matrix.
     """
-    orbits = enumerate_orbits(n, k)
-    matrix = build_poly_matrix(n, k, orbits)
-    by_sector: list[list[EigenPair]] = [[] for _ in range(n)]
-    for sol in _sector_solutions(matrix, orbits, vectors=True):
-        by_sector[sol.sector] = [
-            EigenPair(float(val), sol.sector, sol.vectors[:, col], float(sol.residuals[col]))
+    return [EigenPair(float(val), sol.sector, sol.vectors[:, col], float(sol.residuals[col]))
+            for sol in _sector_solutions(n, k, vectors=True)
             for col, val in enumerate(sol.kept)]
-    return [pair for pairs in by_sector for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -491,9 +465,7 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     res = (graph.degrees - pair.value) * out
     res -= np.add.reduceat(out[graph.targets], graph.offsets[:-1])
     res = float(np.abs(res).max())
-    if res > LIFT_RESIDUAL_TOL:
-        raise NumericFailureError(
-            f"lifted vector residual {res:.3e} for eigenvalue {pair.value} "
-            f"in sector {r} of F_{k}(C_{n})")
+    check_bound(f"F_{k}(C_{n}) sector r={r}, eigenvalue {pair.value}",
+                "lifted vector residual", res, LIFT_RESIDUAL_TOL)
     return LiftedVector(pair.value, r, out, res)
 

@@ -21,9 +21,10 @@ class SpectrumReport:
     The trail is stored by columns, and these columns are the whole
     interface: entry i has value ``values[i]``, sector ``sectors[i]`` and
     keep flag ``kept_mask[i]``.  ``sectors`` is None for methods that do
-    not work sector by sector (brute force).  The arrays are read-only
-    copies.  ``kept`` is the ascending spectrum of the graph; the
-    discarded values are ``values[~kept_mask]``.
+    not work sector by sector (brute force); the sector routes list each
+    sector's kept values, ascending, then its discarded values, ascending.
+    The arrays are read-only copies.  ``kept`` is the ascending spectrum
+    of the graph; the discarded values are ``values[~kept_mask]``.
     """
 
     n: int

@@ -65,12 +65,12 @@ from numpy.polynomial import Polynomial
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
 from .laurent import root_table
-from .polymatrix import SQRT_HALF, check_bound
 from .report import SpectrumReport
 from .tolerances import (BRANCH_GUARD, CLOSED_FORM_IMAG_TOL, NEWTON_STEP_TOL,
-                         POLE_TOL, quotient_tol)
+                         POLE_TOL, check_bound, quotient_tol)
 
 NEWTON_MAX_STEPS = 64
+SQRT_HALF = np.sqrt(0.5)
 
 
 def _check_sector(n: int, r: int) -> None:
@@ -461,8 +461,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     _check_sector(n, r)
     nu = n // 2
     if _is_half_turn(n, r):
-        fours = nu - 1 if nu % 2 == 0 else nu - 2
-        return float((lam - 2.0) * (lam - 4.0) ** fours)
+        return float(math.prod(lam - v for v in _half_turn_kept(n)))
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
     alpha = 1.0 / c
@@ -483,7 +482,6 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     else:
         val = ((1 - (z - alpha) * rho1) * rho1 ** (nu - 2)
                - (1 - (z - alpha) * rho2) * rho2 ** (nu - 2)) / s
-    if abs(val.imag) > CLOSED_FORM_IMAG_TOL:
-        raise NumericFailureError(
-            f"closed form returned imaginary part {val.imag:.3e} at lambda={lam}")
+    check_bound(f"F_2(C_{n}) sector r={r} at lambda={lam}", "closed form imaginary part",
+                abs(val.imag), CLOSED_FORM_IMAG_TOL)
     return float(val.real)

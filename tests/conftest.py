@@ -5,6 +5,9 @@ per pair instead of redoing dense eigensolves.  ``token_neighbors`` is
 the move rule in plain set arithmetic, the tests' independent reference
 for the library's array rule ``tokengraph.token_moves``.  ``edge_pairs``
 reads a graph's CSR adjacency back as (source, target) pairs.
+``assert_kept_then_discarded`` checks the sector routes' trail layout,
+and ``shown_sectors`` with ``kept_first_ties`` the order a spectrum
+command shows at a tie.
 
 A Laurent polynomial mod z^n = 1 is a dict {exponent: coefficient}
 with canonical exponents in [0, n), ascending, and no zero
@@ -22,6 +25,7 @@ import numpy as np
 
 from tokenspectra import (LaurentMatrix, ParameterDomainError, brute_spectrum,
                           full_spectrum, spectrum_2token)
+from tokenspectra.tolerances import CLUSTER_TOL
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +66,48 @@ def edge_pairs(graph):
     """
     source = np.repeat(np.arange(graph.order), np.diff(graph.offsets))
     return list(zip(source.tolist(), graph.targets.tolist()))
+
+
+def assert_kept_then_discarded(report):
+    """Each sector's trail is its kept values, ascending, then its discarded ones, ascending."""
+    for r in range(report.n):
+        values = report.values[report.sectors == r]
+        kept = report.kept_mask[report.sectors == r]
+        m = np.count_nonzero(kept)
+        assert kept[:m].all() and not kept[m:].any(), r
+        assert np.all(np.diff(values[:m]) >= 0) and np.all(np.diff(values[m:]) >= 0), r
+
+
+_CELL_RE = re.compile(r"(\d+\.\d{4})(\*?)")
+
+
+def shown_sectors(out, audit):
+    """(values, kept) of each sector in the order a spectrum command printed them.
+
+    ``out`` is CSV output, or with ``audit`` the text table, where each
+    row is a sector (merged with its conjugate) and * marks a discarded value.
+    """
+    if audit:
+        rows = [_CELL_RE.findall(line) for line in out.splitlines()
+                if line.startswith("  r=")]
+        return [([float(v) for v, _ in cells], [not star for _, star in cells])
+                for cells in rows]
+    by_sector = {}
+    for line in out.splitlines()[1:]:
+        r, value, kept = line.split(",")
+        values, flags = by_sector.setdefault(r, ([], []))
+        values.append(float(value))
+        flags.append(kept == "true")
+    return list(by_sector.values())
+
+
+def kept_first_ties(values, kept):
+    """Count the kept and discarded pairs within CLUSTER_TOL; each shows kept first."""
+    values, kept = np.asarray(values), np.asarray(kept)
+    pos = np.arange(len(values))
+    tied = (np.abs(values[:, None] - values) <= CLUSTER_TOL) & kept[:, None] & ~kept
+    assert (pos[:, None] < pos)[tied].all(), values[tied.any(axis=0)]
+    return np.count_nonzero(tied)
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d*)(z(?:\^(-?\d+))?)?")

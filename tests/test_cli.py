@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import kept_first_ties, shown_sectors
 
 from tokenspectra import cli
 from tokenspectra.cli import main
@@ -223,6 +224,17 @@ class TestSpectrum:
         assert code == 0
         assert "4.0000*" in out
         assert "r=4" in out
+
+    # n = 2 mod 4: the spurious 4 of the half turn ties with kept 4s
+    @pytest.mark.parametrize("n", [6, 10, 14, 18])
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_contfrac_ties_show_kept_first(self, capsys, n, audit):
+        flags = ("--audit",) if audit else ("--format", "csv")
+        code, out, _ = run(capsys, "spectrum", "--n", str(n), "--k", "2",
+                           "--method", "contfrac", *flags)
+        assert code == 0
+        assert sum(kept_first_ties(values, kept)
+                   for values, kept in shown_sectors(out, audit)) > 0
 
     def test_audit_single_sector_24(self, capsys):
         # the row of sector 1 only, not those of r = 10, 11 and 12, and
@@ -469,6 +481,10 @@ class TestArgumentHandling:
         (("verify", "--tol", "-1"), "--tol"),
         (("verify", "--tol", "nan"), "--tol"),
         (("verify", "--n-max", "2"), "--n-max"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--lo", "nan"), "--lo"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--lo", "-inf"), "--lo"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "inf"), "--hi"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "nan"), "--hi"),
     ])
     def test_numeric_arguments_exit_2(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)

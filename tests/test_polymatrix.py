@@ -6,9 +6,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_overlift, expand_lift, parse_laurent
+from conftest import (assert_kept_then_discarded, cached_brute, cached_overlift,
+                      expand_lift, kept_first_ties, parse_laurent, shown_sectors)
 from numpy.testing import assert_allclose
 
+from tokenspectra import cli
 from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           ParameterDomainError, PhaseConsistencyError,
                           build_poly_matrix,
@@ -19,7 +21,7 @@ from tokenspectra.necklaces import rotate
 from tokenspectra.polymatrix import (RealBasis, blocked_mask, reflection_basis,
                                      solve_sector)
 from tokenspectra.tokengraph import subset_rank
-from tokenspectra.tolerances import CLUSTER_TOL, quotient_tol
+from tokenspectra.tolerances import quotient_tol
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
 # canonical representatives 012, 013, 014, 024 (rows in that order)
@@ -263,25 +265,26 @@ class TestFullSpectrum:
                 b = report.values[report.kept_mask & (report.sectors == n - r)]
                 assert multisets_close(a, b, 1e-8)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_sector_trail_is_kept_block_then_discarded_block(self, n):
+        for k in range(1, n // 2 + 1):
+            assert_kept_then_discarded(cached_overlift(n, k))
 
     # every case with n <= 16 where a kept and a discarded value of one
-    # sector tie below 1e-9 (lambda = 4 in sector n/2, n = 2 mod 4)
+    # sector tie below 1e-9 (lambda = 4 in sector n/2, n = 2 mod 4); the
+    # library lists them in blocks, and every CLI format shows kept first
     @pytest.mark.parametrize("shift", ["smallest", "largest"])
     @pytest.mark.parametrize("n,k", [(6, 2), (10, 2), (10, 4), (14, 2), (14, 4), (14, 6)])
-    def test_kept_values_precede_tied_discarded_ones(self, n, k, shift):
+    def test_kept_values_precede_tied_discarded_ones(self, n, k, shift, monkeypatch,
+                                                      capsys):
         report = full_spectrum(n, k, shift)
-        ties = 0
-        for r in range(n):
-            values = report.values[report.sectors == r]
-            kept = report.kept_mask[report.sectors == r]
-            assert np.all(np.diff(values) >= -CLUSTER_TOL), r
-            # smallest kept value after each position
-            later = np.minimum.accumulate(np.where(kept, values, np.inf)[::-1])[::-1]
-            later = np.append(later[1:], np.inf)
-            assert np.all(later[~kept] > values[~kept] + CLUSTER_TOL), r
-            gap = np.abs(values[kept][:, None] - values[~kept])
-            ties += np.count_nonzero(gap <= CLUSTER_TOL)
-        assert ties > 0
+        assert_kept_then_discarded(report)
+        monkeypatch.setattr(cli, "overlift_spectrum", lambda *_: report)
+        for flags, audit in ((("--format", "csv"), False), (("--audit",), True)):
+            assert cli.main(["spectrum", "--n", str(n), "--k", str(k), *flags]) == 0
+            ties = sum(kept_first_ties(values, kept) for values, kept in
+                       shown_sectors(capsys.readouterr().out, audit))
+            assert ties > 0
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     def test_conjugate_sector_entries_identical(self, n, k):
@@ -594,6 +597,15 @@ class TestLiftEigenvector:
         pair = kept_eigenpairs(8, 4)[5]
         with pytest.raises(NumericFailureError, match="lifted vector residual"):
             lift_eigenvector(replace(pair, value=pair.value + 1e-3), orbits)
+
+    def test_nan_vector_or_value_raises(self):
+        orbits = enumerate_orbits(8, 3)
+        pair = kept_eigenpairs(8, 3)[5]
+        vector = pair.vector.copy()
+        vector[np.argmax(np.abs(vector))] = np.nan
+        for bad in (replace(pair, vector=vector), replace(pair, value=np.nan)):
+            with pytest.raises(NumericFailureError, match="lifted vector residual nan"):
+                lift_eigenvector(bad, orbits)
 
 
 class TestExpandLift:

@@ -6,7 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_contfrac, cached_overlift, token_neighbors
+from conftest import (assert_kept_then_discarded, cached_brute, cached_contfrac,
+                      cached_overlift, token_neighbors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
@@ -512,6 +513,10 @@ class TestSpectrum2Token:
             assert sum(per_sector) == comb(n, 2)
             assert per_sector[n // 2] == nu - 1
 
+    def test_sector_trail_is_kept_block_then_discarded_block(self):
+        for n in range(4, 41):
+            assert_kept_then_discarded(cached_contfrac(n))
+
     @pytest.mark.parametrize("n", range(7, 13))
     def test_conjugate_sectors_identical(self, n):
         report = cached_contfrac(n)
@@ -658,3 +663,7 @@ class TestCharpolyRhoForm:
 
     def test_half_turn_value(self):
         assert charpoly_rho_form(8, 4, 5.0) == (5 - 2) * (5 - 4) ** 3
+
+    def test_nan_lambda_raises(self):
+        with pytest.raises(NumericFailureError, match="closed form imaginary part nan"):
+            charpoly_rho_form(7, 1, math.nan)
