@@ -107,7 +107,10 @@ class OrbitTable:
     the smallest nonnegative shift.  ``periods`` is an int array of the
     orbit periods.  The reflection X -> -X of the cycle
     maps orbit i onto orbit ``mirror_of[i]``:
-    -rep_i = rep_(mirror_of[i]) + ``mirror_shift[i]``.  Immutable after
+    -rep_i = rep_(mirror_of[i]) + ``mirror_shift[i]``.  When 2k = n,
+    complementation X -> Z_n - X maps orbit i onto orbit
+    ``complement_of[i]``: Z_n - rep_i = rep_(complement_of[i]) +
+    ``complement_shift[i]``; both are None otherwise.  Immutable after
     construction; the arrays are read-only.
     """
 
@@ -119,6 +122,8 @@ class OrbitTable:
     shift_of: np.ndarray = field(repr=False, compare=False)
     mirror_of: np.ndarray = field(repr=False, compare=False)
     mirror_shift: np.ndarray = field(repr=False, compare=False)
+    complement_of: np.ndarray | None = field(default=None, repr=False, compare=False)
+    complement_shift: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -155,10 +160,17 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     mirror = subset_rank(np.sort(-reps % n, axis=1), n)
     mirror_of, mirror_shift = orbit_of[mirror], shift_of[mirror]
     check_mirror(mirror_of, mirror_shift, periods)
-    for arr in (periods, orbit_of, shift_of, mirror_of, mirror_shift):
+    arrays = [periods, orbit_of, shift_of, mirror_of, mirror_shift]
+    if 2 * k == n:
+        # the complement of each sorted row, in ascending order
+        free = np.ones((len(reps), n), dtype=bool)
+        free[np.arange(len(reps))[:, None], reps] = False
+        comp = subset_rank(np.nonzero(free)[1].reshape(len(reps), k), n)
+        arrays += [orbit_of[comp], shift_of[comp]]
+        check_complement(*arrays[-2:], periods, mirror_of)
+    for arr in arrays:
         arr.flags.writeable = False
-    return OrbitTable(n, k, tuple(map(tuple, reps.tolist())), periods, orbit_of, shift_of,
-                      mirror_of, mirror_shift)
+    return OrbitTable(n, k, tuple(map(tuple, reps.tolist())), *arrays)
 
 
 def check_mirror(mirror_of: np.ndarray, mirror_shift: np.ndarray,
@@ -177,6 +189,28 @@ def check_mirror(mirror_of: np.ndarray, mirror_shift: np.ndarray,
     if np.any((mirror_shift[mirror_of] - mirror_shift) % periods):
         raise NumericFailureError(
             "mirror shifts of a reflected pair differ modulo the orbit period")
+
+
+def check_complement(complement_of: np.ndarray, complement_shift: np.ndarray,
+                     periods: np.ndarray, mirror_of: np.ndarray) -> None:
+    """Check the complementation data of an orbit table with 2k = n.
+
+    Complementation is an involution on orbits that preserves periods
+    and commutes with the reflection; complementing twice is the
+    identity, so the two shifts of a complementary pair add up to 0
+    modulo the orbit period.  Raises ``NumericFailureError`` naming the
+    first invariant that fails.
+    """
+    c = complement_of
+    if not np.array_equal(c[c], np.arange(len(c))):
+        raise NumericFailureError("the orbit complement is not an involution")
+    if not np.array_equal(periods[c], periods):
+        raise NumericFailureError("the orbit complement does not preserve periods")
+    if not np.array_equal(c[mirror_of], mirror_of[c]):
+        raise NumericFailureError("the orbit complement does not commute with the reflection")
+    if np.any((complement_shift[c] + complement_shift) % periods):
+        raise NumericFailureError(
+            "complement shifts of a complementary pair do not cancel modulo the orbit period")
 
 
 def _exact_div(total: int, n: int, what: str) -> int:

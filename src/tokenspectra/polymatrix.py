@@ -23,15 +23,20 @@ U, blocked X), and ``solve_sector`` reads the split off exactly:
   [D_U^(-1/2) w; 0], which unroll to eigenvectors of the token graph;
 * the discarded values are the spectrum of B_XX, only |X| wide.
 
-The reflection X -> -X of the cycle, composed with complex conjugation,
-maps sector r to itself; on H it is an antiunitary symmetry that squares
-to the identity (each two-dimensional dihedral representation is of
-real type).  Reordering the orbits into fixed points and mirror pairs,
-scaling by half phases and rotating each pair (``RealBasis``) makes H a
-real symmetric matrix S, so every sector is solved by a real ``eigh``.
-``RealBasis.reduce`` forms S from one copy of b and checks the coupling,
-the skew and the realness on the way; the kept residual is measured
-against b itself.
+Symmetries of the cycle that commute with rotation act within each
+sector and cut H into independent blocks (``_sector_bases``).  The
+reflection X -> -X, composed with complex conjugation, is an
+antiunitary symmetry of H that squares to the identity (each
+two-dimensional dihedral representation is of real type), so in a basis
+of fixed orbits and mirror pairs with half phases H is a real symmetric
+matrix S.  In the real sectors 0 and n/2 the reflection itself is a
+linear symmetry, and S splits into its even and odd parts.  When
+2k = n, complementation X -> Z_n - X commutes with both and splits
+every block once more.  Each basis vector combines at most 4 orbits, so
+``solve_sector`` assembles the blocks of S from the nonzero cells of b
+alone, checks the coupling, the skew, the realness and the entries
+between blocks on the way, and solves each block by its own real
+``eigh``; the kept residual is measured against b itself.
 
 ``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
 construction (a general eigensolve, then a rank test on the eigenspaces
@@ -58,6 +63,7 @@ from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_
 from .tokengraph import TokenGraph, build_token_graph, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
+COLUMN_CHUNK = 256  # kept vectors built and checked this many columns at a time
 
 
 @dataclass(frozen=True)
@@ -187,119 +193,121 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
     return verdicts
 
 
-class RealBasis:
-    """A unitary basis in which a sector's Hermitian quotient is real.
+# the columns of a reflection pair (rows lo, hi) or of a fixed orbit (row
+# lo): (e_lo + e_hi)/sqrt(2) and i (e_lo - e_hi)/sqrt(2) in a complex sector,
+# before the half phase; (e_lo +- s e_hi)/sqrt(2) = EVEN +- s ODD in a real one
+_PAIR = SQRT_HALF * np.array([[1, 1j], [1, -1j]])
+_EVEN = SQRT_HALF * np.array([[1.0, 1.0], [0.0, 0.0]])
+_ODD = SQRT_HALF * np.array([[0.0, 0.0], [1.0, -1.0]])
+_FIXED = np.array([[1.0, 0.0], [0.0, 0.0]])
 
-    The reflection X -> -X of the cycle maps sector r to sector n - r,
-    and composed with complex conjugation it maps sector r to itself.
-    On the quotient H of sector r it acts as f -> P conj(f) with
-    P[i, sigma(i)] = w^(-r t_i), where sigma is the orbit reflection and
-    t its shift; this map commutes with H and squares to the identity,
-    so H is real in a basis of vectors it fixes.  Those are
-    phase * e_i for a fixed point i of sigma, and
-    phase * (e_i + e_j)/sqrt(2) and i * phase * (e_i - e_j)/sqrt(2) for a
-    pair i < j = sigma(i), with the half phase exp(-i pi r t_i / n) of the
-    pair's lower member.
 
-    ``order`` lists the unblocked orbits as [fixed points | pair lows |
-    pair highs], ``phase`` holds the half phase of each entry of
-    ``order`` and ``fixed`` counts the fixed points.  ``root`` holds
-    sqrt(p / top) for the period p of each entry, top the largest, and
-    ``blocked`` masks the blocked orbits.
+def _sector_bases(orbits: OrbitTable, rs: list[int]) -> list[tuple]:
+    """The symmetry-adapted basis Q of each sector r in ``rs``, by rows.
+
+    Each entry is (blocked, col, coef, sizes, square, piece): row i of Q
+    holds coef[p, i] in column col[p, i] (zero coefficients pad the rows;
+    the rows of the ``blocked`` orbits are zero), and the columns are
+    numbered block by block, ``sizes`` long each.  Every column combines
+    at most 4 orbits, and S = Q^* H Q is block diagonal and real.  All
+    sectors are built at once, so a sector costs few numpy calls.
+
+    * A complex sector (0 < r < n/2) uses the reflection composed with
+      complex conjugation, f -> P conj(f), P[i, sigma(i)] = w^(-r t_i):
+      phase * e_i for a fixed orbit, phase * (e_i + e_j)/sqrt(2) and
+      i * phase * (e_i - e_j)/sqrt(2) for a pair i < j = sigma(i), with
+      the half phase exp(-i pi r t_i / n).  One block.
+    * A real sector (r = 0, n/2) uses the parity of the linear
+      reflection (R f)_i = s_i f_sigma(i), s_i = w^(r t_i) = +-1: e_i,
+      even when s_i = +1, and (e_i +- s_i e_j)/sqrt(2).  Two blocks.
+    * When 2k = n, the complement (C f)_i = w^(r tc_i) f_c(i) commutes
+      with both and splits each block in two, -1 before +1.  A column q
+      of a pair whose complement is another pair gives (q + C q)/sqrt(2)
+      and (q - C q)/sqrt(2).  A pair that is its own complement keeps
+      its columns, which C maps to +-themselves: in a real sector the
+      parity columns already are, and in a complex one the pair
+      (lo, hi = c(lo)) takes phase * (g e_lo +- conj(g) e_hi),
+      g = w^(r tc_lo / 2).  ``square`` is max|C^2 - I| and ``piece``
+      max|C q -+ q| over those columns, on the unblocked orbits, for the
+      caller to check; both are None when 2k != n.
     """
-
-    # a plain class: generating a dataclass would add about 1 ms to
-    # every import of the package
-    __slots__ = ("order", "phase", "fixed", "root", "blocked")
-
-    def __init__(self, order: np.ndarray, phase: np.ndarray, fixed: int,
-                 periods: np.ndarray, blocked: np.ndarray):
-        self.order, self.phase, self.fixed, self.blocked = order, phase, fixed, blocked
-        self.root = np.sqrt(periods[order] / periods[order].max())
-
-    def _blocks(self) -> tuple[slice, slice]:
-        f = self.fixed
-        m = (len(self.order) - f) // 2
-        return slice(f, f + m), slice(f + m, None)
-
-    def reduce(self, b: np.ndarray, where: str) -> np.ndarray:
-        """The real symmetric matrix S of the sector matrix ``b`` in this basis.
-
-        With U the unblocked and X the blocked orbits, b[X, U] must
-        vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods), must
-        be Hermitian and S must be real, each within
-        tol = ``quotient_tol(max|b|)``; a failure raises
-        ``NumericFailureError`` naming the quantity, prefixed by ``where``.
-        One permuted copy of b[U, U] has its rows scaled by
-        conj(phase) * root and its columns by phase / root, which is
-        H in the phased basis and has the same max|H - H^*|; then its
-        pairs are rotated in place.
-        """
-        tol = quotient_tol(float(np.abs(b).max()))
-        coupling = float(np.abs(b[np.ix_(self.blocked, self.order)]).max(initial=0.0))
-        check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
-        s = b[np.ix_(self.order, self.order)]
-        s *= (self.phase.conj() * self.root)[:, None]
-        s *= self.phase / self.root
-        skew = np.conj(s.T)
-        skew -= s
-        check_bound(where, "skew max|H - H^*|", float(np.abs(skew).max()), tol)
-        del skew
-        if len(self.order) > self.fixed:
-            lo, hi = self._blocks()
-            # columns (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2), then the
-            # rows as the conjugate transpose: (lo + hi)/sqrt(2), -i (lo - hi)/sqrt(2)
-            diff = s[:, lo] - s[:, hi]
-            s[:, lo] += s[:, hi]
-            s[:, lo] *= SQRT_HALF
-            np.multiply(diff, 1j * SQRT_HALF, out=s[:, hi])
-            diff = s[lo] - s[hi]
-            s[lo] += s[hi]
-            s[lo] *= SQRT_HALF
-            np.multiply(diff, -1j * SQRT_HALF, out=s[hi])
-            del diff
-        check_bound(where, "real form imaginary part max|Im S|",
-                    float(np.abs(s.imag).max()), tol)
-        return np.ascontiguousarray(s.real)
-
-    def vectors(self, u: np.ndarray) -> np.ndarray:
-        """Map eigenvectors of S (columns of ``u``) to unit eigenvectors of b.
-
-        The rotations and phases are undone and D_U^(-1/2) applied; the
-        rows of the blocked orbits are exactly zero.
-        """
-        f = self.fixed
-        factor = (self.phase / self.root)[:, None]
-        v = np.zeros((len(self.blocked), u.shape[1]), dtype=self.phase.dtype)
-        v[self.order[:f]] = u[:f] * factor[:f]
-        if len(self.order) > f:
-            lo, hi = self._blocks()
-            half = factor[lo] * SQRT_HALF
-            v[self.order[lo]] = (u[lo] + 1j * u[hi]) * half
-            v[self.order[hi]] = (u[lo] - 1j * u[hi]) * half
-        v /= np.linalg.norm(v, axis=0)
-        return v
-
-
-def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
-                     periods: np.ndarray, blocked: np.ndarray, r: int,
-                     n: int) -> RealBasis:
-    """The ``RealBasis`` of sector r on the unblocked orbits.
-
-    ``mirror_of`` and ``mirror_shift`` give the reflection of every
-    orbit (see ``OrbitTable``); the reflection preserves periods and so
-    maps unblocked orbits to unblocked ones.  Any representative of the
-    shift modulo the period serves: another one only flips the sign of
-    a basis vector.
-    """
-    keep = np.flatnonzero(~blocked)
-    mirror = mirror_of[keep]
-    fixed = keep[mirror == keep]
-    lows = keep[mirror > keep]
-    order = np.concatenate([fixed, lows, mirror_of[lows]])
-    shift = mirror_shift[np.concatenate([fixed, lows, lows])]
-    phase = root_table(2 * n)[(-r * shift) % (2 * n)]
-    return RealBasis(order, phase, len(fixed), periods, blocked)
+    n, nu = orbits.n, orbits.count
+    blocked = np.array([blocked_mask(orbits.periods, n, r) for r in rs])
+    rs = np.asarray(rs)[:, None]
+    real = (rs == 0) | (2 * rs == n)
+    sigma = orbits.mirror_of
+    lo = np.flatnonzero(sigma >= np.arange(nu))
+    hi = sigma[lo]
+    fixed = hi == lo
+    pair_of = np.empty(nu, dtype=np.int64)
+    pair_of[lo] = pair_of[hi] = np.arange(len(lo))
+    side = (hi[pair_of] == np.arange(nu)) & ~fixed[pair_of]
+    # the reflection: y[r, g] holds the two columns of pair g, rows (lo, hi)
+    t = orbits.mirror_shift[lo]
+    sign = root_table(n)[rs * t % n].real
+    f = fixed[:, None, None]
+    y = np.where(real[..., None, None],
+                 np.where(f, _FIXED, _EVEN) + sign[..., None, None] * np.where(f, 0, _ODD),
+                 root_table(2 * n)[-rs * t % (2 * n)][..., None, None]
+                 * np.where(f, _FIXED, _PAIR))
+    label = np.where(real[..., None], [0, 1], [0, 0]) + (real & fixed & (sign < 0))[..., None]
+    label[:, fixed, 1] = -1
+    comp = orbits.complement_of
+    if comp is None:
+        group_of, row_of, lead, square, piece = pair_of, side.astype(np.int64), lo, None, None
+    else:
+        image = pair_of[comp[lo]]
+        joined = np.flatnonzero(image > np.arange(len(lo)))
+        alone = np.flatnonzero(image == np.arange(len(lo)))
+        gamma = root_table(n)[rs * orbits.complement_shift % n]
+        square = np.where(blocked, 0, np.abs(gamma * gamma[:, comp] - 1)).max(axis=1)
+        half = y[:, joined] * SQRT_HALF
+        flipped = gamma[:, np.stack([comp[lo[joined]], comp[hi[joined]]], axis=1)]
+        flipped = flipped[..., None] * half
+        lab = label[:, joined]
+        w_joined = np.concatenate([np.concatenate([half, half], axis=3),
+                                   np.concatenate([flipped, -flipped], axis=3)], axis=2)
+        lab_joined = np.concatenate([2 * lab + 1, 2 * lab], axis=2)
+        rows = np.stack([lo[alone], hi[alone]], axis=1)
+        swapped = comp[lo[alone]] != lo[alone]
+        ya = y[:, alone]
+        g = root_table(2 * n)[rs * np.where(swapped, orbits.complement_shift[lo[alone]], 0)
+                              % (2 * n)]
+        g = np.where(real, 1, g)[..., None]
+        ya[:, :, 0] *= g
+        ya[:, :, 1] *= g.conj()
+        cy = gamma[:, rows][..., None] * np.where(swapped[:, None, None], ya[:, :, ::-1], ya)
+        ones = np.where((ya.conj() * cy).sum(axis=2).real < 0, -1, 1)
+        piece = np.abs(cy - ya * ones[:, :, None]).max(axis=(2, 3))
+        piece = np.where(blocked[:, lo[alone]], 0, piece).max(axis=1, initial=0.0)
+        w_alone = np.zeros(ya.shape[:2] + (4, 4), dtype=y.dtype)
+        w_alone[..., :2, :2] = ya
+        lab_alone = np.full(ya.shape[:2] + (4,), -1)
+        lab_alone[..., :2] = 2 * label[:, alone] + (ones > 0)
+        y = np.concatenate([w_joined, w_alone], axis=1)
+        label = np.concatenate([lab_joined, lab_alone], axis=1)
+        # an orbit of an image pair is row 2 or 3 of its preimage's group
+        group = np.full(len(lo), -1)
+        group[joined] = np.arange(len(joined))
+        group[alone] = len(joined) + np.arange(len(alone))
+        mine = group[pair_of] >= 0
+        group_of = np.where(mine, group[pair_of], group[pair_of[comp]])
+        row_of = np.where(mine, side, 2 + side[comp])
+        lead = lo[np.concatenate([joined, alone])]
+    # number the columns block by block; padding columns point at column 0
+    label = np.where(blocked[:, lead, None], -1, label).reshape(len(rs), -1)
+    number = np.empty_like(label)
+    np.put_along_axis(number, np.argsort(label, axis=1, kind="stable"),
+                      np.arange(label.shape[1]), axis=1)
+    number -= np.count_nonzero(label < 0, axis=1, keepdims=True)
+    np.maximum(number, 0, out=number)
+    width = y.shape[-1]
+    col = number.reshape(len(rs), -1, width).transpose(0, 2, 1)[:, :, group_of]
+    coef = y.transpose(0, 3, 1, 2)[:, :, group_of, row_of] * ~blocked[:, None]
+    counts = np.count_nonzero(label[..., None] == np.arange(2 * width), axis=1)
+    return [(blocked[x], col[x], coef[x].real.copy() if real[x, 0] else coef[x],
+             counts[x][counts[x] > 0], None if comp is None else square[x],
+             None if comp is None else piece[x]) for x in range(len(rs))]
 
 
 @dataclass(frozen=True)
@@ -309,6 +317,7 @@ class SectorSolution:
     ``residuals`` holds max|b v - lambda v| per kept value.  ``vectors``
     holds the kept eigenvectors, one unit column each, exactly zero on
     the blocked orbits; it is None when they were not asked for.
+    ``blocks`` holds the size of each symmetry block solved by ``eigh``.
     """
 
     sector: int
@@ -316,42 +325,143 @@ class SectorSolution:
     residuals: np.ndarray
     discarded: np.ndarray
     vectors: np.ndarray | None = None
+    blocks: tuple[int, ...] = ()
+
+
+def _real_form(b: np.ndarray, orbits: OrbitTable, basis: tuple, root: np.ndarray,
+               where: str) -> np.ndarray:
+    """The real block diagonal S of the sector matrix b in ``basis``.
+
+    ``basis`` is one entry of ``_sector_bases``.  The nonzero cells of b
+    are read once.  Within tol = ``quotient_tol(max|b|)``, b[X, U] must
+    vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2) must be Hermitian (checked
+    between each cell and its transpose cell) and, when 2k = n, the
+    complement must square to the identity and take +-1 on each column
+    of a pair that is its own complement.  ``root`` is sqrt(p / top)
+    for each orbit period p.
+    """
+    blocked, col, coef, sizes, square, piece = basis
+    nu = orbits.count
+    flat = b.reshape(-1)
+    cells = np.flatnonzero(flat != 0)
+    values = flat[cells]
+    size = np.abs(values)
+    tol = quotient_tol(float(size.max(initial=0.0)))
+    i, j = np.divmod(cells, nu)
+    out, into = blocked[i], blocked[j]
+    check_bound(where, "blocked orbit coupling max|b[X, U]|",
+                float(size[out > into].max(initial=0.0)), tol)
+    inside = ~(out | into)
+    i, j = i[inside], j[inside]
+    ratio = root[i] / root[j]
+    h = values[inside] * ratio
+    skew = np.abs(h - (flat[j * nu + i] / ratio).conj())
+    check_bound(where, "skew max|H - H^*|", float(skew.max(initial=0.0)), tol)
+    if square is not None:
+        check_bound(where, "complement square max|C^2 - I|", float(square), tol)
+        check_bound(where, "complement piece eigenvalues max|C q - (+-q)|", float(piece), tol)
+    return _assemble(col, coef, i, j, h, sizes, where, tol)
+
+
+def _assemble(col: np.ndarray, coef: np.ndarray, i: np.ndarray, j: np.ndarray,
+              h: np.ndarray, sizes: np.ndarray, where: str, tol: float) -> np.ndarray:
+    """The real block diagonal S = Q^* H Q from the cells H[i, j] = h.
+
+    Q is given by rows as ``_sector_bases`` returns it.  Each cell adds
+    conj(Q[i, a]) H[i, j] Q[j, c] to S[a, c], at most 16 terms, summed by
+    ``np.bincount``.  max|Im S| and the entries between blocks must stay
+    within ``tol``.
+    """
+    m = int(sizes.sum())
+    key = ((col[:, i] * m)[:, None] + col[:, j]).ravel()
+    weight = (coef.conj()[:, i][:, None] * (coef[:, j] * h)).ravel()
+    s = np.bincount(key, weight.real, m * m).reshape(m, m)
+    if np.iscomplexobj(weight):
+        imag = np.bincount(key, weight.imag, m * m)
+        check_bound(where, "real form imaginary part max|Im S|",
+                    float(np.abs(imag, out=imag).max(initial=0.0)), tol)
+    if len(sizes) > 1:
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        between = key[block[key // m] != block[key % m]]
+        check_bound(where, "coupling between symmetry blocks max|S[a, c]|",
+                    float(np.abs(s.reshape(-1)[between]).max(initial=0.0)), tol)
+    return s
+
+
+def _block_eigh(s: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of each diagonal block of s, ``sizes`` long each.
+
+    Returns the values ascending and the vectors as one matrix, its rows
+    in block order and its columns in the order of the values.
+    """
+    if len(sizes) == 1:
+        return np.linalg.eigh(s)
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    solved = [np.linalg.eigh(s[o:o + size, o:o + size])
+              for o, size in zip(starts, sizes.tolist())]
+    vals = np.concatenate([val for val, _ in solved])
+    order = np.argsort(vals, kind="stable")
+    place = np.empty(len(vals), dtype=np.int64)
+    place[order] = np.arange(len(vals))
+    u = np.zeros((len(vals), len(vals)))
+    for o, (val, vec) in zip(starts, solved):
+        u[o:o + len(val), place[o:o + len(val)]] = vec
+    return vals[order], u
 
 
 def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
                  vectors: bool = True) -> SectorSolution:
     """Split the sector matrix b = B(w^r) into kept and discarded values.
 
-    The kept values are the eigenvalues of the Hermitian quotient H on
-    the unblocked orbits, found by a real ``eigh`` of its real form S
-    (see ``RealBasis.reduce``).  A real b (r = 0 and r = n/2, and every
-    sector when k = 1) is reduced in the basis where every unblocked
-    orbit is fixed with phase 1, so S is H itself; any other b in the
-    reflection basis.  The kept vectors v are unit eigenvectors of b,
-    exactly zero on the blocked orbits, and their residuals
-    max|b v - v lambda| must stay within RESIDUAL_TOL.  The discarded
-    values are ``eig`` of b[X, X]; their imaginary parts must stay
-    within IMAG_TOL and their residuals within RESIDUAL_TOL.
+    The kept values are the eigenvalues of the Hermitian quotient
+    H = D_U^(1/2) b[U, U] D_U^(-1/2) on the unblocked orbits U.  H is
+    written in the symmetry-adapted basis of ``_sector_bases`` as a real
+    block diagonal S, assembled from the nonzero cells of b, and each
+    block is solved by its own real ``eigh``.  Every check runs at
+    tol = ``quotient_tol(max|b|)`` and raises ``NumericFailureError``
+    naming its quantity: b[X, U] must vanish, H must be Hermitian, S
+    real and zero between its blocks.  The kept vectors v are unit
+    eigenvectors of b, exactly zero on the blocked orbits, and their
+    residuals max|b v - v lambda| must stay within RESIDUAL_TOL.  The
+    discarded values are ``eig`` of b[X, X]; their imaginary parts must
+    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
     """
+    return _solve_sector(b, orbits, r, _sector_bases(orbits, [r])[0], vectors)
+
+
+def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
+                  vectors: bool) -> SectorSolution:
+    """``solve_sector`` in the sector's entry of ``_sector_bases``."""
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
-    periods = orbits.periods
-    blocked = blocked_mask(periods, n, r)
-    if b.imag.any():
-        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
-                                 blocked, r, n)
-    else:
+    blocked, col, coef, sizes = basis[:4]
+    if (r == 0 or 2 * r == n) and not b.imag.any():
         b = b.real.copy()  # the root table gives +-1 exactly
-        keep = np.flatnonzero(~blocked)
-        basis = RealBasis(keep, np.ones(len(keep)), len(keep), periods, blocked)
+    root = np.sqrt(orbits.periods / orbits.periods.max())
+    s = _real_form(b, orbits, basis, root, where)
     try:
-        vals, v = np.linalg.eigh(basis.reduce(b, where))
+        vals, u = _block_eigh(s, sizes)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
-    v = basis.vectors(v)
-    res = b @ v
-    res -= v * vals
-    res = np.max(np.abs(res), axis=0)
+    del s
+    # v = D^(-1/2) Q u, column scaled, and the residual of b v = v lambda;
+    # column chunks keep the temporaries small next to v and b v
+    chunks = [slice(c, c + COLUMN_CHUNK) for c in range(0, len(vals), COLUMN_CHUNK)]
+    coef = coef / root
+    v = np.empty((len(root), len(vals)), dtype=coef.dtype)
+    for part in chunks:
+        v[:, part] = coef[0, :, None] * u[col[0], part]
+        for p in range(1, len(col)):
+            v[:, part] += coef[p, :, None] * u[col[p], part]
+    del u
+    v /= np.linalg.norm(v, axis=0)
+    product = b @ v
+    res = np.empty(len(vals))
+    for part in chunks:
+        gap = product[:, part]
+        gap -= v[:, part] * vals[part]
+        res[part] = np.abs(gap).max(axis=0)
+    del product
     discarded = np.empty(0)
     if blocked.any():
         bxx = b[np.ix_(blocked, blocked)]
@@ -366,7 +476,8 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
         discarded = np.sort(dvals.real)
     check_bound(where, "kept vector residual", float(np.max(res, initial=0.0)),
                 RESIDUAL_TOL)
-    return SectorSolution(r, vals, res, discarded, v if vectors else None)
+    return SectorSolution(r, vals, res, discarded, v if vectors else None,
+                          tuple(sizes.tolist()))
 
 
 def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
@@ -381,8 +492,9 @@ def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
     """
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k, orbits, shift=shift)
-    sols = [solve_sector(matrix.specialize(r), orbits, r, vectors=vectors)
-            for r in range(n // 2 + 1)]
+    rs = list(range(n // 2 + 1))
+    sols = [_solve_sector(matrix.specialize(r), orbits, r, basis, vectors)
+            for r, basis in zip(rs, _sector_bases(orbits, rs))]
     for r in range(n // 2 + 1, n):
         sol = sols[n - r]
         conj = None if sol.vectors is None else sol.vectors.conj()

@@ -80,6 +80,12 @@ def _check_sector(n: int, r: int) -> None:
         raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
 
 
+def _check_finite(lam: float) -> None:
+    """NaN and infinities pass no pole or branch test, so they are refused first."""
+    if not math.isfinite(lam):
+        raise ParameterDomainError(f"lambda must be finite, got {lam}")
+
+
 def _is_half_turn(n: int, r: int) -> bool:
     return n % 2 == 0 and 2 * r == n
 
@@ -142,6 +148,7 @@ def _terminal(n: int, r: int, z):
 def contfrac_q1(lam: float, n: int, r: int) -> float:
     """Q_1 by backward recurrence from the case's terminal value."""
     _check_sector(n, r)
+    _check_finite(lam)
     if _is_half_turn(n, r):
         raise ParameterDomainError(
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
@@ -258,7 +265,7 @@ def _quotient_band(n: int, rs: np.ndarray, band):
 
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.  As
-    in ``polymatrix.RealBasis.reduce``, the blocked coupling
+    in ``polymatrix.solve_sector``, the blocked coupling
     b[nu-1, nu-2] must vanish within tol = ``quotient_tol(max|b|)``, and
     H = D^(1/2) b D^(-1/2) on the first m kept orbits.  Band entries past
     m are zero.  ``band`` is left unchanged.
@@ -335,7 +342,7 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     within tol.  The reflection of the cycle fixes every orbit,
     -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
     H into a real symmetric S with the same eigenvalues (the reflection
-    basis of ``polymatrix.RealBasis.reduce`` with every orbit fixed), and
+    basis of ``polymatrix.solve_sector`` with every orbit fixed), and
     max|Im S| must stay within tol.
     Then for the sorted roots x_i, Sturm counts of S must show
     count(x_i - tol) <= i < count(x_i + tol), that is, the i-th
@@ -459,6 +466,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     multiplicative constant per (n, r).
     """
     _check_sector(n, r)
+    _check_finite(lam)
     nu = n // 2
     if _is_half_turn(n, r):
         return float(math.prod(lam - v for v in _half_turn_kept(n)))

@@ -9,6 +9,12 @@ reads a graph's CSR adjacency back as (source, target) pairs.
 and ``shown_sectors`` with ``kept_first_ties`` the order a spectrum
 command shows at a tie.
 
+``RealBasis`` and ``reflection_basis`` are the dense route from a sector
+matrix to its real symmetric form: one permuted copy of b, scaled by
+half phases and rotated pair by pair, with no symmetry blocks.
+``reference_sector`` solves a sector through them, the independent
+reference for ``polymatrix.solve_sector``.
+
 A Laurent polynomial mod z^n = 1 is a dict {exponent: coefficient}
 with canonical exponents in [0, n), ascending, and no zero
 coefficient: the form of a ``LaurentMatrix.entries`` cell.
@@ -25,7 +31,11 @@ import numpy as np
 
 from tokenspectra import (LaurentMatrix, ParameterDomainError, brute_spectrum,
                           full_spectrum, spectrum_2token)
-from tokenspectra.tolerances import CLUSTER_TOL
+from tokenspectra.laurent import root_table
+from tokenspectra.polymatrix import blocked_mask
+from tokenspectra.tolerances import CLUSTER_TOL, check_bound, quotient_tol
+
+SQRT_HALF = np.sqrt(0.5)
 
 
 @lru_cache(maxsize=None)
@@ -76,6 +86,140 @@ def assert_kept_then_discarded(report):
         m = np.count_nonzero(kept)
         assert kept[:m].all() and not kept[m:].any(), r
         assert np.all(np.diff(values[:m]) >= 0) and np.all(np.diff(values[m:]) >= 0), r
+
+
+class RealBasis:
+    """A unitary basis in which a sector's Hermitian quotient is real.
+
+    The reflection X -> -X of the cycle maps sector r to sector n - r,
+    and composed with complex conjugation it maps sector r to itself.
+    On the quotient H of sector r it acts as f -> P conj(f) with
+    P[i, sigma(i)] = w^(-r t_i), where sigma is the orbit reflection and
+    t its shift; this map commutes with H and squares to the identity,
+    so H is real in a basis of vectors it fixes.  Those are
+    phase * e_i for a fixed point i of sigma, and
+    phase * (e_i + e_j)/sqrt(2) and i * phase * (e_i - e_j)/sqrt(2) for a
+    pair i < j = sigma(i), with the half phase exp(-i pi r t_i / n) of the
+    pair's lower member.
+
+    ``order`` lists the unblocked orbits as [fixed points | pair lows |
+    pair highs], ``phase`` holds the half phase of each entry of
+    ``order`` and ``fixed`` counts the fixed points.  ``root`` holds
+    sqrt(p / top) for the period p of each entry, top the largest, and
+    ``blocked`` masks the blocked orbits.
+    """
+
+    __slots__ = ("order", "phase", "fixed", "root", "blocked")
+
+    def __init__(self, order: np.ndarray, phase: np.ndarray, fixed: int,
+                 periods: np.ndarray, blocked: np.ndarray):
+        self.order, self.phase, self.fixed, self.blocked = order, phase, fixed, blocked
+        self.root = np.sqrt(periods[order] / periods[order].max())
+
+    def _blocks(self) -> tuple[slice, slice]:
+        f = self.fixed
+        m = (len(self.order) - f) // 2
+        return slice(f, f + m), slice(f + m, None)
+
+    def reduce(self, b: np.ndarray, where: str) -> np.ndarray:
+        """The real symmetric matrix S of the sector matrix ``b`` in this basis.
+
+        With U the unblocked and X the blocked orbits, b[X, U] must
+        vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2), D = diag(periods), must
+        be Hermitian and S must be real, each within
+        tol = ``quotient_tol(max|b|)``; a failure raises
+        ``NumericFailureError`` naming the quantity, prefixed by ``where``.
+        One permuted copy of b[U, U] has its rows scaled by
+        conj(phase) * root and its columns by phase / root, which is
+        H in the phased basis and has the same max|H - H^*|; then its
+        pairs are rotated in place.
+        """
+        tol = quotient_tol(float(np.abs(b).max()))
+        coupling = float(np.abs(b[np.ix_(self.blocked, self.order)]).max(initial=0.0))
+        check_bound(where, "blocked orbit coupling max|b[X, U]|", coupling, tol)
+        s = b[np.ix_(self.order, self.order)]
+        s *= (self.phase.conj() * self.root)[:, None]
+        s *= self.phase / self.root
+        skew = np.conj(s.T)
+        skew -= s
+        check_bound(where, "skew max|H - H^*|", float(np.abs(skew).max()), tol)
+        del skew
+        if len(self.order) > self.fixed:
+            lo, hi = self._blocks()
+            # columns (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2), then the
+            # rows as the conjugate transpose: (lo + hi)/sqrt(2), -i (lo - hi)/sqrt(2)
+            diff = s[:, lo] - s[:, hi]
+            s[:, lo] += s[:, hi]
+            s[:, lo] *= SQRT_HALF
+            np.multiply(diff, 1j * SQRT_HALF, out=s[:, hi])
+            diff = s[lo] - s[hi]
+            s[lo] += s[hi]
+            s[lo] *= SQRT_HALF
+            np.multiply(diff, -1j * SQRT_HALF, out=s[hi])
+            del diff
+        check_bound(where, "real form imaginary part max|Im S|",
+                    float(np.abs(s.imag).max()), tol)
+        return np.ascontiguousarray(s.real)
+
+    def vectors(self, u: np.ndarray) -> np.ndarray:
+        """Map eigenvectors of S (columns of ``u``) to unit eigenvectors of b.
+
+        The rotations and phases are undone and D_U^(-1/2) applied; the
+        rows of the blocked orbits are exactly zero.
+        """
+        f = self.fixed
+        factor = (self.phase / self.root)[:, None]
+        v = np.zeros((len(self.blocked), u.shape[1]), dtype=self.phase.dtype)
+        v[self.order[:f]] = u[:f] * factor[:f]
+        if len(self.order) > f:
+            lo, hi = self._blocks()
+            half = factor[lo] * SQRT_HALF
+            v[self.order[lo]] = (u[lo] + 1j * u[hi]) * half
+            v[self.order[hi]] = (u[lo] - 1j * u[hi]) * half
+        v /= np.linalg.norm(v, axis=0)
+        return v
+
+
+def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
+                     periods: np.ndarray, blocked: np.ndarray, r: int,
+                     n: int) -> RealBasis:
+    """The ``RealBasis`` of sector r on the unblocked orbits.
+
+    ``mirror_of`` and ``mirror_shift`` give the reflection of every
+    orbit (see ``OrbitTable``); the reflection preserves periods and so
+    maps unblocked orbits to unblocked ones.  Any representative of the
+    shift modulo the period serves: another one only flips the sign of
+    a basis vector.
+    """
+    keep = np.flatnonzero(~blocked)
+    mirror = mirror_of[keep]
+    fixed = keep[mirror == keep]
+    lows = keep[mirror > keep]
+    order = np.concatenate([fixed, lows, mirror_of[lows]])
+    shift = mirror_shift[np.concatenate([fixed, lows, lows])]
+    phase = root_table(2 * n)[(-r * shift) % (2 * n)]
+    return RealBasis(order, phase, len(fixed), periods, blocked)
+
+
+def reference_sector(b, orbits, r):
+    """(kept, discarded) of the sector matrix b = B(w^r), each ascending, by the dense route.
+
+    A real b is reduced with every unblocked orbit fixed and phase 1, any
+    other b in the reflection basis; the discarded values are ``eig`` of
+    b[X, X].
+    """
+    periods = np.asarray(orbits.periods)
+    blocked = blocked_mask(periods, orbits.n, r)
+    if b.imag.any():
+        basis = reflection_basis(orbits.mirror_of, orbits.mirror_shift, periods,
+                                 blocked, r, orbits.n)
+    else:
+        b = b.real.copy()
+        keep = np.flatnonzero(~blocked)
+        basis = RealBasis(keep, np.ones(len(keep)), len(keep), periods, blocked)
+    kept = np.linalg.eigh(basis.reduce(b, "reference"))[0]
+    discarded = np.sort(np.linalg.eig(b[np.ix_(blocked, blocked)])[0].real)
+    return kept, discarded
 
 
 _CELL_RE = re.compile(r"(\d+\.\d{4})(\*?)")

@@ -7,7 +7,8 @@ import pytest
 from tokenspectra import (NumericFailureError, ParameterDomainError,
                           build_token_graph, count_burnside, count_moreau,
                           count_polya, enumerate_orbits, period)
-from tokenspectra.necklaces import check_mirror, euler_phi, moebius, periods_of, rotate
+from tokenspectra.necklaces import (check_complement, check_mirror, euler_phi, moebius,
+                                   periods_of, rotate)
 from tokenspectra.tokengraph import k_subsets, subset_rank
 
 # orbit counts for k = 2..7, n = 3..12 (blank cells omitted)
@@ -158,6 +159,54 @@ class TestMirror:
         shifted[pair] += 1
         with pytest.raises(NumericFailureError, match="modulo the orbit period"):
             check_mirror(sigma, shifted, periods)
+
+
+class TestComplement:
+    def test_only_at_half_density(self):
+        for n in range(3, 17):
+            for k in range(1, n // 2 + 1):
+                table = enumerate_orbits(n, k)
+                assert (table.complement_of is None) == (2 * k != n), (n, k)
+                assert (table.complement_shift is None) == (2 * k != n), (n, k)
+
+    @pytest.mark.parametrize("n", range(4, 17, 2))
+    def test_complement_is_a_rotated_representative(self, n):
+        table = enumerate_orbits(n, n // 2)
+        c, tc = table.complement_of, table.complement_shift
+        for i, rep in enumerate(table.reps):
+            complement = tuple(sorted(set(range(n)) - set(rep)))
+            assert rotate(table.reps[c[i]], tc[i], n) == complement, (n, i)
+        check_complement(c, tc, np.array(table.periods), table.mirror_of)
+
+    def test_complement_arrays_read_only(self):
+        table = enumerate_orbits(8, 4)
+        with pytest.raises(ValueError):
+            table.complement_shift[0] = 1
+
+    def test_check_complement_rejects_broken_data(self):
+        table = enumerate_orbits(8, 4)
+        c, tc = table.complement_of.copy(), table.complement_shift.copy()
+        periods, sigma = np.array(table.periods), table.mirror_of
+        check_complement(c, tc, periods, sigma)
+        not_involution = c.copy()
+        not_involution[0] = 1  # orbit 1 complements to orbit 3, not back to 0
+        with pytest.raises(NumericFailureError, match="not an involution"):
+            check_complement(not_involution, tc, periods, sigma)
+        swapped = np.arange(len(c))
+        long, short = 0, table.periods.tolist().index(4)
+        swapped[[long, short]] = short, long
+        with pytest.raises(NumericFailureError, match="preserve periods"):
+            check_complement(swapped, tc, periods, sigma)
+        # orbits 1 and 2 have period 8, and the reflection maps 1 to 3
+        assert sigma[1] == 3 and sigma[2] == 2 and sigma[3] == 1
+        crossed = np.arange(len(c))
+        crossed[[1, 2]] = 2, 1
+        with pytest.raises(NumericFailureError, match="commute with the reflection"):
+            check_complement(crossed, tc, periods, sigma)
+        shifted = tc.copy()
+        shifted[0] += 1  # orbit 0 is its own complement
+        with pytest.raises(NumericFailureError, match="modulo the orbit period"):
+            check_complement(c, shifted, periods, sigma)
 
 
 class TestCounts:

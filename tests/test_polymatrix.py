@@ -6,8 +6,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import (assert_kept_then_discarded, cached_brute, cached_overlift,
-                      expand_lift, kept_first_ties, parse_laurent, shown_sectors)
+from conftest import (RealBasis, assert_kept_then_discarded, cached_brute, cached_overlift,
+                      expand_lift, kept_first_ties, parse_laurent, reference_sector,
+                      reflection_basis, shown_sectors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import cli
@@ -18,8 +19,7 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, sector_eigenpairs)
 from tokenspectra.necklaces import rotate
-from tokenspectra.polymatrix import (RealBasis, blocked_mask, reflection_basis,
-                                     solve_sector)
+from tokenspectra.polymatrix import _sector_solutions, blocked_mask, solve_sector
 from tokenspectra.tokengraph import subset_rank
 from tokenspectra.tolerances import quotient_tol
 
@@ -299,8 +299,8 @@ def _blocked_mask(orbits, r):
     return blocked_mask(np.asarray(orbits.periods), orbits.n, r)
 
 
-def _sector_basis(b, orbits, r):
-    """(b, basis) as ``solve_sector`` reduces them.
+def _reference_basis(b, orbits, r):
+    """(b, basis) as ``reference_sector`` reduces them.
 
     A real b is reduced as a real array, every unblocked orbit fixed with
     phase 1; any other b in the reflection basis.
@@ -396,14 +396,89 @@ class TestSolveSector:
         orbits = enumerate_orbits(n, k)
         m = build_poly_matrix(n, k, orbits)
         for r in range(n):
-            b, _ = _sector_basis(m.specialize(r), orbits, r)
+            b, _ = _reference_basis(m.specialize(r), orbits, r)
             sol = solve_sector(b, orbits, r)
             want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
             assert np.array_equal(sol.residuals, want), (n, k, r)
 
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_matches_the_dense_reference(self, n):
+        # the symmetry blocks give the values of one dense real form
+        for k in range(1, n // 2 + 1):
+            orbits = enumerate_orbits(n, k)
+            for shift in ("smallest", "largest"):
+                m = build_poly_matrix(n, k, orbits, shift=shift)
+                for r in range(n):
+                    b = m.specialize(r)
+                    sol = solve_sector(b, orbits, r, vectors=False)
+                    kept, discarded = reference_sector(b, orbits, r)
+                    assert len(sol.kept) == len(kept), (n, k, shift, r)
+                    assert len(sol.discarded) == len(discarded), (n, k, shift, r)
+                    assert_allclose(sol.kept, kept, rtol=0, atol=1e-12)
+                    assert_allclose(sol.discarded, discarded, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k,r,blocks", [
+        (14, 7, 1, (127, 118)), (14, 7, 0, (48, 85, 70, 43)),
+        (15, 7, 0, (232, 197)), (15, 7, 1, (429,)), (12, 6, 1, (40, 35))])
+    def test_symmetry_blocks(self, n, k, r, blocks):
+        # the complement splits k = n/2; the parity splits r = 0 and n/2
+        orbits = enumerate_orbits(n, k)
+        sol = solve_sector(build_poly_matrix(n, k, orbits).specialize(r), orbits, r,
+                           vectors=False)
+        assert sol.blocks == blocks
+        assert sum(blocks) == len(sol.kept)
+
+    def test_conjugate_sectors_share_blocks(self):
+        sols = _sector_solutions(8, 4, vectors=False)
+        for r in range(1, 8):
+            assert sols[r].blocks == sols[8 - r].blocks
+
+    def test_complement_breaking_perturbation_raises(self):
+        # orbits 0 and 2 of (8, 4) are fixed by the reflection, and the
+        # complement maps 2 onto 4: a symmetric b[0, 2] couples two blocks
+        orbits = enumerate_orbits(8, 4)
+        assert orbits.mirror_of[2] == 2 and orbits.complement_of[2] == 4
+        b = build_poly_matrix(8, 4, orbits).specialize(0)
+        b[0, 2] += 1e-6
+        b[2, 0] += 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=r"F_4\(C_8\) sector r=0: coupling between symmetry blocks"):
+            solve_sector(b, orbits, 0)
+
+    @pytest.mark.parametrize("r,quantity", [
+        (1, "complement square"), (2, "complement square"),
+        (4, "coupling between symmetry blocks")])
+    def test_corrupted_complement_shift_raises(self, r, quantity):
+        # orbit 0 is its own complement; one more step breaks C^2 = I in
+        # sectors 1 and 2, and at r = 4 flips the sign C takes on e_0
+        orbits = enumerate_orbits(8, 4)
+        shift = orbits.complement_shift.copy()
+        shift[0] += 1
+        broken = replace(orbits, complement_shift=shift)
+        b = build_poly_matrix(8, 4, orbits).specialize(r)
+        solve_sector(b, orbits, r)
+        with pytest.raises(NumericFailureError, match=rf"sector r={r}: {quantity}"):
+            solve_sector(b, broken, r)
+
+    def test_complement_piece_sign_raises(self):
+        # the complement fixes the orbit of 012459 and its mirror image
+        # 0125910; half a period more on one shift flips C on one of them
+        # only, so C no longer commutes with the reflection there
+        orbits = enumerate_orbits(12, 6)
+        i = orbits.reps.index((0, 1, 2, 4, 5, 9))
+        j = orbits.mirror_of[i]
+        assert j != i and orbits.complement_of[i] == i and orbits.complement_of[j] == j
+        shift = orbits.complement_shift.copy()
+        shift[i] += orbits.periods[i] // 2
+        broken = replace(orbits, complement_shift=shift)
+        b = build_poly_matrix(12, 6, orbits).specialize(1)
+        with pytest.raises(NumericFailureError,
+                           match=r"sector r=1: complement piece eigenvalues max\|C q - \(\+-q\)\|"):
+            solve_sector(b, broken, 1)
+
     def test_peak_memory_of_a_complex_sector(self):
-        # one permuted copy of b becomes S; with the kept vectors, b v and
-        # v lambda the traced peak stays near three complex nu x nu matrices
+        # S is assembled from the cells of b; with the kept vectors and b v
+        # the traced peak stays below three complex nu x nu matrices
         orbits = enumerate_orbits(16, 8)
         b = build_poly_matrix(16, 8, orbits).specialize(1)
         tracemalloc.start()
@@ -426,7 +501,7 @@ class TestReflectionBasis:
             for shift in ("smallest", "largest"):
                 m = build_poly_matrix(n, k, orbits, shift=shift)
                 for r in range(n):
-                    b, basis = _sector_basis(m.specialize(r), orbits, r)
+                    b, basis = _reference_basis(m.specialize(r), orbits, r)
                     blocked = _blocked_mask(orbits, r)
                     keep = np.flatnonzero(~blocked)
                     root = np.sqrt(periods[keep])
@@ -492,8 +567,10 @@ class TestReflectionBasis:
                            match=r"F_3\(C_9\) sector r=2: real form imaginary part"):
             solve_sector(b, broken, 2)
 
-    def test_real_sectors_skip_the_reflection(self):
-        # r = 0 and r = n/2 are real already and solved as they are
+    def test_real_sectors_use_the_reflection_parity(self):
+        # r = 0 and r = n/2 are real and split by the parity of the linear
+        # reflection; shifting every mirror shift by one flips the sign
+        # of the reflection at r = n/2, which only swaps its two parities
         orbits = enumerate_orbits(8, 4)
         m = build_poly_matrix(8, 4, orbits)
         broken = replace(orbits, mirror_shift=orbits.mirror_shift + 1)
@@ -501,7 +578,8 @@ class TestReflectionBasis:
             b = m.specialize(r)
             assert not b.imag.any()
             sol = solve_sector(b, broken, r)
-            assert np.isrealobj(sol.kept)
+            assert np.isrealobj(sol.kept) and np.isrealobj(sol.vectors)
+            assert len(sol.blocks) > 1
             assert_allclose(sol.kept, solve_sector(b, orbits, r).kept, rtol=0, atol=0)
 
 

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (assert_kept_then_discarded, cached_brute, cached_contfrac,
-                      cached_overlift, token_neighbors)
+                      cached_overlift, reflection_basis, token_neighbors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
@@ -15,7 +15,7 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token)
 from tokenspectra.laurent import root_table
-from tokenspectra.polymatrix import blocked_mask, check_bound, reflection_basis
+from tokenspectra.polymatrix import blocked_mask, check_bound
 from tokenspectra.tolerances import quotient_tol
 from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
                                    _solve_sectors, _sturm_counts)
@@ -665,5 +665,17 @@ class TestCharpolyRhoForm:
         assert charpoly_rho_form(8, 4, 5.0) == (5 - 2) * (5 - 4) ** 3
 
     def test_nan_lambda_raises(self):
-        with pytest.raises(NumericFailureError, match="closed form imaginary part nan"):
+        # a domain error, raised before any arithmetic
+        with pytest.raises(ParameterDomainError, match="lambda must be finite"):
             charpoly_rho_form(7, 1, math.nan)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("closed_form", [
+    lambda lam: contfrac_q1(lam, 9, 1),
+    lambda lam: charpoly_rho_form(8, 4, lam),
+    lambda lam: charpoly_rho_form(8, 1, lam),
+], ids=["contfrac_q1", "rho_form_half_turn", "rho_form"])
+def test_non_finite_lambda_is_a_domain_error(closed_form, lam):
+    with pytest.raises(ParameterDomainError, match="lambda must be finite"):
+        closed_form(lam)
