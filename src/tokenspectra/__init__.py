@@ -10,7 +10,7 @@ from .errors import (CountMismatchError, NumericFailureError,
                      SizeLimitError)
 from .laurent import LaurentMatrix
 from .necklaces import (OrbitTable, count_burnside, count_moreau, count_polya,
-                        enumerate_orbits, period)
+                        enumerate_orbits)
 from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix,
                          filter_spurious, full_spectrum, kept_eigenpairs,
                          lift_eigenvector, sector_eigenpairs)
@@ -27,7 +27,7 @@ __all__ = [
     "PhaseConsistencyError", "PoleError", "SizeLimitError",
     "LaurentMatrix",
     "OrbitTable", "count_burnside", "count_moreau", "count_polya",
-    "enumerate_orbits", "period",
+    "enumerate_orbits",
     "EigenPair", "LiftedVector", "build_poly_matrix", "filter_spurious",
     "full_spectrum", "kept_eigenpairs", "lift_eigenvector", "sector_eigenpairs",
     "SpectrumReport", "multiset_contains", "multisets_close",

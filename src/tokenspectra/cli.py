@@ -9,11 +9,15 @@ and JSON carry full precision.  Spectrum output is rendered straight
 from the report's columns, sorted once by (sector, value) with each kept
 value before every discarded value within CLUSTER_TOL of it.  Brute force
 has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
---audit is a text table and needs --format text.
+--audit is a text table and needs --format text.  Also exit 2: spectrum
+--tol without --check-against, charpoly --lo or --hi without --samples
+above 0, verify --n-max past the largest n whose spectra all fit the
+dense spectrum cap, and an --out path that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from math import comb
@@ -29,7 +33,7 @@ from .polymatrix import build_poly_matrix
 from .polymatrix import full_spectrum as overlift_spectrum
 from .report import (SpectrumReport, max_multiset_deviation, multiset_contains,
                      multisets_close)
-from .tokengraph import algebraic_connectivity, brute_spectrum
+from .tokengraph import DENSE_SPECTRUM_CAP, algebraic_connectivity, brute_spectrum
 from .tolerances import AGREE_TOL, CLUSTER_TOL
 
 
@@ -176,16 +180,19 @@ def cmd_spectrum(args) -> int:
                                    "--format latex need overlift or contfrac")
     if args.audit and args.format != "text":
         raise ParameterDomainError("--audit prints a text table: it needs --format text")
+    if args.tol is not None and not args.check_against:
+        raise ParameterDomainError("argument --tol: only applies with --check-against")
     report = _spectrum_by_method(args.method, args.n, args.k)
     status, check_note = 0, ""
     if args.check_against:
+        tol = AGREE_TOL if args.tol is None else args.tol
         other = _spectrum_by_method(args.check_against, args.n, args.k).kept
         check_note = f"check {args.method} vs {args.check_against}: "
-        if multisets_close(report.kept, other, args.tol):
+        if multisets_close(report.kept, other, tol):
             dev = max_multiset_deviation(report.kept, other)
-            check_note += f"agree within {args.tol:g} (max deviation {dev:.2e})"
+            check_note += f"agree within {tol:g} (max deviation {dev:.2e})"
         else:
-            check_note += f"MISMATCH beyond {args.tol:g}"
+            check_note += f"MISMATCH beyond {tol:g}"
             status = 1
     if args.format == "json":
         _write(_spectrum_json(report, _by_sector(report, args.r)), args.out)
@@ -229,11 +236,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
+    for flag, value in (("--lo", args.lo), ("--hi", args.hi)):
+        if value is not None and not args.samples:
+            raise ParameterDomainError(f"argument {flag}: only applies with --samples above 0")
     coeffs = twotoken.charpoly_sector(args.n, args.r)
     roots = twotoken.sector_roots(args.n, args.r)
+    lo = 0.0 if args.lo is None else args.lo
     hi = args.hi if args.hi is not None else float(np.ceil(roots[-1]) + 1.0)
     poly = np.polynomial.Polynomial(coeffs[::-1])
-    samples = [(x, float(poly(x))) for x in np.linspace(args.lo, hi, args.samples).tolist()]
+    samples = [(x, float(poly(x))) for x in np.linspace(lo, hi, args.samples).tolist()]
     if args.format == "json":
         _write(json.dumps({
             "n": args.n, "r": args.r,
@@ -351,7 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda v: v >= 0, "an integer >= 0")
     tolerance = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
     finite = _checked(float, lambda v: abs(v) < float("inf"), "a finite number")
-    cycle_length = _checked(int, lambda v: v >= 3, "an integer >= 3")
+    # verify checks every (n, k) against brute force, so C(n, n // 2) must fit its cap
+    n_max = next(n for n in itertools.count(3)
+                 if comb(n + 1, (n + 1) // 2) > DENSE_SPECTRUM_CAP)
+    verify_length = _checked(int, lambda v: 3 <= v <= n_max, f"an integer in [3, {n_max}]")
     parser = argparse.ArgumentParser(
         prog="tokenspectra",
         description="Laplacian spectra of k-token graphs of cycles")
@@ -385,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-sector table with discarded values marked *")
     p.add_argument("--check-against", choices=["brute", "overlift", "contfrac"],
                    help="exit 1 unless this method agrees within --tol")
-    p.add_argument("--tol", type=tolerance, default=AGREE_TOL)
+    p.add_argument("--tol", type=tolerance,
+                   help=f"agreement tolerance for --check-against (default {AGREE_TOL:g})")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("charpoly", help="two-token sector polynomial (k=2)")
@@ -393,13 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="sector index")
     p.add_argument("--samples", type=count, default=0,
                    help="also emit this many (lambda, phi) samples")
-    p.add_argument("--lo", type=finite, default=0.0, help="sample range start")
+    p.add_argument("--lo", type=finite, help="sample range start (default 0)")
     p.add_argument("--hi", type=finite, default=None,
                    help="sample range end (default: past the largest root)")
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("verify", help="cross-method verification sweep")
-    p.add_argument("--n-max", type=cycle_length, default=12)
+    p.add_argument("--n-max", type=verify_length, default=12)
     p.add_argument("--tol", type=tolerance, default=AGREE_TOL)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -415,6 +430,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParameterDomainError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # only output is written; a failed print to stdout has no filename
+        print(f"error: cannot write {exc.filename or 'stdout'}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     except (NumericFailureError, CountMismatchError, PoleError,
             PhaseConsistencyError) as exc:

@@ -21,7 +21,7 @@ from math import comb, gcd, isqrt
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import CACHE_SIZE, check_params, check_token_set, k_subsets, subset_rank
+from .tokengraph import CACHE_SIZE, check_params, k_subsets, subset_rank
 
 
 def sector_order(n: int, r: int) -> int:
@@ -34,57 +34,39 @@ def divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def euler_phi(m: int) -> int:
-    # trial division; m stays small at desk scale
-    result = m
+def _prime_factors(m: int) -> dict[int, int]:
+    """{p: e} with m the product of the p^e, by trial division; m stays small."""
+    factors: dict[int, int] = {}
     p = 2
     while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
         p += 1
     if m > 1:
-        result -= result // m
+        factors[m] = 1
+    return factors
+
+
+def euler_phi(m: int) -> int:
+    result = m
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
 def moebius(m: int) -> int:
-    if m == 1:
-        return 1
-    result = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
-def rotate(subset, shift: int, n: int) -> tuple[int, ...]:
-    return tuple(sorted((x + shift) % n for x in subset))
-
-
-def period(subset, n: int) -> int:
-    """Smallest positive rotation fixing the subset; divides n."""
-    s = check_token_set(subset, n)
-    for d in divisors(n):
-        if rotate(s, d, n) == s:
-            return d
-    raise NumericFailureError("rotation by n must fix every subset")
+    exponents = _prime_factors(m).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def periods_of(subsets: np.ndarray, n: int) -> np.ndarray:
-    """``period`` of every sorted row of ``subsets``, in one pass per divisor.
+    """The period of every sorted row of ``subsets``, in one pass per divisor.
 
-    For each divisor d of n, ascending, the rows still without a period
-    are rotated by d and ranked (``subset_rank``); a row whose rank is
-    unchanged has period d.  Rotation by n fixes every row.
+    A row's period is the smallest positive rotation fixing it, a divisor
+    of n.  For each divisor d of n, ascending, the rows still without a
+    period are rotated by d and ranked (``subset_rank``); a row whose rank
+    is unchanged has period d.  Rotation by n fixes every row.
     """
     ranks = subset_rank(subsets, n)
     out = np.zeros(len(subsets), dtype=np.int64)
@@ -231,10 +213,9 @@ def count_burnside(n: int, k: int) -> int:
     _check_count_domain(n, k)
     total = 0
     for r in range(n):
-        d = gcd(n, r) if r else n
-        o = n // d
+        o = sector_order(n, r)
         if k % o == 0:
-            total += comb(d, k // o)
+            total += comb(n // o, k // o)
     return _exact_div(total, n, "fixed-point")
 
 

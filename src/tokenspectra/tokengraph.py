@@ -41,16 +41,6 @@ def check_params(n: int, k: int) -> None:
             f"token count k={k} must satisfy 1 <= k <= n/2 for n={n}")
 
 
-def check_token_set(elements, n: int) -> tuple[int, ...]:
-    """Validate and normalize one token configuration to a sorted tuple."""
-    elems = tuple(sorted(elements))
-    if len(set(elems)) != len(elems):
-        raise ParameterDomainError(f"token positions must be distinct: {elements}")
-    if not elems or any(x < 0 or x >= n for x in elems):
-        raise ParameterDomainError(f"token positions must lie in [0, {n}): {elements}")
-    return elems
-
-
 def subset_rank(subsets, n: int) -> np.ndarray:
     """Lexicographic rank of each sorted k-subset of Z_n, over the last axis.
 

@@ -5,6 +5,9 @@ per pair instead of redoing dense eigensolves.  ``token_neighbors`` is
 the move rule in plain set arithmetic, the tests' independent reference
 for the library's array rule ``tokengraph.token_moves``.  ``edge_pairs``
 reads a graph's CSR adjacency back as (source, target) pairs.
+``period`` finds a subset's period by rotating it (``rotate``) once per
+divisor of n, the reference for the library's array rule
+``necklaces.periods_of``.
 ``assert_kept_then_discarded`` checks the sector routes' trail layout,
 and ``shown_sectors`` with ``kept_first_ties`` the order a spectrum
 command shows at a tie.
@@ -66,6 +69,16 @@ def token_neighbors(subset, n):
             if b not in occupied:
                 out.append(tuple(sorted((occupied - {a}) | {b})))
     return out
+
+
+def rotate(subset, shift, n):
+    return tuple(sorted((x + shift) % n for x in subset))
+
+
+def period(subset, n):
+    """Smallest positive rotation fixing the subset; divides n."""
+    s = tuple(sorted(subset))
+    return next(d for d in range(1, n + 1) if n % d == 0 and rotate(s, d, n) == s)
 
 
 def edge_pairs(graph):

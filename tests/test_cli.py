@@ -485,11 +485,23 @@ class TestArgumentHandling:
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--lo", "-inf"), "--lo"),
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "inf"), "--hi"),
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "nan"), "--hi"),
+        (("verify", "--n-max", "15"), "--n-max"),
+        # valid values that would change nothing
+        (("spectrum", "--n", "6", "--k", "2", "--tol", "1e-6"), "--tol"),
+        (("charpoly", "--n", "8", "--r", "1", "--lo", "1"), "--lo"),
+        (("charpoly", "--n", "8", "--r", "1", "--samples", "0", "--hi", "9"), "--hi"),
     ])
     def test_numeric_arguments_exit_2(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert f"argument {flag}: " in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "spectrum", "--n", "6", "--k", "3", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert not path.parent.exists()
 
     def test_zero_samples_and_zero_tolerance_are_valid(self, capsys):
         code, out, _ = run(capsys, "charpoly", "--n", "8", "--r", "1", "--samples", "0")

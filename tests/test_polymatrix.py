@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import (RealBasis, assert_kept_then_discarded, cached_brute, cached_overlift,
                       expand_lift, kept_first_ties, parse_laurent, reference_sector,
-                      reflection_basis, shown_sectors)
+                      reflection_basis, rotate, shown_sectors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import cli
@@ -18,7 +18,6 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           build_token_graph, enumerate_orbits, filter_spurious,
                           full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, sector_eigenpairs)
-from tokenspectra.necklaces import rotate
 from tokenspectra.polymatrix import _sector_solutions, blocked_mask, solve_sector
 from tokenspectra.tokengraph import subset_rank
 from tokenspectra.tolerances import quotient_tol

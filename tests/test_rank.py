@@ -1,7 +1,7 @@
 """The lexicographic rank against dict-based references.
 
 ``reference_orbits`` is the plain filter enumeration with a dict from
-every k-subset to (orbit, shift); ``reference_terms`` and
+every k-subset to (orbit, shift), periods from ``conftest.period``; ``reference_terms`` and
 ``reference_edges`` locate each move of the set-based reference rule
 ``conftest.token_neighbors`` through such dicts.  The library derives
 the same data from its array move rule ``token_moves`` and
@@ -12,11 +12,10 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import edge_pairs, token_neighbors
+from conftest import edge_pairs, period, rotate, token_neighbors
 
 from tokenspectra import (NumericFailureError, build_poly_matrix,
                           build_token_graph, enumerate_orbits, necklaces)
-from tokenspectra.necklaces import period, rotate
 from tokenspectra.tokengraph import subset_rank
 
 SMALL_PAIRS = [(n, k) for n in range(3, 15) for k in range(1, n // 2 + 1)]
