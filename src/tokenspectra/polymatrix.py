@@ -431,7 +431,12 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
 
 def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
                   vectors: bool) -> SectorSolution:
-    """``solve_sector`` in the sector's entry of ``_sector_bases``."""
+    """``solve_sector`` in the sector's entry of ``_sector_bases``.
+
+    Besides b, a sector holds S until its blocks are solved, then u and
+    one chunk of COLUMN_CHUNK columns of v and of b v at a time, plus
+    the returned vectors only when they are asked for.
+    """
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
     blocked, col, coef, sizes = basis[:4]
@@ -444,24 +449,25 @@ def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
     del s
-    # v = D^(-1/2) Q u, column scaled, and the residual of b v = v lambda;
-    # column chunks keep the temporaries small next to v and b v
-    chunks = [slice(c, c + COLUMN_CHUNK) for c in range(0, len(vals), COLUMN_CHUNK)]
+    # v = D^(-1/2) Q u, column scaled, and the residual of b v = v lambda,
+    # one chunk of columns at a time
     coef = coef / root
-    v = np.empty((len(root), len(vals)), dtype=coef.dtype)
-    for part in chunks:
-        v[:, part] = coef[0, :, None] * u[col[0], part]
-        for p in range(1, len(col)):
-            v[:, part] += coef[p, :, None] * u[col[p], part]
-    del u
-    v /= np.linalg.norm(v, axis=0)
-    product = b @ v
     res = np.empty(len(vals))
-    for part in chunks:
-        gap = product[:, part]
-        gap -= v[:, part] * vals[part]
+    v = np.empty((len(root), len(vals)), dtype=coef.dtype) if vectors else None
+    for c in range(0, len(vals), COLUMN_CHUNK):
+        part = slice(c, c + COLUMN_CHUNK)
+        chunk = coef[0, :, None] * u[col[0], part]
+        for p in range(1, len(col)):
+            chunk += coef[p, :, None] * u[col[p], part]
+        chunk /= np.linalg.norm(chunk, axis=0)
+        if vectors:
+            v[:, part] = chunk
+        gap = b @ chunk
+        chunk *= vals[part]  # v lambda in place, so no third chunk is made
+        gap -= chunk
         res[part] = np.abs(gap).max(axis=0)
-    del product
+        del chunk, gap  # before the next chunk is built
+    del u
     discarded = np.empty(0)
     if blocked.any():
         bxx = b[np.ix_(blocked, blocked)]
@@ -476,8 +482,7 @@ def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
         discarded = np.sort(dvals.real)
     check_bound(where, "kept vector residual", float(np.max(res, initial=0.0)),
                 RESIDUAL_TOL)
-    return SectorSolution(r, vals, res, discarded, v if vectors else None,
-                          tuple(sizes.tolist()))
+    return SectorSolution(r, vals, res, discarded, v, tuple(sizes.tolist()))
 
 
 def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
@@ -554,15 +559,29 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     raises.  The residual |L x - lambda x| is checked at every vertex
     through the graph's CSR adjacency, one gather and one segmented sum,
     so a lift costs O(C(n, k) + edges); ``lap`` is accepted for
-    compatibility but not read.
+    compatibility but not read.  A vector, sector or graph that does not
+    fit ``orbits`` raises ``ParameterDomainError``.
     """
     n, k = orbits.n, orbits.k
+    r = pair.sector
+    if len(pair.vector) != orbits.count:
+        raise ParameterDomainError(f"vector of length {len(pair.vector)} for the "
+                                   f"{orbits.count} orbits of F_{k}(C_{n})")
+    if not 0 <= r < n:
+        raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
     if graph is None:
         graph = build_token_graph(n, k)
-    r = pair.sector
+    elif (graph.n, graph.k) != (n, k):
+        raise ParameterDomainError(f"token graph F_{graph.k}(C_{graph.n}) for the "
+                                   f"orbits of F_{k}(C_{n})")
+    # every orbit has a configuration and every phase has modulus 1, so
+    # the lift is zero exactly when the vector is
     size = np.abs(pair.vector)
+    top = size.max()
+    if top == 0:
+        raise NumericFailureError("lifted vector is zero")
     loaded = blocked_mask(orbits.periods, n, r)
-    loaded &= size > LIFT_SUPPORT_TOL * size.max()
+    loaded &= size > LIFT_SUPPORT_TOL * top
     if loaded.any():
         i = int(np.argmax(loaded))
         raise PhaseConsistencyError(
@@ -570,8 +589,6 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
             f"with sector order {sector_order(n, r)}")
     # w^(r*s) for each shift s, then one gather over the configurations
     out = pair.vector[orbits.orbit_of] * root_table(n)[r * np.arange(n) % n][orbits.shift_of]
-    if not np.any(out):
-        raise NumericFailureError("lifted vector is zero")
     # L x = deg x - sum over neighbours; no vertex is isolated, so no
     # reduceat segment is empty (see build_token_graph)
     res = (graph.degrees - pair.value) * out

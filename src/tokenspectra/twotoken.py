@@ -60,7 +60,6 @@ import math
 from math import comb
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import (CountMismatchError, NumericFailureError,
                      ParameterDomainError, PoleError)
@@ -423,12 +422,13 @@ def spectrum_2token(n: int) -> SpectrumReport:
                           kept.ravel())
 
 
-def _transfer_polynomial(n: int, r: int) -> Polynomial:
+def _transfer_polynomial(n: int, r: int) -> np.polynomial.Polynomial:
     """The sector equation as a polynomial in lambda, not yet monic.
 
     Runs the transfer recurrence (R, S) -> (S, Z S - R) on polynomials,
     from the case's terminal pair, then forms R - (Z - alpha) S.
     """
+    from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
     c = math.cos(math.pi * r / n)
     alpha = 1.0 / c
     z = Polynomial([4.0 / (2 * c), -1.0 / (2 * c)])
@@ -447,6 +447,7 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
     (lambda - 2)(lambda - 4)^m with m = nu - 1 or nu - 2 by the parity
     of nu.
     """
+    from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
     _check_sector(n, r)
     if _is_half_turn(n, r):
         p = Polynomial.fromroots(_half_turn_kept(n))

@@ -18,7 +18,8 @@ from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
                           build_token_graph, enumerate_orbits, filter_spurious,
                           full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, sector_eigenpairs)
-from tokenspectra.polymatrix import _sector_solutions, blocked_mask, solve_sector
+from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_solutions, blocked_mask,
+                                     solve_sector)
 from tokenspectra.tokengraph import subset_rank
 from tokenspectra.tolerances import quotient_tol
 
@@ -313,6 +314,19 @@ def _reference_basis(b, orbits, r):
     return b.real.copy(), RealBasis(keep, np.ones(len(keep)), len(keep), periods, blocked)
 
 
+def _traced_peak(vectors):
+    # the traced peak of one solve at (16, 8), r = 1, in units of b.nbytes
+    orbits = enumerate_orbits(16, 8)
+    b = build_poly_matrix(16, 8, orbits).specialize(1)
+    tracemalloc.start()
+    try:
+        solve_sector(b, orbits, 1, vectors=vectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / b.nbytes
+
+
 class TestSolveSector:
     @pytest.mark.parametrize("n", range(3, 15))
     def test_matches_eig_and_filter_route(self, n):
@@ -400,6 +414,18 @@ class TestSolveSector:
             want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
             assert np.array_equal(sol.residuals, want), (n, k, r)
 
+    def test_residuals_across_a_column_chunk_boundary(self):
+        # 429 kept columns at (15, 7), r = 1: two chunks of COLUMN_CHUNK
+        orbits = enumerate_orbits(15, 7)
+        b = build_poly_matrix(15, 7, orbits).specialize(1)
+        sol = solve_sector(b, orbits, 1)
+        assert len(sol.kept) > COLUMN_CHUNK
+        want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
+        assert_allclose(sol.residuals, want, rtol=0, atol=1e-15)
+        bare = solve_sector(b, orbits, 1, vectors=False)
+        assert np.array_equal(bare.kept, sol.kept)
+        assert np.array_equal(bare.residuals, sol.residuals)
+
     @pytest.mark.parametrize("n", range(3, 15))
     def test_matches_the_dense_reference(self, n):
         # the symmetry blocks give the values of one dense real form
@@ -476,17 +502,15 @@ class TestSolveSector:
             solve_sector(b, broken, 1)
 
     def test_peak_memory_of_a_complex_sector(self):
-        # S is assembled from the cells of b; with the kept vectors and b v
-        # the traced peak stays below three complex nu x nu matrices
-        orbits = enumerate_orbits(16, 8)
-        b = build_poly_matrix(16, 8, orbits).specialize(1)
-        tracemalloc.start()
-        try:
-            solve_sector(b, orbits, 1, vectors=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5 * b.nbytes, peak / b.nbytes
+        # S is assembled from the cells of b, and v and b v are built one
+        # column chunk at a time: the peak stays below two copies of b
+        peak = _traced_peak(vectors=False)
+        assert peak < 2.0, peak
+
+    def test_peak_memory_with_the_kept_vectors(self):
+        # the returned vectors add about one copy of b; no full b v is held
+        peak = _traced_peak(vectors=True)
+        assert peak < 2.32, peak
 
 
 class TestReflectionBasis:
@@ -674,6 +698,27 @@ class TestLiftEigenvector:
         pair = kept_eigenpairs(8, 4)[5]
         with pytest.raises(NumericFailureError, match="lifted vector residual"):
             lift_eigenvector(replace(pair, value=pair.value + 1e-3), orbits)
+
+    def test_vector_of_another_orbit_table_raises(self):
+        orbits = enumerate_orbits(12, 6)
+        pair = kept_eigenpairs(12, 5)[0]
+        with pytest.raises(ParameterDomainError, match=r"vector of length 66 for the 80 orbits"):
+            lift_eigenvector(pair, orbits)
+
+    @pytest.mark.parametrize("sector", [-1, 12])
+    def test_sector_outside_the_cycle_raises(self, sector):
+        orbits = enumerate_orbits(12, 5)
+        pair = replace(kept_eigenpairs(12, 5)[0], sector=sector)
+        with pytest.raises(ParameterDomainError,
+                           match=rf"sector r={sector} must lie in \[0, 12\)"):
+            lift_eigenvector(pair, orbits)
+
+    def test_graph_of_another_token_count_raises(self):
+        orbits = enumerate_orbits(12, 5)
+        pair = kept_eigenpairs(12, 5)[0]
+        with pytest.raises(ParameterDomainError,
+                           match=r"token graph F_6\(C_12\) for the orbits of F_5\(C_12\)"):
+            lift_eigenvector(pair, orbits, build_token_graph(12, 6))
 
     def test_nan_vector_or_value_raises(self):
         orbits = enumerate_orbits(8, 3)

@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -557,6 +560,18 @@ class TestSpectrum2Token:
 
 
 class TestCharpolySector:
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # the sector polynomials load numpy.polynomial on first use only
+        import tokenspectra
+        src = os.path.dirname(os.path.dirname(tokenspectra.__file__))
+        code = ("import sys, numpy; before = 'numpy.polynomial' in sys.modules; "
+                "import tokenspectra; print(before, 'numpy.polynomial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+        if out[0] == "True":
+            pytest.skip("this numpy loads numpy.polynomial on import")
+        assert out == ["False", "False"]
+
     def test_n5_exact(self):
         for r, want in PHI_5.items():
             assert_allclose(charpoly_sector(5, r), want, atol=1e-9)
