@@ -33,7 +33,7 @@ from .polymatrix import build_poly_matrix
 from .polymatrix import full_spectrum as overlift_spectrum
 from .report import (SpectrumReport, max_multiset_deviation, multiset_contains,
                      multisets_close)
-from .tokengraph import DENSE_SPECTRUM_CAP, algebraic_connectivity, brute_spectrum
+from .tokengraph import DENSE_SPECTRUM_CAP, algebraic_connectivity, brute_spectrum, check_sector
 from .tolerances import AGREE_TOL, CLUSTER_TOL
 
 
@@ -172,8 +172,8 @@ def _spectrum_json(report: SpectrumReport, groups) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    if args.r is not None and not 0 <= args.r < args.n:
-        raise ParameterDomainError(f"sector r={args.r} must lie in [0, {args.n})")
+    if args.r is not None:
+        check_sector(args.n, args.r)
     if args.method == "brute" and (args.r is not None or args.audit
                                    or args.format == "latex"):
         raise ParameterDomainError("method brute has no sectors: --r, --audit and "

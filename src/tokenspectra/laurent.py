@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .tokengraph import check_sector
 
 # root tables kept: each sector pipeline reads the tables of n and 2n
 ROOT_CACHE_SIZE = 64
@@ -108,8 +108,7 @@ class LaurentMatrix:
 
     def specialize(self, r: int) -> np.ndarray:
         """Entrywise evaluation at z = exp(2*pi*i*r/n)."""
-        if not 0 <= r < self.n:
-            raise ParameterDomainError(f"sector r={r} must lie in [0, {self.n})")
+        check_sector(self.n, r)
         values = self.coeff * root_table(self.n)[(r * self.exp) % self.n]
         out = np.zeros((self.order, self.order), dtype=complex)
         np.add.at(out, (self.row, self.col), values)

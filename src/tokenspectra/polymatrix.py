@@ -49,18 +49,16 @@ other, so only the sectors r <= n/2 are solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
-from .errors import (CountMismatchError, NumericFailureError,
-                     ParameterDomainError, PhaseConsistencyError)
+from .errors import NumericFailureError, ParameterDomainError, PhaseConsistencyError
 from .laurent import LaurentMatrix, root_table
 from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
                          RANK_TOL, RESIDUAL_TOL, check_bound, quotient_tol)
-from .tokengraph import TokenGraph, build_token_graph, token_moves
+from .tokengraph import TokenGraph, build_token_graph, check_sector, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
 COLUMN_CHUNK = 256  # kept vectors built and checked this many columns at a time
@@ -97,10 +95,10 @@ class ClusterVerdict:
         return self.total - self.kept
 
 
-def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
-                      shift: str = "smallest") -> LaurentMatrix:
+def build_poly_matrix(n: int, k: int, shift: str = "smallest") -> LaurentMatrix:
     """The orbit polynomial matrix of the k-token graph of the n-cycle.
 
+    Rows and columns follow the cached ``enumerate_orbits(n, k)``.
     ``shift`` picks the representative shift when the target orbit is
     short and the shift is only determined mod its period: "smallest"
     (default) or "largest".  Both choices leave the kept spectrum
@@ -108,8 +106,7 @@ def build_poly_matrix(n: int, k: int, orbits: OrbitTable | None = None,
     """
     if shift not in ("smallest", "largest"):
         raise ParameterDomainError(f"unknown shift choice {shift!r}")
-    if orbits is None:
-        orbits = enumerate_orbits(n, k)
+    orbits = enumerate_orbits(n, k)
     row, at = token_moves(np.array(orbits.reps), n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
     if shift == "largest":
@@ -424,8 +421,14 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
     eigenvectors of b, exactly zero on the blocked orbits, and their
     residuals max|b v - v lambda| must stay within RESIDUAL_TOL.  The
     discarded values are ``eig`` of b[X, X]; their imaginary parts must
-    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.
+    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.  A
+    sector r outside [0, n) or a b that is not nu x nu for ``orbits``
+    raises ``ParameterDomainError``.
     """
+    check_sector(orbits.n, r)
+    if np.shape(b) != (orbits.count, orbits.count):
+        raise ParameterDomainError(f"sector matrix of shape {np.shape(b)} for the "
+                                   f"{orbits.count} orbits of F_{orbits.k}(C_{orbits.n})")
     return _solve_sector(b, orbits, r, _sector_bases(orbits, [r])[0], vectors)
 
 
@@ -496,7 +499,7 @@ def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
     same order n/gcd(n, r), so they block the same orbits.
     """
     orbits = enumerate_orbits(n, k)
-    matrix = build_poly_matrix(n, k, orbits, shift=shift)
+    matrix = build_poly_matrix(n, k, shift)
     rs = list(range(n // 2 + 1))
     sols = [_solve_sector(matrix.specialize(r), orbits, r, basis, vectors)
             for r, basis in zip(rs, _sector_bases(orbits, rs))]
@@ -508,22 +511,11 @@ def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
 
 
 def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
-    """Union of the kept sector spectra; exactly C(n, k) values kept.
-
-    Each sector's audit entries are its kept values, ascending, then its
-    discarded values, ascending, so the kept mask follows from the counts
-    alone and no tie between the two is broken by rounding.
-    """
+    """Union of the kept sector spectra, laid out by ``SpectrumReport.from_sectors``."""
     sols = _sector_solutions(n, k, shift, vectors=False)
-    columns = [v for sol in sols for v in (sol.kept, sol.discarded)]
-    values, counts = np.concatenate(columns), [len(v) for v in columns]
-    kept = np.repeat(np.tile([True, False], n), counts)
-    expected = comb(n, k)
-    if kept.sum() != expected:
-        raise CountMismatchError(
-            f"kept {kept.sum()} eigenvalues for F_{k}(C_{n}), expected {expected}")
-    sectors = np.repeat(np.arange(n).repeat(2), counts)
-    return SpectrumReport(n, k, "overlift", values, sectors, kept)
+    values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
+    return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
+                                       [len(sol.discarded) for sol in sols])
 
 
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
@@ -567,8 +559,7 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     if len(pair.vector) != orbits.count:
         raise ParameterDomainError(f"vector of length {len(pair.vector)} for the "
                                    f"{orbits.count} orbits of F_{k}(C_{n})")
-    if not 0 <= r < n:
-        raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
+    check_sector(n, r)
     if graph is None:
         graph = build_token_graph(n, k)
     elif (graph.n, graph.k) != (n, k):

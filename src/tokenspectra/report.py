@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
+from .errors import CountMismatchError
 from .tolerances import AGREE_TOL
 
 
@@ -21,10 +23,10 @@ class SpectrumReport:
     The trail is stored by columns, and these columns are the whole
     interface: entry i has value ``values[i]``, sector ``sectors[i]`` and
     keep flag ``kept_mask[i]``.  ``sectors`` is None for methods that do
-    not work sector by sector (brute force); the sector routes list each
-    sector's kept values, ascending, then its discarded values, ascending.
-    The arrays are read-only copies.  ``kept`` is the ascending spectrum
-    of the graph; the discarded values are ``values[~kept_mask]``.
+    not work sector by sector (brute force); ``from_sectors`` is the one
+    builder of a sector route's trail.  The arrays are read-only copies.
+    ``kept`` is the ascending spectrum of the graph; the discarded values
+    are ``values[~kept_mask]``.
     """
 
     n: int
@@ -42,6 +44,24 @@ class SpectrumReport:
                 column = np.array(column, dtype=dtype)
                 column.flags.writeable = False
                 object.__setattr__(self, name, column)
+
+    @classmethod
+    def from_sectors(cls, n: int, k: int, method: str, values, kept, discarded) -> SpectrumReport:
+        """The trail of a sector route from its values and per-sector counts.
+
+        ``values`` lists, for r = 0..n-1 in turn, the ``kept[r]`` kept values
+        of sector r, then its ``discarded[r]`` discarded ones, each ascending,
+        so the kept mask follows from the counts and no tie is broken by
+        rounding.  Raises ``CountMismatchError`` unless the counts cover
+        ``values`` and exactly C(n, k) values are kept.
+        """
+        counts = np.column_stack([kept, discarded]).ravel()
+        mask = np.repeat(np.tile([True, False], n), counts)
+        if len(mask) != len(values) or mask.sum() != comb(n, k):
+            raise CountMismatchError(
+                f"kept {mask.sum()} eigenvalues for F_{k}(C_{n}), expected C({n}, {k}) = "
+                f"{comb(n, k)}; the sector counts cover {len(mask)} of {len(values)} values")
+        return cls(n, k, method, values, np.repeat(np.arange(n).repeat(2), counts), mask)
 
     @cached_property
     def kept(self) -> tuple[float, ...]:

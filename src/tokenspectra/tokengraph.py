@@ -41,6 +41,12 @@ def check_params(n: int, k: int) -> None:
             f"token count k={k} must satisfy 1 <= k <= n/2 for n={n}")
 
 
+def check_sector(n: int, r: int) -> None:
+    """Reject a sector index r outside [0, n) of the n-cycle."""
+    if not 0 <= r < n:
+        raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
+
+
 def subset_rank(subsets, n: int) -> np.ndarray:
     """Lexicographic rank of each sorted k-subset of Z_n, over the last axis.
 

@@ -57,14 +57,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from math import comb
 
 import numpy as np
 
-from .errors import (CountMismatchError, NumericFailureError,
-                     ParameterDomainError, PoleError)
+from .errors import NumericFailureError, ParameterDomainError, PoleError
 from .laurent import root_table
 from .report import SpectrumReport
+from .tokengraph import check_sector
 from .tolerances import (BRANCH_GUARD, CLOSED_FORM_IMAG_TOL, NEWTON_STEP_TOL,
                          POLE_TOL, check_bound, quotient_tol)
 
@@ -75,18 +74,13 @@ SQRT_HALF = np.sqrt(0.5)
 def _check_sector(n: int, r: int) -> None:
     if n < 4:
         raise ParameterDomainError(f"two-token closed forms need n >= 4, got {n}")
-    if not 0 <= r < n:
-        raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
+    check_sector(n, r)
 
 
 def _check_finite(lam: float) -> None:
     """NaN and infinities pass no pole or branch test, so they are refused first."""
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lambda must be finite, got {lam}")
-
-
-def _is_half_turn(n: int, r: int) -> bool:
-    return n % 2 == 0 and 2 * r == n
 
 
 def _kept_counts(n: int, rs: np.ndarray) -> np.ndarray:
@@ -148,7 +142,7 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
     """Q_1 by backward recurrence from the case's terminal value."""
     _check_sector(n, r)
     _check_finite(lam)
-    if _is_half_turn(n, r):
+    if 2 * r == n:
         raise ParameterDomainError(
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
     c = math.cos(math.pi * r / n)
@@ -342,8 +336,9 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
     H into a real symmetric S with the same eigenvalues (the reflection
     basis of ``polymatrix.solve_sector`` with every orbit fixed), and
-    max|Im S| must stay within tol.
-    Then for the sorted roots x_i, Sturm counts of S must show
+    max|Im S| must stay within tol; the phases leave the diagonal as it
+    is, and the skew bounds its imaginary part.  Then for the sorted
+    roots x_i, Sturm counts of S must show
     count(x_i - tol) <= i < count(x_i + tol), that is, the i-th
     eigenvalue of S lies within tol of x_i, which also checks
     multiplicities.  A failure raises ``NumericFailureError`` naming n,
@@ -355,11 +350,9 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
                       np.abs(upper - lower.conj()).max(axis=1))
     _check_sectors(n, rs, "skew max|H - H^*|", skew, tol)
     phase = root_table(2 * n)[(-rs[:, None] * (n - np.arange(1, nu + 1))) % (2 * n)]
-    diag = diag * phase.conj() * phase
     lower = lower * phase[:, 1:].conj() * phase[:, :-1]
     upper = upper * phase[:, :-1].conj() * phase[:, 1:]
-    imag = np.maximum(np.abs(diag.imag).max(axis=1),
-                      np.maximum(np.abs(lower.imag), np.abs(upper.imag)).max(axis=1))
+    imag = np.maximum(np.abs(lower.imag), np.abs(upper.imag)).max(axis=1)
     _check_sectors(n, rs, "real form imaginary part max|Im S|", imag, tol)
 
     # one column per sector from here on
@@ -402,24 +395,19 @@ def spectrum_2token(n: int) -> SpectrumReport:
     coefficients, so B(w^(n-r)) is the conjugate of B(w^r); the two
     Hermitian quotients are conjugate and have the same eigenvalues, and
     sector n - r takes the roots of sector r.  Each sector contributes
-    nu audit entries: its kept roots, ascending, then in the odd sectors
-    of even n the spurious 4 of the blocked half-turn orbit.
+    nu values: its kept roots, then in the odd sectors of even n the
+    spurious 4 of the blocked half-turn orbit
+    (``SpectrumReport.from_sectors``).
     """
-    if n < 4:
-        raise ParameterDomainError(f"two-token spectrum needs n >= 4, got {n}")
+    _check_sector(n, 0)  # sector 0 exists for every n; this checks n
     nu = n // 2
     rs = np.arange(nu + 1)
     roots = _solve_sectors(n, rs)
     _check_roots(n, rs, roots, _sector_band(n, rs))
     sectors = np.arange(n)
-    kept = np.arange(nu) < _kept_counts(n, sectors)[:, None]
-    values = np.where(kept, roots[np.minimum(sectors, n - sectors)], 4.0)
-    expected = comb(n, 2)
-    if kept.sum() != expected:
-        raise CountMismatchError(
-            f"collected {kept.sum()} eigenvalues for F_2(C_{n}), expected {expected}")
-    return SpectrumReport(n, 2, "contfrac", values.ravel(), np.repeat(sectors, nu),
-                          kept.ravel())
+    kept = _kept_counts(n, sectors)
+    values = np.where(np.arange(nu) < kept[:, None], roots[np.minimum(sectors, n - sectors)], 4.0)
+    return SpectrumReport.from_sectors(n, 2, "contfrac", values.ravel(), kept, nu - kept)
 
 
 def _transfer_polynomial(n: int, r: int) -> np.polynomial.Polynomial:
@@ -449,7 +437,7 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
     """
     from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
     _check_sector(n, r)
-    if _is_half_turn(n, r):
+    if 2 * r == n:
         p = Polynomial.fromroots(_half_turn_kept(n))
     else:
         p = _transfer_polynomial(n, r)
@@ -469,7 +457,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     _check_sector(n, r)
     _check_finite(lam)
     nu = n // 2
-    if _is_half_turn(n, r):
+    if 2 * r == n:
         return float(math.prod(lam - v for v in _half_turn_kept(n)))
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)

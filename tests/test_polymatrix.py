@@ -11,8 +11,8 @@ from conftest import (RealBasis, assert_kept_then_discarded, cached_brute, cache
                       reflection_basis, rotate, shown_sectors)
 from numpy.testing import assert_allclose
 
-from tokenspectra import cli
-from tokenspectra import (EigenPair, LaurentMatrix, NumericFailureError,
+from tokenspectra import cli, polymatrix
+from tokenspectra import (CountMismatchError, EigenPair, LaurentMatrix, NumericFailureError,
                           ParameterDomainError, PhaseConsistencyError,
                           build_poly_matrix,
                           build_token_graph, enumerate_orbits, filter_spurious,
@@ -179,7 +179,7 @@ class TestSectorEigenpairs:
 class TestFilterSpurious:
     def test_6_3_sector_1_drops_six(self):
         orbits = enumerate_orbits(6, 3)
-        m = build_poly_matrix(6, 3, orbits)
+        m = build_poly_matrix(6, 3)
         verdicts = filter_spurious(sector_eigenpairs(m, 1), orbits, 1)
         six = [v for v in verdicts if abs(v.value - 6) < 1e-6]
         assert len(six) == 1 and six[0].kept == 0 and six[0].total == 1
@@ -189,7 +189,7 @@ class TestFilterSpurious:
     def test_6_3_sector_1_six_vector_loaded_on_short_orbit(self):
         # the 6-eigenvector has a nonzero component on the period-2 orbit
         orbits = enumerate_orbits(6, 3)
-        m = build_poly_matrix(6, 3, orbits)
+        m = build_poly_matrix(6, 3)
         pairs = sector_eigenpairs(m, 1)
         six = next(p for p in pairs if abs(p.value - 6) < 1e-6)
         short = orbits.reps.index((0, 2, 4))
@@ -198,7 +198,7 @@ class TestFilterSpurious:
 
     def test_6_3_sector_0_keeps_six(self):
         orbits = enumerate_orbits(6, 3)
-        m = build_poly_matrix(6, 3, orbits)
+        m = build_poly_matrix(6, 3)
         verdicts = filter_spurious(sector_eigenpairs(m, 0), orbits, 0)
         six = next(v for v in verdicts if abs(v.value - 6) < 1e-6)
         assert six.kept == 1
@@ -208,7 +208,7 @@ class TestFilterSpurious:
 
     def test_coprime_case_keeps_everything(self):
         orbits = enumerate_orbits(7, 3)
-        m = build_poly_matrix(7, 3, orbits)
+        m = build_poly_matrix(7, 3)
         for r in range(7):
             assert np.flatnonzero(blocked_mask(np.asarray(orbits.periods), 7, r)).tolist() == []
             verdicts = filter_spurious(sector_eigenpairs(m, r), orbits, r)
@@ -227,6 +227,14 @@ class TestFullSpectrum:
         periods = np.array(enumerate_orbits(6, 3).periods)
         assert np.bincount(report.sectors[report.kept_mask]).tolist() == [
             np.count_nonzero(~blocked_mask(periods, 6, r)) for r in range(6)]
+
+    def test_a_lost_kept_value_raises(self, monkeypatch):
+        sols = _sector_solutions(8, 3, vectors=False)
+        sols[2] = replace(sols[2], kept=sols[2].kept[1:], residuals=sols[2].residuals[1:])
+        monkeypatch.setattr(polymatrix, "_sector_solutions", lambda *_, **__: sols)
+        with pytest.raises(CountMismatchError,
+                           match=r"kept 55 eigenvalues for F_3\(C_8\), expected C\(8, 3\) = 56"):
+            full_spectrum(8, 3)
 
     def test_8_4_audit(self):
         report = cached_overlift(8, 4)
@@ -317,7 +325,7 @@ def _reference_basis(b, orbits, r):
 def _traced_peak(vectors):
     # the traced peak of one solve at (16, 8), r = 1, in units of b.nbytes
     orbits = enumerate_orbits(16, 8)
-    b = build_poly_matrix(16, 8, orbits).specialize(1)
+    b = build_poly_matrix(16, 8).specialize(1)
     tracemalloc.start()
     try:
         solve_sector(b, orbits, 1, vectors=vectors)
@@ -335,7 +343,7 @@ class TestSolveSector:
         for k in range(1, n // 2 + 1):
             orbits = enumerate_orbits(n, k)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, orbits, shift=shift)
+                m = build_poly_matrix(n, k, shift=shift)
                 for r in range(n):
                     sol = solve_sector(m.specialize(r), orbits, r, vectors=False)
                     verdicts = filter_spurious(sector_eigenpairs(m, r), orbits, r)
@@ -344,9 +352,18 @@ class TestSolveSector:
                     assert multisets_close(sol.kept, kept, 1e-8), (n, k, shift, r)
                     assert multisets_close(sol.discarded, dropped, 1e-8), (n, k, shift, r)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 6), (10, 10)])
+    def test_matrix_of_another_shape_raises(self, shape):
+        orbits = enumerate_orbits(8, 3)
+        b = np.zeros(shape, dtype=complex)
+        with pytest.raises(ParameterDomainError,
+                           match=rf"sector matrix of shape \({shape[0]}, {shape[1]}\) "
+                                 r"for the 7 orbits of F_3\(C_8\)"):
+            solve_sector(b, orbits, 1)
+
     def test_blocked_coupling_raises(self):
         orbits = enumerate_orbits(6, 3)
-        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        b = build_poly_matrix(6, 3).specialize(1)
         short = orbits.reps.index((0, 2, 4))
         b[short, 0] += 1e-6
         with pytest.raises(NumericFailureError,
@@ -355,7 +372,7 @@ class TestSolveSector:
 
     def test_non_hermitian_quotient_raises(self):
         orbits = enumerate_orbits(8, 4)
-        b = build_poly_matrix(8, 4, orbits).specialize(3)
+        b = build_poly_matrix(8, 4).specialize(3)
         b[0, 1] += 1e-6
         with pytest.raises(NumericFailureError,
                            match=r"F_4\(C_8\) sector r=3: skew .* exceeds tol"):
@@ -363,7 +380,7 @@ class TestSolveSector:
 
     def test_residual_failure_names_its_context(self, monkeypatch):
         orbits = enumerate_orbits(6, 3)
-        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        b = build_poly_matrix(6, 3).specialize(1)
         eigh = np.linalg.eigh
 
         def shifted_eigh(h):
@@ -378,7 +395,7 @@ class TestSolveSector:
 
     def test_imaginary_discarded_value_raises(self):
         orbits = enumerate_orbits(6, 3)
-        b = build_poly_matrix(6, 3, orbits).specialize(1)
+        b = build_poly_matrix(6, 3).specialize(1)
         short = orbits.reps.index((0, 2, 4))
         b[short, short] += 1e-3j
         with pytest.raises(NumericFailureError,
@@ -388,7 +405,7 @@ class TestSolveSector:
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     def test_kept_vectors_vanish_on_blocked_orbits(self, n, k):
         orbits = enumerate_orbits(n, k)
-        m = build_poly_matrix(n, k, orbits)
+        m = build_poly_matrix(n, k)
         for r in range(n):
             sol = solve_sector(m.specialize(r), orbits, r)
             assert np.all(sol.vectors[_blocked_mask(orbits, r)] == 0)
@@ -400,14 +417,14 @@ class TestSolveSector:
 
     def test_vectors_not_kept_on_request(self):
         orbits = enumerate_orbits(8, 4)
-        b = build_poly_matrix(8, 4, orbits).specialize(2)
+        b = build_poly_matrix(8, 4).specialize(2)
         assert solve_sector(b, orbits, 2, vectors=False).vectors is None
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     def test_residuals_are_those_of_the_returned_vectors(self, n, k):
         # one product against b itself, blocked rows included
         orbits = enumerate_orbits(n, k)
-        m = build_poly_matrix(n, k, orbits)
+        m = build_poly_matrix(n, k)
         for r in range(n):
             b, _ = _reference_basis(m.specialize(r), orbits, r)
             sol = solve_sector(b, orbits, r)
@@ -417,7 +434,7 @@ class TestSolveSector:
     def test_residuals_across_a_column_chunk_boundary(self):
         # 429 kept columns at (15, 7), r = 1: two chunks of COLUMN_CHUNK
         orbits = enumerate_orbits(15, 7)
-        b = build_poly_matrix(15, 7, orbits).specialize(1)
+        b = build_poly_matrix(15, 7).specialize(1)
         sol = solve_sector(b, orbits, 1)
         assert len(sol.kept) > COLUMN_CHUNK
         want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
@@ -432,7 +449,7 @@ class TestSolveSector:
         for k in range(1, n // 2 + 1):
             orbits = enumerate_orbits(n, k)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, orbits, shift=shift)
+                m = build_poly_matrix(n, k, shift=shift)
                 for r in range(n):
                     b = m.specialize(r)
                     sol = solve_sector(b, orbits, r, vectors=False)
@@ -448,7 +465,7 @@ class TestSolveSector:
     def test_symmetry_blocks(self, n, k, r, blocks):
         # the complement splits k = n/2; the parity splits r = 0 and n/2
         orbits = enumerate_orbits(n, k)
-        sol = solve_sector(build_poly_matrix(n, k, orbits).specialize(r), orbits, r,
+        sol = solve_sector(build_poly_matrix(n, k).specialize(r), orbits, r,
                            vectors=False)
         assert sol.blocks == blocks
         assert sum(blocks) == len(sol.kept)
@@ -463,7 +480,7 @@ class TestSolveSector:
         # complement maps 2 onto 4: a symmetric b[0, 2] couples two blocks
         orbits = enumerate_orbits(8, 4)
         assert orbits.mirror_of[2] == 2 and orbits.complement_of[2] == 4
-        b = build_poly_matrix(8, 4, orbits).specialize(0)
+        b = build_poly_matrix(8, 4).specialize(0)
         b[0, 2] += 1e-6
         b[2, 0] += 1e-6
         with pytest.raises(NumericFailureError,
@@ -480,7 +497,7 @@ class TestSolveSector:
         shift = orbits.complement_shift.copy()
         shift[0] += 1
         broken = replace(orbits, complement_shift=shift)
-        b = build_poly_matrix(8, 4, orbits).specialize(r)
+        b = build_poly_matrix(8, 4).specialize(r)
         solve_sector(b, orbits, r)
         with pytest.raises(NumericFailureError, match=rf"sector r={r}: {quantity}"):
             solve_sector(b, broken, r)
@@ -496,7 +513,7 @@ class TestSolveSector:
         shift = orbits.complement_shift.copy()
         shift[i] += orbits.periods[i] // 2
         broken = replace(orbits, complement_shift=shift)
-        b = build_poly_matrix(12, 6, orbits).specialize(1)
+        b = build_poly_matrix(12, 6).specialize(1)
         with pytest.raises(NumericFailureError,
                            match=r"sector r=1: complement piece eigenvalues max\|C q - \(\+-q\)\|"):
             solve_sector(b, broken, 1)
@@ -522,7 +539,7 @@ class TestReflectionBasis:
             orbits = enumerate_orbits(n, k)
             periods = np.asarray(orbits.periods)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, orbits, shift=shift)
+                m = build_poly_matrix(n, k, shift=shift)
                 for r in range(n):
                     b, basis = _reference_basis(m.specialize(r), orbits, r)
                     blocked = _blocked_mask(orbits, r)
@@ -559,7 +576,7 @@ class TestReflectionBasis:
     def test_skew_of_a_real_sector_raises(self, r):
         # a real b skips the phases and pairs, not the skew check
         orbits = enumerate_orbits(8, 4)
-        b = build_poly_matrix(8, 4, orbits).specialize(r)
+        b = build_poly_matrix(8, 4).specialize(r)
         b[0, 1] += 1e-6
         with pytest.raises(NumericFailureError,
                            match=rf"^F_4\(C_8\) sector r={r}: skew max\|H - H\^\*\| "):
@@ -569,7 +586,7 @@ class TestReflectionBasis:
         # a Hermitian perturbation that the reflection does not map to
         # itself keeps H Hermitian but makes its real form complex
         orbits = enumerate_orbits(8, 4)
-        b = build_poly_matrix(8, 4, orbits).specialize(3)
+        b = build_poly_matrix(8, 4).specialize(3)
         assert orbits.mirror_of[0] == 0 and orbits.mirror_of[1] == 3
         b[0, 1] += 1e-6j
         b[1, 0] -= 1e-6j
@@ -584,7 +601,7 @@ class TestReflectionBasis:
         shift = orbits.mirror_shift.copy()
         shift[fixed] += 1
         broken = replace(orbits, mirror_shift=shift)
-        b = build_poly_matrix(9, 3, orbits).specialize(2)
+        b = build_poly_matrix(9, 3).specialize(2)
         solve_sector(b, orbits, 2)
         with pytest.raises(NumericFailureError,
                            match=r"F_3\(C_9\) sector r=2: real form imaginary part"):
@@ -595,7 +612,7 @@ class TestReflectionBasis:
         # reflection; shifting every mirror shift by one flips the sign
         # of the reflection at r = n/2, which only swaps its two parities
         orbits = enumerate_orbits(8, 4)
-        m = build_poly_matrix(8, 4, orbits)
+        m = build_poly_matrix(8, 4)
         broken = replace(orbits, mirror_shift=orbits.mirror_shift + 1)
         for r in (0, 4):
             b = m.specialize(r)
@@ -642,7 +659,7 @@ class TestLiftEigenvector:
 
     def test_two_token_smallest_sector_1(self):
         orbits = enumerate_orbits(7, 2)
-        m = build_poly_matrix(7, 2, orbits)
+        m = build_poly_matrix(7, 2)
         pairs = sector_eigenpairs(m, 1)
         assert abs(pairs[0].value - 0.7530) < 1e-3
         lifted = lift_eigenvector(pairs[0], orbits)

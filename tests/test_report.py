@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import cached_brute, cached_contfrac, cached_overlift
 
-from tokenspectra import SpectrumReport, multiset_contains, multisets_close
+from tokenspectra import (CountMismatchError, SpectrumReport, multiset_contains,
+                          multisets_close)
 from tokenspectra.report import max_multiset_deviation
 
 
@@ -115,3 +116,32 @@ class TestSpectrumReport:
         assert len(report.values) == len(report.sectors) == len(report.kept_mask)
         assert sorted(set(report.sectors.tolist())) == list(range(report.n))
         assert report.kept == tuple(sorted(report.values[report.kept_mask].tolist()))
+
+
+class TestFromSectors:
+    # F_2(C_4) has C(4, 2) = 6 vertices; each sector lists two values
+    VALUES = [0.0, 2.0, 2.0, 4.0, 4.0, 4.0, 2.0, 4.0]
+
+    def test_layout_from_counts(self):
+        report = SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, [2, 1, 2, 1],
+                                             [0, 1, 0, 1])
+        assert (report.n, report.k, report.method) == (4, 2, "demo")
+        assert report.values.tolist() == self.VALUES
+        assert report.sectors.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert report.kept_mask.tolist() == [True, True, True, False,
+                                             True, True, True, False]
+        assert report.kept == (0.0, 2.0, 2.0, 2.0, 4.0, 4.0)
+
+    @pytest.mark.parametrize("kept,discarded", [([2, 1, 1, 1], [0, 1, 1, 1]),
+                                                ([2, 2, 2, 1], [0, 0, 0, 1])])
+    def test_kept_count_off_by_one_raises(self, kept, discarded):
+        with pytest.raises(CountMismatchError,
+                           match=rf"kept {sum(kept)} eigenvalues for F_2\(C_4\), "
+                                 r"expected C\(4, 2\) = 6"):
+            SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, kept, discarded)
+
+    @pytest.mark.parametrize("discarded", [[0, 1, 0, 0], [0, 1, 0, 2]])
+    def test_counts_that_miss_values_raise(self, discarded):
+        with pytest.raises(CountMismatchError,
+                           match=rf"cover {6 + sum(discarded)} of 8 values"):
+            SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, [2, 1, 2, 1], discarded)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from conftest import cached_brute, edge_pairs, token_neighbors
 from numpy.testing import assert_allclose
 
-from tokenspectra import (ParameterDomainError, SizeLimitError,
-                          build_token_graph, laplacian, multiset_contains)
+from tokenspectra import (ParameterDomainError, SizeLimitError, build_poly_matrix,
+                          build_token_graph, charpoly_rho_form, charpoly_sector,
+                          contfrac_q1, enumerate_orbits, kept_eigenpairs, laplacian,
+                          lift_eigenvector, multiset_contains, sector_roots)
+from tokenspectra.polymatrix import solve_sector
 from tokenspectra.tokengraph import algebraic_connectivity, subset_rank
 
 
@@ -163,3 +167,24 @@ class TestBruteSpectrum:
                 assert multiset_contains(sup.kept, sub.kept, 1e-8)
             conns = [algebraic_connectivity(rep) for rep in reports]
             assert max(conns) - min(conns) < 1e-8
+
+
+# every public routine that takes a sector index of F_3(C_8) or F_2(C_8)
+SECTOR_CALLS = {
+    "specialize": lambda r: build_poly_matrix(8, 3).specialize(r),
+    "solve_sector": lambda r: solve_sector(build_poly_matrix(8, 3).specialize(1),
+                                           enumerate_orbits(8, 3), r),
+    "lift_eigenvector": lambda r: lift_eigenvector(replace(kept_eigenpairs(8, 3)[0], sector=r),
+                                                   enumerate_orbits(8, 3)),
+    "sector_roots": lambda r: sector_roots(8, r),
+    "charpoly_sector": lambda r: charpoly_sector(8, r),
+    "contfrac_q1": lambda r: contfrac_q1(1.0, 8, r),
+    "charpoly_rho_form": lambda r: charpoly_rho_form(8, r, 1.0),
+}
+
+
+@pytest.mark.parametrize("r", [-1, 8])
+@pytest.mark.parametrize("call", sorted(SECTOR_CALLS))
+def test_sector_outside_the_cycle_raises(call, r):
+    with pytest.raises(ParameterDomainError, match=rf"sector r={r} must lie in \[0, 8\)"):
+        SECTOR_CALLS[call](r)
