@@ -10,7 +10,8 @@ from the report's columns, sorted once by (sector, value) with each kept
 value before every discarded value within CLUSTER_TOL of it.  Brute force
 has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
 --audit is a text table and needs --format text.  Also exit 2: spectrum
---tol without --check-against, charpoly --lo or --hi without --samples
+--tol without --check-against, contfrac (as --method or --check-against)
+with k != 2, charpoly --lo or --hi without --samples
 above 0, verify --n-max past the largest n whose spectra all fit the
 dense spectrum cap, and an --out path that cannot be written.
 """
@@ -51,8 +52,6 @@ def _spectrum_by_method(method: str, n: int, k: int) -> SpectrumReport:
     if method == "overlift":
         return overlift_spectrum(n, k)
     if method == "contfrac":
-        if k != 2:
-            raise ParameterDomainError("method contfrac requires k = 2")
         return twotoken.spectrum_2token(n)
     raise ParameterDomainError(f"unknown method {method!r}")
 
@@ -182,6 +181,8 @@ def cmd_spectrum(args) -> int:
         raise ParameterDomainError("--audit prints a text table: it needs --format text")
     if args.tol is not None and not args.check_against:
         raise ParameterDomainError("argument --tol: only applies with --check-against")
+    if args.k != 2 and "contfrac" in (args.method, args.check_against):
+        raise ParameterDomainError("method contfrac requires k = 2")
     report = _spectrum_by_method(args.method, args.n, args.k)
     status, check_note = 0, ""
     if args.check_against:
@@ -258,7 +259,7 @@ def cmd_charpoly(args) -> int:
         else:
             lines = ["degree,coefficient"]
             deg = len(coeffs) - 1
-            lines += [f"{deg - i},{c!r}" for i, c in enumerate(coeffs)]
+            lines += [f"{deg - i},{c!r}" for i, c in enumerate(coeffs.tolist())]
         _write("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"sector polynomial for n={args.n}, r={args.r} "
@@ -444,3 +445,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -24,19 +24,19 @@ U, blocked X), and ``solve_sector`` reads the split off exactly:
 * the discarded values are the spectrum of B_XX, only |X| wide.
 
 Symmetries of the cycle that commute with rotation act within each
-sector and cut H into independent blocks (``_sector_bases``).  The
-reflection X -> -X, composed with complex conjugation, is an
-antiunitary symmetry of H that squares to the identity (each
+sector and cut H into independent blocks (``_sector_bases``).  When
+2k = n, complementation X -> Z_n - X is a linear symmetry, so H splits
+first over its +-1 eigenvectors ("items"); otherwise each orbit is an
+item.  The reflection X -> -X, composed with complex conjugation, maps
+items of one sign onto each other and squares to the identity (each
 two-dimensional dihedral representation is of real type), so in a basis
-of fixed orbits and mirror pairs with half phases H is a real symmetric
-matrix S.  In the real sectors 0 and n/2 the reflection itself is a
-linear symmetry, and S splits into its even and odd parts.  When
-2k = n, complementation X -> Z_n - X commutes with both and splits
-every block once more.  Each basis vector combines at most 4 orbits, so
-``solve_sector`` assembles the blocks of S from the nonzero cells of b
-alone, checks the coupling, the skew, the realness and the entries
-between blocks on the way, and solves each block by its own real
-``eigh``; the kept residual is measured against b itself.
+of fixed items and item pairs with half phases H is a real symmetric
+matrix S.  In the real sectors 0 and n/2 the reflection itself is
+linear, and S splits into its even and odd parts.  Each basis vector
+combines at most 4 orbits, so ``solve_sector`` assembles the blocks of S
+from the nonzero cells of b alone, checks the coupling, the skew, the
+realness and the entries between blocks on the way, and solves each
+block by its own real ``eigh``; the kept residual is measured against b.
 
 ``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
 construction (a general eigensolve, then a rank test on the eigenspaces
@@ -146,9 +146,9 @@ def blocked_mask(periods: np.ndarray, n: int, r: int) -> np.ndarray:
 
     An orbit is blocked when the sector order n/gcd(n, r) does not
     divide its period, so w^(rp) != 1 on it.  Full orbits are never
-    blocked.
+    blocked.  An array of sectors gives one row of the mask per sector.
     """
-    return periods % sector_order(n, r) != 0
+    return periods % (n // np.gcd(n, r))[..., None] != 0
 
 
 def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
@@ -190,9 +190,9 @@ def filter_spurious(pairs: list[EigenPair], orbits: OrbitTable,
     return verdicts
 
 
-# the columns of a reflection pair (rows lo, hi) or of a fixed orbit (row
-# lo): (e_lo + e_hi)/sqrt(2) and i (e_lo - e_hi)/sqrt(2) in a complex sector,
-# before the half phase; (e_lo +- s e_hi)/sqrt(2) = EVEN +- s ODD in a real one
+# the columns of a reflection pair of items (rows lo, hi) or of a fixed item
+# (row lo): (lo + hi)/sqrt(2) and i (lo - hi)/sqrt(2) in a complex sector,
+# before the half phase; (lo +- s hi)/sqrt(2) = EVEN +- s ODD in a real one
 _PAIR = SQRT_HALF * np.array([[1, 1j], [1, -1j]])
 _EVEN = SQRT_HALF * np.array([[1.0, 1.0], [0.0, 0.0]])
 _ODD = SQRT_HALF * np.array([[0.0, 0.0], [1.0, -1.0]])
@@ -205,106 +205,84 @@ def _sector_bases(orbits: OrbitTable, rs: list[int]) -> list[tuple]:
     Each entry is (blocked, col, coef, sizes, square, piece): row i of Q
     holds coef[p, i] in column col[p, i] (zero coefficients pad the rows;
     the rows of the ``blocked`` orbits are zero), and the columns are
-    numbered block by block, ``sizes`` long each.  Every column combines
-    at most 4 orbits, and S = Q^* H Q is block diagonal and real.  All
-    sectors are built at once, so a sector costs few numpy calls.
+    numbered by parity, then by complement sign (-1 before +1), one
+    block of ``sizes`` each.  S = Q^* H Q is block diagonal and real.
+    All sectors are built at once, so a sector costs few numpy calls.
 
-    * A complex sector (0 < r < n/2) uses the reflection composed with
-      complex conjugation, f -> P conj(f), P[i, sigma(i)] = w^(-r t_i):
-      phase * e_i for a fixed orbit, phase * (e_i + e_j)/sqrt(2) and
-      i * phase * (e_i - e_j)/sqrt(2) for a pair i < j = sigma(i), with
-      the half phase exp(-i pi r t_i / n).  One block.
-    * A real sector (r = 0, n/2) uses the parity of the linear
-      reflection (R f)_i = s_i f_sigma(i), s_i = w^(r t_i) = +-1: e_i,
-      even when s_i = +1, and (e_i +- s_i e_j)/sqrt(2).  Two blocks.
-    * When 2k = n, the complement (C f)_i = w^(r tc_i) f_c(i) commutes
-      with both and splits each block in two, -1 before +1.  A column q
-      of a pair whose complement is another pair gives (q + C q)/sqrt(2)
-      and (q - C q)/sqrt(2).  A pair that is its own complement keeps
-      its columns, which C maps to +-themselves: in a real sector the
-      parity columns already are, and in a complex one the pair
-      (lo, hi = c(lo)) takes phase * (g e_lo +- conj(g) e_hi),
-      g = w^(r tc_lo / 2).  ``square`` is max|C^2 - I| and ``piece``
-      max|C q -+ q| over those columns, on the unblocked orbits, for the
-      caller to check; both are None when 2k != n.
+    * Items: the complement (C f)_i = gamma_i f_c(i), gamma_i =
+      w^(r tc_i), is linear.  A pair l < j = c(l) gives the items
+      (e_l +- gamma_j e_j)/sqrt(2) of sign +-1 (item l, then item j); an
+      orbit that is its own complement is an item of sign gamma_l.  When
+      2k != n, c is the identity: every orbit is an item of sign +1.
+    * The reflection maps item a to w^(m_a) item tau(a), the item of
+      a's sign in the complement group of sigma(a), m_a an integer.  A
+      complex sector (0 < r < n/2) uses f -> P conj(f): phase * item_a
+      for tau(a) = a, else phase * (item_a + item_b)/sqrt(2) and i *
+      phase * (item_a - item_b)/sqrt(2), b = tau(a) > a, with the half
+      phase w^(m_a / 2).  A real sector (r = 0, n/2) uses the parity
+      w^(m_a) = +-1 of the linear reflection: item_a, or
+      (item_a +- w^(m_a) item_b)/sqrt(2).
+
+    Each column combines at most 2 items of at most 2 orbits.
+    ``square`` is max|C^2 - I| and ``piece`` max|C q -+ q| over the
+    columns, on the unblocked orbits, for the caller to check; both are
+    exactly 0 when 2k != n.
     """
     n, nu = orbits.n, orbits.count
-    blocked = np.array([blocked_mask(orbits.periods, n, r) for r in rs])
+    every = np.arange(nu)
+    comp, tc = orbits.complement_of, orbits.complement_shift
+    if comp is None:
+        comp, tc = every, np.zeros(nu, dtype=np.int64)
     rs = np.asarray(rs)[:, None]
+    blocked = blocked_mask(orbits.periods, n, rs[:, 0])
     real = (rs == 0) | (2 * rs == n)
-    sigma = orbits.mirror_of
-    lo = np.flatnonzero(sigma >= np.arange(nu))
-    hi = sigma[lo]
-    fixed = hi == lo
-    pair_of = np.empty(nu, dtype=np.int64)
-    pair_of[lo] = pair_of[hi] = np.arange(len(lo))
-    side = (hi[pair_of] == np.arange(nu)) & ~fixed[pair_of]
-    # the reflection: y[r, g] holds the two columns of pair g, rows (lo, hi)
-    t = orbits.mirror_shift[lo]
-    sign = root_table(n)[rs * t % n].real
+    # complement items: orbit i lies in items l = min(i, c(i)) and c(l)
+    turn = rs * tc % n
+    gamma = root_table(n)[turn]
+    square = np.where(blocked, 0, np.abs(gamma * gamma[:, comp] - 1)).max(axis=1)
+    lead, minus, own = np.minimum(every, comp), every > comp, every == comp
+    plus = np.where(own, turn == 0, ~minus)
+    # rows as wide as the most items an orbit lies in
+    items = np.array([lead, comp[lead]])[:2 - own.all()]
+    slot = np.where(minus, gamma, 1)[:, None] * np.where(
+        own, [[1.0], [0.0]], SQRT_HALF * np.where(minus, [[1], [-1]], 1))[:len(items)]
+    # the reflection on items: item a goes to w^(m_a) item tau(a)
+    sigma, t = orbits.mirror_of, orbits.mirror_shift
+    mirror = sigma[lead]
+    head = lead[mirror]
+    other = mirror != head
+    tau = np.where(minus, comp[head], head)
+    lo = np.flatnonzero(tau >= every)
+    fixed = tau[lo] == lo
+    group_of = np.searchsorted(lo, np.minimum(every, tau))
+    side = (tau < every).astype(np.int64)
+    m = (-rs * (t[lead] + np.where(other, tc[mirror], 0))
+         + np.where(other & minus, n // 2, 0))[:, lo]
     f = fixed[:, None, None]
     y = np.where(real[..., None, None],
-                 np.where(f, _FIXED, _EVEN) + sign[..., None, None] * np.where(f, 0, _ODD),
-                 root_table(2 * n)[-rs * t % (2 * n)][..., None, None]
-                 * np.where(f, _FIXED, _PAIR))
-    label = np.where(real[..., None], [0, 1], [0, 0]) + (real & fixed & (sign < 0))[..., None]
-    label[:, fixed, 1] = -1
-    comp = orbits.complement_of
-    if comp is None:
-        group_of, row_of, lead, square, piece = pair_of, side.astype(np.int64), lo, None, None
-    else:
-        image = pair_of[comp[lo]]
-        joined = np.flatnonzero(image > np.arange(len(lo)))
-        alone = np.flatnonzero(image == np.arange(len(lo)))
-        gamma = root_table(n)[rs * orbits.complement_shift % n]
-        square = np.where(blocked, 0, np.abs(gamma * gamma[:, comp] - 1)).max(axis=1)
-        half = y[:, joined] * SQRT_HALF
-        flipped = gamma[:, np.stack([comp[lo[joined]], comp[hi[joined]]], axis=1)]
-        flipped = flipped[..., None] * half
-        lab = label[:, joined]
-        w_joined = np.concatenate([np.concatenate([half, half], axis=3),
-                                   np.concatenate([flipped, -flipped], axis=3)], axis=2)
-        lab_joined = np.concatenate([2 * lab + 1, 2 * lab], axis=2)
-        rows = np.stack([lo[alone], hi[alone]], axis=1)
-        swapped = comp[lo[alone]] != lo[alone]
-        ya = y[:, alone]
-        g = root_table(2 * n)[rs * np.where(swapped, orbits.complement_shift[lo[alone]], 0)
-                              % (2 * n)]
-        g = np.where(real, 1, g)[..., None]
-        ya[:, :, 0] *= g
-        ya[:, :, 1] *= g.conj()
-        cy = gamma[:, rows][..., None] * np.where(swapped[:, None, None], ya[:, :, ::-1], ya)
-        ones = np.where((ya.conj() * cy).sum(axis=2).real < 0, -1, 1)
-        piece = np.abs(cy - ya * ones[:, :, None]).max(axis=(2, 3))
-        piece = np.where(blocked[:, lo[alone]], 0, piece).max(axis=1, initial=0.0)
-        w_alone = np.zeros(ya.shape[:2] + (4, 4), dtype=y.dtype)
-        w_alone[..., :2, :2] = ya
-        lab_alone = np.full(ya.shape[:2] + (4,), -1)
-        lab_alone[..., :2] = 2 * label[:, alone] + (ones > 0)
-        y = np.concatenate([w_joined, w_alone], axis=1)
-        label = np.concatenate([lab_joined, lab_alone], axis=1)
-        # an orbit of an image pair is row 2 or 3 of its preimage's group
-        group = np.full(len(lo), -1)
-        group[joined] = np.arange(len(joined))
-        group[alone] = len(joined) + np.arange(len(alone))
-        mine = group[pair_of] >= 0
-        group_of = np.where(mine, group[pair_of], group[pair_of[comp]])
-        row_of = np.where(mine, side, 2 + side[comp])
-        lead = lo[np.concatenate([joined, alone])]
+                 np.where(f, _FIXED, _EVEN)
+                 + root_table(n)[m % n].real[..., None, None] * np.where(f, 0, _ODD),
+                 root_table(2 * n)[m % (2 * n)][..., None, None] * np.where(f, _FIXED, _PAIR))
+    parity = real[..., None] & np.where(fixed[:, None], (m % n != 0)[..., None], [False, True])
+    label = np.where(blocked[:, lo, None] | (fixed[:, None] & [False, True]), -1,
+                     2 * parity + plus[:, lo, None])
     # number the columns block by block; padding columns point at column 0
-    label = np.where(blocked[:, lead, None], -1, label).reshape(len(rs), -1)
-    number = np.empty_like(label)
-    np.put_along_axis(number, np.argsort(label, axis=1, kind="stable"),
-                      np.arange(label.shape[1]), axis=1)
+    label = label.reshape(len(rs), -1)
+    number = np.argsort(np.argsort(label, axis=1, kind="stable"), axis=1)
     number -= np.count_nonzero(label < 0, axis=1, keepdims=True)
     np.maximum(number, 0, out=number)
-    width = y.shape[-1]
-    col = number.reshape(len(rs), -1, width).transpose(0, 2, 1)[:, :, group_of]
-    coef = y.transpose(0, 3, 1, 2)[:, :, group_of, row_of] * ~blocked[:, None]
-    counts = np.count_nonzero(label[..., None] == np.arange(2 * width), axis=1)
+    # compose: row i, slot (u, c) is column c of the group of its item u
+    g, row = group_of[items], side[items]
+    col = number.reshape(len(rs), -1, 2)[:, g].transpose(0, 1, 3, 2).reshape(len(rs), -1, nu)
+    coef = (y[:, g, row] * (slot * ~blocked[:, None])[..., None]).transpose(0, 1, 3, 2)
+    # rows i and c(i) hold the same items in the same slots, and each
+    # column takes the sign of its group's first item
+    piece = np.abs(gamma[:, None, None] * coef[..., comp]
+                   - np.where(plus[:, lo[g]], 1, -1)[:, :, None] * coef).max(axis=(1, 2, 3))
+    coef = coef.reshape(len(rs), -1, nu)
+    counts = np.count_nonzero(label[..., None] == np.arange(4), axis=1)
     return [(blocked[x], col[x], coef[x].real.copy() if real[x, 0] else coef[x],
-             counts[x][counts[x] > 0], None if comp is None else square[x],
-             None if comp is None else piece[x]) for x in range(len(rs))]
+             counts[x][counts[x] > 0], square[x], piece[x]) for x in range(len(rs))]
 
 
 @dataclass(frozen=True)
@@ -332,10 +310,10 @@ def _real_form(b: np.ndarray, orbits: OrbitTable, basis: tuple, root: np.ndarray
     ``basis`` is one entry of ``_sector_bases``.  The nonzero cells of b
     are read once.  Within tol = ``quotient_tol(max|b|)``, b[X, U] must
     vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2) must be Hermitian (checked
-    between each cell and its transpose cell) and, when 2k = n, the
-    complement must square to the identity and take +-1 on each column
-    of a pair that is its own complement.  ``root`` is sqrt(p / top)
-    for each orbit period p.
+    between each cell and its transpose cell) and the complement must
+    square to the identity and take +-1 on every column (both hold
+    exactly when 2k != n).  ``root`` is sqrt(p / top) for each orbit
+    period p.
     """
     blocked, col, coef, sizes, square, piece = basis
     nu = orbits.count
@@ -354,9 +332,8 @@ def _real_form(b: np.ndarray, orbits: OrbitTable, basis: tuple, root: np.ndarray
     h = values[inside] * ratio
     skew = np.abs(h - (flat[j * nu + i] / ratio).conj())
     check_bound(where, "skew max|H - H^*|", float(skew.max(initial=0.0)), tol)
-    if square is not None:
-        check_bound(where, "complement square max|C^2 - I|", float(square), tol)
-        check_bound(where, "complement piece eigenvalues max|C q - (+-q)|", float(piece), tol)
+    check_bound(where, "complement square max|C^2 - I|", float(square), tol)
+    check_bound(where, "complement piece eigenvalues max|C q - (+-q)|", float(piece), tol)
     return _assemble(col, coef, i, j, h, sizes, where, tol)
 
 

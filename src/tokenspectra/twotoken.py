@@ -433,16 +433,23 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
     and for even r away from the half turn, nu - 1 for odd r (the
     spurious 4 is not a root).  At r = n/2 the polynomial is
     (lambda - 2)(lambda - 4)^m with m = nu - 1 or nu - 2 by the parity
-    of nu.
+    of nu.  Coefficients that overflow a float raise
+    ``NumericFailureError``.
     """
     from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
     _check_sector(n, r)
-    if 2 * r == n:
-        p = Polynomial.fromroots(_half_turn_kept(n))
-    else:
-        p = _transfer_polynomial(n, r)
-        p = p / p.coef[-1]
-    return p.coef[::-1] + 0.0  # adding 0.0 clears negative zeros
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if 2 * r == n:
+            p = Polynomial.fromroots(_half_turn_kept(n))
+        else:
+            p = _transfer_polynomial(n, r)
+            p = p / p.coef[-1]
+    coeffs = p.coef[::-1] + 0.0  # adding 0.0 clears negative zeros
+    bad = np.count_nonzero(~np.isfinite(coeffs))
+    if bad:
+        raise NumericFailureError(f"F_2(C_{n}) sector r={r}: the sector polynomial overflows, "
+                                  f"{bad} of {len(coeffs)} coefficients are not finite")
+    return coeffs
 
 
 def charpoly_rho_form(n: int, r: int, lam: float) -> float:

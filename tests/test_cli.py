@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,6 +284,17 @@ class TestSpectrum:
         assert code == 2
         assert "k = 2" in err
 
+    @pytest.mark.parametrize("flags", [("--method", "contfrac"),
+                                       ("--check-against", "contfrac")])
+    def test_contfrac_k_rejected_before_any_spectrum(self, capsys, monkeypatch, flags):
+        def unexpected(*args):
+            raise AssertionError("a spectrum was computed before the k check")
+        monkeypatch.setattr(cli, "overlift_spectrum", unexpected)
+        monkeypatch.setattr(cli, "brute_spectrum", unexpected)
+        code, out, err = run(capsys, "spectrum", "--n", "16", "--k", "8", *flags)
+        assert (code, out) == (2, "")
+        assert "method contfrac requires k = 2" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "8", "--k", "2",
                            "--method", "contfrac", "--format", "json")
@@ -389,6 +403,21 @@ class TestCharpoly:
         code, _, _ = run(capsys, "charpoly", "--n", "5")
         assert code == 2
 
+    def test_csv_coefficients_are_plain_floats(self, capsys):
+        code, out, _ = run(capsys, "charpoly", "--n", "9", "--r", "1", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        code, text, _ = run(capsys, "charpoly", "--n", "9", "--r", "1", "--format", "json")
+        assert [float(row["coefficient"]) for row in rows] == json.loads(text)["coefficients"]
+        assert [int(row["degree"]) for row in rows] == list(range(4, -1, -1))
+
+    @pytest.mark.parametrize("n,r", [(310, 154), (2000, 5)])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_overflow_exits_1(self, capsys, n, r, fmt):
+        code, out, err = run(capsys, "charpoly", "--n", str(n), "--r", str(r), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: F_2(C_{n}) sector r={r}: the sector polynomial overflows")
+
     def test_rejects_half_continued_fraction_domain(self, capsys):
         code, out, _ = run(capsys, "charpoly", "--n", "8", "--r", "4")
         assert code == 0  # the half-turn polynomial exists
@@ -430,6 +459,17 @@ class TestVerify:
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
+
+    @pytest.mark.parametrize("argv,code,shown", [
+        (("spectrum", "--n", "8", "--k", "3", "--r", "8"), 2, ""),
+        (OVERLIFT_6_3, 0, TEXT_PINNED[OVERLIFT_6_3])])
+    def test_run_as_module(self, argv, code, shown):
+        # python -m tokenspectra.cli runs the command line, exit code included
+        src = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "tokenspectra.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (code, shown)
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2

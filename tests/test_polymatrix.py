@@ -18,8 +18,9 @@ from tokenspectra import (CountMismatchError, EigenPair, LaurentMatrix, NumericF
                           build_token_graph, enumerate_orbits, filter_spurious,
                           full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close, sector_eigenpairs)
-from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_solutions, blocked_mask,
-                                     solve_sector)
+from tokenspectra.laurent import root_table
+from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_bases, _sector_solutions,
+                                     blocked_mask, solve_sector)
 from tokenspectra.tokengraph import subset_rank
 from tokenspectra.tolerances import quotient_tol
 
@@ -557,6 +558,39 @@ class TestReflectionBasis:
                     assert np.max(np.abs(full.imag)) <= tol, (n, k, shift, r)
                     assert_allclose(s, full.real, rtol=0, atol=1e-12)
                     assert_allclose(s, s.T, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_sector_bases_columns(self, n):
+        # the dense Q of every sector: orthonormal columns, zero on the
+        # blocked orbits, fixed by the reflection (antiunitary in a complex
+        # sector, +-1 in a real one) and +-1 under the complement; the
+        # signs are constant within a block and change between blocks
+        root = root_table(n)
+        for k in range(1, n // 2 + 1):
+            orbits = enumerate_orbits(n, k)
+            sigma, t = orbits.mirror_of, orbits.mirror_shift
+            rs = list(range(n))
+            for r, (blocked, col, coef, sizes, _, _) in zip(rs, _sector_bases(orbits, rs)):
+                q = np.zeros((orbits.count, int(sizes.sum())), dtype=complex)
+                np.add.at(q, (np.arange(orbits.count), col), coef)
+                assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-13)
+                assert not q[blocked].any(), (n, k, r)
+                real = r == 0 or 2 * r == n
+                image = root[-r * t % n][:, None] * (q[sigma] if real else q[sigma].conj())
+                signs = [np.ones(q.shape[1])]
+                if real:
+                    signs.append(np.sign((q.conj() * image).sum(axis=0).real))
+                assert_allclose(image, q * signs[-1], rtol=0, atol=1e-13)
+                if 2 * k == n:
+                    c, tc = orbits.complement_of, orbits.complement_shift
+                    image = root[r * tc % n][:, None] * q[c]
+                    signs.append(np.sign((q.conj() * image).sum(axis=0).real))
+                    assert_allclose(image, q * signs[-1], rtol=0, atol=1e-13)
+                signs = np.array(signs)
+                starts = np.cumsum(sizes) - sizes
+                for start, size in zip(starts, sizes):
+                    assert (signs[:, start:start + size] == signs[:, [start]]).all(), (n, k, r)
+                assert (signs[:, starts[1:]] != signs[:, starts[:-1]]).any(axis=0).all()
 
     def test_order_is_fixed_points_then_pairs(self):
         orbits = enumerate_orbits(8, 4)

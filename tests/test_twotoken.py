@@ -627,6 +627,14 @@ class TestCharpolySector:
             want = np.prod([lam - mu for mu in brute])
             assert abs(product - want) <= 1e-6 * max(abs(want), 1e-6)
 
+    @pytest.mark.parametrize("n,r", [(310, 154), (2000, 5)])
+    def test_overflow_raises(self, n, r):
+        # the monic coefficients pass the float range; no warning escapes
+        with pytest.raises(NumericFailureError,
+                           match=rf"^F_2\(C_{n}\) sector r={r}: the sector polynomial "
+                                 r"overflows, \d+ of \d+ coefficients are not finite$"):
+            charpoly_sector(n, r)
+
 
 class TestCharpolyRhoForm:
     @pytest.mark.parametrize("n,r", [(7, 0), (7, 1), (9, 2), (5, 1),
