@@ -256,6 +256,8 @@ def _sector_bases(orbits: OrbitTable, rs: list[int]) -> list[tuple]:
     fixed = tau[lo] == lo
     group_of = np.searchsorted(lo, np.minimum(every, tau))
     side = (tau < every).astype(np.int64)
+    # m_a = -r t_l, or -r (t_l + tc_sigma(l)) (+ n/2 for a - item) when
+    # sigma(l) is not the lead of its complement group
     m = (-rs * (t[lead] + np.where(other, tc[mirror], 0))
          + np.where(other & minus, n // 2, 0))[:, lo]
     f = fixed[:, None, None]

@@ -468,7 +468,7 @@ class TestArgumentHandling:
         src = Path(cli.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-m", "tokenspectra.cli", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, timeout=120)
         assert (done.returncode, done.stdout) == (code, shown)
 
     def test_no_command(self, capsys):

@@ -629,7 +629,8 @@ class TestCharpolySector:
 
     @pytest.mark.parametrize("n,r", [(310, 154), (2000, 5)])
     def test_overflow_raises(self, n, r):
-        # the monic coefficients pass the float range; no warning escapes
+        # the recurrence's coefficients pass the float range; the overflow
+        # is reported once, as a typed error, and no numpy warning escapes
         with pytest.raises(NumericFailureError,
                            match=rf"^F_2\(C_{n}\) sector r={r}: the sector polynomial "
                                  r"overflows, \d+ of \d+ coefficients are not finite$"):
