@@ -244,8 +244,8 @@ def cmd_charpoly(args) -> int:
     roots = twotoken.sector_roots(args.n, args.r)
     lo = 0.0 if args.lo is None else args.lo
     hi = args.hi if args.hi is not None else float(np.ceil(roots[-1]) + 1.0)
-    poly = np.polynomial.Polynomial(coeffs[::-1])
-    samples = [(x, float(poly(x))) for x in np.linspace(lo, hi, args.samples).tolist()]
+    xs = np.linspace(lo, hi, args.samples).tolist()
+    samples = [(x, float(np.polyval(coeffs, x))) for x in xs]
     if args.format == "json":
         _write(json.dumps({
             "n": args.n, "r": args.r,
@@ -275,7 +275,9 @@ def cmd_charpoly(args) -> int:
 
 
 def _fmt_coeff(c: float) -> str:
-    if c == int(c):
+    """Integral values up to 2^53 as integers; past that a float's digits
+    are not exact, so it prints as repr."""
+    if c == int(c) and abs(c) <= 2.0 ** 53:
         return str(int(c))
     return repr(float(c))
 

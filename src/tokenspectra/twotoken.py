@@ -43,9 +43,12 @@ diagonal phases must make H a real symmetric tridiagonal S.  Sturm
 counts of S (Barth, Martin and Wilkinson, Numer. Math. 1967) then show
 that the i-th smallest root lies within tol of the i-th eigenvalue of S,
 multiplicities included.  Conjugate sectors r and n - r share their
-roots.  The same recurrence, run on polynomials, yields the sector
-characteristic polynomial, and diagonalizing the 2x2 transfer step
-gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
+roots.  Multiplied through by t = 2 cos(r pi/n), the same recurrence
+runs on polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R)
+and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
+Nothing divides by t, so the half turn t = 0 needs no case of its own,
+and the leading coefficient is +-1.  Diagonalizing the 2x2 transfer
+step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -124,17 +127,19 @@ def build_b2(n: int, r: int) -> np.ndarray:
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
 
-def _terminal(n: int, r: int, z):
-    """The terminal pair (R, S), Q = R/S, of the backward recurrence at Z = z.
+def _terminal(n: int, r: int, w, t):
+    """The terminal pair (R, S), Q = t R/S, of the backward recurrence.
 
-    ``z`` is a float or a ``Polynomial`` in lambda.  Odd n ends at
-    1/(z - (-1)^r), even r at 2/z, and odd r at 0, past the blocked
+    At w = Z and t = 1 this is the pair of the recurrence in Z itself.
+    With w = 4 - lambda, a ``Polynomial``, and t = 2 cos(r pi/n) it is
+    that pair scaled by t, so nothing divides by t.  Odd n ends at
+    1/(Z - (-1)^r), even r at 2/Z, and odd r at 0, past the blocked
     half-turn orbit.
     """
     if n % 2:
-        return 1, z - (-1) ** r
+        return 1, w - (-1) ** r * t
     if r % 2 == 0:
-        return 2, z
+        return 2, w
     return 0, 1
 
 
@@ -147,7 +152,7 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
-    rr, ss = _terminal(n, r, z)
+    rr, ss = _terminal(n, r, z, 1)
     if abs(ss) < POLE_TOL:
         raise PoleError(f"terminal denominator vanishes at lambda={lam}")
     q = rr / ss
@@ -157,12 +162,6 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
             raise PoleError(f"continued fraction hits a pole at lambda={lam}")
         q = 1.0 / den
     return q
-
-
-def _half_turn_kept(n: int) -> list[float]:
-    nu = n // 2
-    fours = nu - 1 if nu % 2 == 0 else nu - 2
-    return [2.0] + [4.0] * fours
 
 
 def _newton(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -411,40 +410,38 @@ def spectrum_2token(n: int) -> SpectrumReport:
 
 
 def _transfer_polynomial(n: int, r: int) -> np.polynomial.Polynomial:
-    """The sector equation as a polynomial in lambda, not yet monic.
+    """The sector equation as a polynomial in lambda, leading coefficient +-1.
 
-    Runs the transfer recurrence (R, S) -> (S, Z S - R) on polynomials,
-    from the case's terminal pair, then forms R - (Z - alpha) S.
+    Folds r to min(r, n - r), which has the same polynomial, and runs the
+    transfer recurrence multiplied through by t = 2 cos(r pi/n), t = 0 at
+    the half turn: (R, S) -> (S, w S - t^2 R) in w = 4 - lambda, from the
+    case's terminal pair, then forms t^2 R - (2 - lambda) S.
     """
     from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
-    c = math.cos(math.pi * r / n)
-    alpha = 1.0 / c
-    z = Polynomial([4.0 / (2 * c), -1.0 / (2 * c)])
-    rr, ss = _terminal(n, r, z)
+    r = min(r, n - r)
+    t = 2 * math.cos(math.pi * r / n) if 2 * r < n else 0.0
+    w = Polynomial([4.0, -1.0])
+    rr, ss = _terminal(n, r, w, t)
     for _ in range(n // 2 - 2):
-        rr, ss = ss, z * ss - rr
-    return rr - (z - alpha) * ss
+        rr, ss = ss, w * ss - t * t * rr
+    return t * t * rr - (w - 2) * ss
 
 
 def charpoly_sector(n: int, r: int) -> np.ndarray:
     """Monic coefficients (descending powers) of the sector polynomial.
 
     Roots are exactly the kept sector eigenvalues: degree nu for odd n
-    and for even r away from the half turn, nu - 1 for odd r (the
-    spurious 4 is not a root).  At r = n/2 the polynomial is
-    (lambda - 2)(lambda - 4)^m with m = nu - 1 or nu - 2 by the parity
-    of nu.  Coefficients that overflow a float raise
+    and for even r, nu - 1 for odd r of even n (the spurious 4 is not a
+    root).  At r = n/2 the polynomial is (lambda - 2)(lambda - 4)^m with
+    m = nu - 1 or nu - 2 by the parity of nu.  Sectors r and n - r give
+    identical coefficients.  Coefficients that overflow a float raise
     ``NumericFailureError``.
     """
-    from numpy.polynomial import Polynomial  # not loaded by import tokenspectra
     _check_sector(n, r)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if 2 * r == n:
-            p = Polynomial.fromroots(_half_turn_kept(n))
-        else:
-            p = _transfer_polynomial(n, r)
-            p = p / p.coef[-1]
-    coeffs = p.coef[::-1] + 0.0  # adding 0.0 clears negative zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _transfer_polynomial(n, r)
+    # the lead is exactly +-1, so this is monic; adding 0.0 clears negative zeros
+    coeffs = p.coef[::-1] * p.coef[-1] + 0.0
     bad = np.count_nonzero(~np.isfinite(coeffs))
     if bad:
         raise NumericFailureError(f"F_2(C_{n}) sector r={r}: the sector polynomial overflows, "
@@ -465,7 +462,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     _check_finite(lam)
     nu = n // 2
     if 2 * r == n:
-        return float(math.prod(lam - v for v in _half_turn_kept(n)))
+        return float(math.prod(lam - v for v in sector_roots(n, r)))
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
     alpha = 1.0 / c

@@ -411,12 +411,32 @@ class TestCharpoly:
         assert [float(row["coefficient"]) for row in rows] == json.loads(text)["coefficients"]
         assert [int(row["degree"]) for row in rows] == list(range(4, -1, -1))
 
-    @pytest.mark.parametrize("n,r", [(310, 154), (2000, 5)])
+    @pytest.mark.parametrize("n,r", [(2000, 5)])
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_overflow_exits_1(self, capsys, n, r, fmt):
         code, out, err = run(capsys, "charpoly", "--n", str(n), "--r", str(r), "--format", fmt)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: F_2(C_{n}) sector r={r}: the sector polynomial overflows")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_near_half_turn_is_finite(self, capsys, fmt):
+        code, out, err = run(capsys, "charpoly", "--n", "310", "--r", "154", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            coeffs = json.loads(out)["coefficients"]
+            assert len(coeffs) == 156 and all(math.isfinite(c) for c in coeffs)
+
+    def test_text_prints_large_coefficients_as_repr(self, capsys):
+        # past 2^53 an integral float is not an exact integer, so it is
+        # written as repr, the same float JSON holds
+        _, text, _ = run(capsys, "charpoly", "--n", "120", "--r", "59")
+        _, data, _ = run(capsys, "charpoly", "--n", "120", "--r", "59", "--format", "json")
+        line = next(row for row in text.splitlines() if row.startswith("coefficients: "))
+        printed = line.removeprefix("coefficients: ").split(", ")
+        coeffs = json.loads(data)["coefficients"]
+        large = [(p, c) for p, c in zip(printed, coeffs) if abs(c) > 2.0 ** 53]
+        assert len(printed) == len(coeffs) and large
+        assert all(p == repr(c) for p, c in large)
 
     def test_rejects_half_continued_fraction_domain(self, capsys):
         code, out, _ = run(capsys, "charpoly", "--n", "8", "--r", "4")

@@ -627,10 +627,27 @@ class TestCharpolySector:
             want = np.prod([lam - mu for mu in brute])
             assert abs(product - want) <= 1e-6 * max(abs(want), 1e-6)
 
-    @pytest.mark.parametrize("n,r", [(310, 154), (2000, 5)])
+    @pytest.mark.parametrize("n", range(4, 40))
+    def test_conjugate_sectors_bit_identical(self, n):
+        for r in range(1, n):
+            assert np.array_equal(charpoly_sector(n, r), charpoly_sector(n, n - r))
+
+    @pytest.mark.parametrize("n,r", [(310, 154), (600, 299)])
+    def test_finite_near_the_half_turn(self, n, r):
+        # the scaled recurrence never divides by 2 cos(r pi/n), so it stays
+        # finite wherever the monic coefficients fit in a float
+        got = charpoly_sector(n, r)
+        want = np.poly(sector_roots(n, r))
+        assert np.isfinite(got).all() and len(got) == len(want)
+        scale = np.abs(want).max()  # keeps the norms below the float range
+        assert (np.linalg.norm((got - want) / scale)
+                <= 1e-13 * np.linalg.norm(want / scale))
+
+    @pytest.mark.parametrize("n,r", [(900, 450), (2000, 5)])
     def test_overflow_raises(self, n, r):
-        # the recurrence's coefficients pass the float range; the overflow
-        # is reported once, as a typed error, and no numpy warning escapes
+        # the monic coefficients themselves pass the float range; the
+        # overflow is reported once, as a typed error, and no numpy warning
+        # escapes
         with pytest.raises(NumericFailureError,
                            match=rf"^F_2\(C_{n}\) sector r={r}: the sector polynomial "
                                  r"overflows, \d+ of \d+ coefficients are not finite$"):
