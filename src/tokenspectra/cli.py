@@ -21,7 +21,7 @@ import argparse
 import itertools
 import json
 import sys
-from math import comb
+from math import comb, isfinite, prod
 
 import numpy as np
 
@@ -245,7 +245,12 @@ def cmd_charpoly(args) -> int:
     lo = 0.0 if args.lo is None else args.lo
     hi = args.hi if args.hi is not None else float(np.ceil(roots[-1]) + 1.0)
     xs = np.linspace(lo, hi, args.samples).tolist()
-    samples = [(x, float(np.polyval(coeffs, x))) for x in xs]
+    # the product over the roots, in Python floats; the monomial sum cancels in the band
+    samples = [(x, prod(x - v for v in roots.tolist())) for x in xs]
+    for x, y in samples:
+        if not isfinite(y):
+            raise NumericFailureError(f"F_2(C_{args.n}) sector r={args.r}: the sector "
+                                      f"polynomial at lambda={x!r} passes the float range")
     if args.format == "json":
         _write(json.dumps({
             "n": args.n, "r": args.r,

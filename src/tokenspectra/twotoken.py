@@ -48,7 +48,9 @@ runs on polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R)
 and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
 Nothing divides by t, so the half turn t = 0 needs no case of its own,
 and the leading coefficient is +-1.  Diagonalizing the 2x2 transfer
-step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2.
+step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 that
+starts from ``_terminal``'s pair, as the recurrence does, so
+``_terminal`` is the one case split of all three forms.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -452,37 +454,47 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
 def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     """The closed-form sector value at one lambda, via rho_1 and rho_2.
 
-    rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 diagonalize the transfer step.
-    Complex intermediates occur when Z^2 < 4; the result is real.  Not
-    defined within BRANCH_GUARD of the branch point Z^2 = 4; the polynomial
-    form is authoritative everywhere.  Equals charpoly_sector up to one
-    multiplicative constant per (n, r).
+    rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 diagonalize the transfer step of
+    ``contfrac_q1``.  From the terminal pair (R, S) = (S_-1, S_0) of
+    ``_terminal(n, r, Z, 1)`` the recurrence gives
+
+        S_j = (rho_1^j (rho_1 S - R) - rho_2^j (rho_2 S - R))/(rho_1 - rho_2),
+
+    and the sector value is S_(m-1) - (Z - alpha) S_m = alpha S_m - S_(m+1),
+    m = floor(n/2) - 2, the step count of ``contfrac_q1``; the second form
+    needs no negative power.  Outside the band, Z^2 > 4, the arithmetic is
+    real, so no imaginary part leaks from a large power of a negative rho
+    (Python takes complex powers past 100 in polar form); inside it the
+    intermediates are complex and the imaginary part of the result must
+    stay within CLOSED_FORM_IMAG_TOL.  Not defined within BRANCH_GUARD of
+    the branch point Z^2 = 4; the polynomial form is authoritative
+    everywhere.  At r = n/2 the value is the product of lambda - v over
+    ``sector_roots``.  Equals charpoly_sector up to one multiplicative
+    constant per (n, r).  A value past the float range raises
+    ``NumericFailureError`` naming n, r and lambda.
     """
     _check_sector(n, r)
     _check_finite(lam)
-    nu = n // 2
     if 2 * r == n:
-        return float(math.prod(lam - v for v in sector_roots(n, r)))
-    c = math.cos(math.pi * r / n)
-    z = (4.0 - lam) / (2.0 * c)
-    alpha = 1.0 / c
-    disc = z * z - 4.0
-    if abs(disc) <= BRANCH_GUARD:
-        raise PoleError(f"lambda={lam} puts Z^2-4 = {disc:.4f} inside the "
-                        f"+-{BRANCH_GUARD} guard band")
-    s = cmath.sqrt(complex(disc))
-    rho1 = (z + s) / 2.0
-    rho2 = (z - s) / 2.0
-    if n % 2:
-        sign = (-1) ** r
-        val = ((rho2 - sign) * (rho2 - alpha) * rho2 ** (nu - 1)
-               - (rho1 - sign) * (rho1 - alpha) * rho1 ** (nu - 1)) / s
-    elif r % 2 == 0:
-        val = ((1 - (z - alpha) * rho2) * rho2 ** (nu - 2)
-               + (1 - (z - alpha) * rho1) * rho1 ** (nu - 2))
+        val = math.prod(lam - v for v in sector_roots(n, r).tolist())
     else:
-        val = ((1 - (z - alpha) * rho1) * rho1 ** (nu - 2)
-               - (1 - (z - alpha) * rho2) * rho2 ** (nu - 2)) / s
-    check_bound(f"F_2(C_{n}) sector r={r} at lambda={lam}", "closed form imaginary part",
-                abs(val.imag), CLOSED_FORM_IMAG_TOL)
+        c = math.cos(math.pi * r / n)
+        z = (4.0 - lam) / (2.0 * c)
+        alpha = 1.0 / c
+        disc = z * z - 4.0
+        if abs(disc) <= BRANCH_GUARD:
+            raise PoleError(f"lambda={lam} puts Z^2-4 = {disc:.4f} inside the "
+                            f"+-{BRANCH_GUARD} guard band")
+        s = math.sqrt(disc) if disc > 0 else cmath.sqrt(disc)
+        rr, ss = _terminal(n, r, z, 1)
+        rho1, rho2, m = (z + s) / 2, (z - s) / 2, n // 2 - 2
+        try:
+            val = ((alpha - rho1) * rho1 ** m * (rho1 * ss - rr)
+                   - (alpha - rho2) * rho2 ** m * (rho2 * ss - rr)) / s
+        except OverflowError:  # a power past the float range
+            val = math.inf
+    where = f"F_2(C_{n}) sector r={r} at lambda={lam}"
+    if not cmath.isfinite(val):
+        raise NumericFailureError(f"{where}: the closed form passes the float range")
+    check_bound(where, "closed form imaginary part", abs(val.imag), CLOSED_FORM_IMAG_TOL)
     return float(val.real)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import kept_first_ties, shown_sectors
 
-from tokenspectra import cli
+from tokenspectra import cli, twotoken
 from tokenspectra.cli import main
 
 
@@ -398,6 +398,31 @@ class TestCharpoly:
             lam = float(row["lambda"])
             want = lam * lam + (-sqrt5 / 2 - 13 / 2) * lam + 15 / 2 + sqrt5 / 2
             assert abs(float(row["phi"]) - want) < 1e-9
+
+    def test_samples_are_the_root_product(self, capsys):
+        # the monomial coefficients cancel inside the root band; the product
+        # over the roots does not
+        code, out, err = run(capsys, "charpoly", "--n", "300", "--r", "1", "--samples", "3",
+                             "--lo", "0", "--hi", "9", "--format", "csv")
+        assert (code, err) == (0, "")
+        phi = {float(row["lambda"]): float(row["phi"]) for row in csv.DictReader(io.StringIO(out))}
+        want = math.prod(4.5 - v for v in twotoken.sector_roots(300, 1).tolist())
+        assert abs(want - 6.674e44) <= 1e-3 * 6.674e44
+        assert abs(phi[4.5] - want) <= 1e-12 * abs(want)
+
+    def test_samples_near_the_half_turn_are_finite(self, capsys):
+        code, out, err = run(capsys, "charpoly", "--n", "800", "--r", "399", "--samples", "3",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        samples = json.loads(out)["samples"]
+        assert len(samples) == 3 and all(math.isfinite(y) for _, y in samples)
+
+    def test_sample_past_the_float_range_exits_1(self, capsys):
+        code, out, err = run(capsys, "charpoly", "--n", "800", "--r", "399", "--samples", "3",
+                             "--hi", "1000")
+        assert (code, out) == (1, "")
+        assert err == ("error: F_2(C_800) sector r=399: the sector polynomial at "
+                       "lambda=500.0 passes the float range\n")
 
     def test_requires_r(self, capsys):
         code, _, _ = run(capsys, "charpoly", "--n", "5")

@@ -710,6 +710,33 @@ class TestCharpolyRhoForm:
         with pytest.raises(ParameterDomainError, match="lambda must be finite"):
             charpoly_rho_form(7, 1, math.nan)
 
+    @pytest.mark.parametrize("n,r", [(205, 1), (250, 1), (250, 7), (301, 2), (1000, 1)])
+    def test_large_n_proportional_to_root_product(self, n, r):
+        # real arithmetic outside the band: no imaginary part leaks from a
+        # power of a negative rho at Z < -2.  The root product passes the
+        # float range at n = 1000, so the ratio is compared in logarithms.
+        roots = sector_roots(n, r)
+        log_ratios = []
+        for lam in (-1.0, -0.5, 8.2, 8.5, 9.0, 12.0):
+            val = charpoly_rho_form(n, r, lam)
+            assert isinstance(val, float) and math.isfinite(val)
+            diffs = lam - roots
+            sign = np.sign(val) * np.prod(np.sign(diffs))
+            log_ratios.append((sign, math.log(abs(val)) - np.log(np.abs(diffs)).sum()))
+        signs, logs = zip(*log_ratios)
+        assert len(set(signs)) == 1
+        assert max(logs) - min(logs) <= 1e-9
+
+    @pytest.mark.parametrize("n,r,lam", [(2001, 1, -50.0), (1000, 3, -50.0), (300, 1, 1e10),
+                                         (9, 1, 1e200), (1000, 500, 1e10)])
+    def test_float_range_is_a_typed_error(self, n, r, lam):
+        # an overflowing power, or a non-finite value, is reported once with
+        # its point; no OverflowError and no numpy warning escapes
+        with pytest.raises(NumericFailureError,
+                           match=rf"^F_2\(C_{n}\) sector r={r} at lambda={re.escape(str(lam))}: "
+                                 r"the closed form passes the float range$"):
+            charpoly_rho_form(n, r, lam)
+
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("closed_form", [
