@@ -49,6 +49,7 @@ other, so only the sectors r <= n/2 are solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
                          RANK_TOL, RESIDUAL_TOL, check_bound, quotient_tol)
-from .tokengraph import TokenGraph, build_token_graph, check_sector, token_moves
+from .tokengraph import CACHE_SIZE, TokenGraph, build_token_graph, check_sector, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
 COLUMN_CHUNK = 256  # kept vectors built and checked this many columns at a time
@@ -107,7 +108,7 @@ def build_poly_matrix(n: int, k: int, shift: str = "smallest") -> LaurentMatrix:
     if shift not in ("smallest", "largest"):
         raise ParameterDomainError(f"unknown shift choice {shift!r}")
     orbits = enumerate_orbits(n, k)
-    row, at = token_moves(np.array(orbits.reps), n)
+    row, _, at = token_moves(np.array(orbits.reps), n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
     if shift == "largest":
         exp = exp + n - orbits.periods[col]
@@ -503,9 +504,9 @@ def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
     Pairs come in sector order, ascending by value within a sector, each
     checked against its own sector's specialized matrix.
     """
-    return [EigenPair(float(val), sol.sector, sol.vectors[:, col], float(sol.residuals[col]))
+    return [EigenPair(val, sol.sector, sol.vectors[:, col], res)
             for sol in _sector_solutions(n, k, vectors=True)
-            for col, val in enumerate(sol.kept)]
+            for col, (val, res) in enumerate(zip(sol.kept.tolist(), sol.residuals.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -518,6 +519,21 @@ class LiftedVector:
     residual: float
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _lift_table(n: int, k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sector r's blocked orbit indices and configuration phases, read-only.
+
+    The phase of configuration X = rep_i + j is w^(r*j).  At most
+    CACHE_SIZE sectors are kept.
+    """
+    orbits = enumerate_orbits(n, k)
+    blocked = np.flatnonzero(blocked_mask(orbits.periods, n, r))
+    phases = root_table(n)[r * orbits.shift_of % n]
+    for arr in (blocked, phases):
+        arr.flags.writeable = False
+    return blocked, phases
+
+
 def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
                      graph: TokenGraph | None = None,
                      lap: np.ndarray | None = None) -> LiftedVector:
@@ -528,10 +544,15 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     f_i = 0 or the sector order divides the orbit period, which the
     sector solver guarantees; a violation here is a solver bug and
     raises.  The residual |L x - lambda x| is checked at every vertex
-    through the graph's CSR adjacency, one gather and one segmented sum,
-    so a lift costs O(C(n, k) + edges); ``lap`` is accepted for
-    compatibility but not read.  A vector, sector or graph that does not
-    fit ``orbits`` raises ``ParameterDomainError``.
+    through the graph's token-slot adjacency, one gather and a sum over
+    the 2k slots, so a lift costs O(k C(n, k)).  The blocked orbits and
+    phases of each (n, k, r) are built once and cached (``_lift_table``,
+    at most CACHE_SIZE sectors); (n, k) fixes them, because
+    ``enumerate_orbits`` is the only constructor of an ``OrbitTable``.
+    The graph and the orbit table are cached too, CACHE_SIZE (n, k)
+    pairs each.  ``lap`` is accepted for compatibility but not read.  A
+    vector, sector or graph that does not fit ``orbits`` raises
+    ``ParameterDomainError``.
     """
     n, k = orbits.n, orbits.k
     r = pair.sector
@@ -544,27 +565,27 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     elif (graph.n, graph.k) != (n, k):
         raise ParameterDomainError(f"token graph F_{graph.k}(C_{graph.n}) for the "
                                    f"orbits of F_{k}(C_{n})")
+    blocked, phases = _lift_table(n, k, r)
     # every orbit has a configuration and every phase has modulus 1, so
     # the lift is zero exactly when the vector is
     size = np.abs(pair.vector)
     top = size.max()
     if top == 0:
         raise NumericFailureError("lifted vector is zero")
-    loaded = blocked_mask(orbits.periods, n, r)
-    loaded &= size > LIFT_SUPPORT_TOL * top
-    if loaded.any():
-        i = int(np.argmax(loaded))
+    loaded = blocked[size[blocked] > LIFT_SUPPORT_TOL * top]
+    if len(loaded):
+        i = int(loaded[0])
         raise PhaseConsistencyError(
             f"component {i} nonzero on orbit of period {orbits.periods[i]} "
             f"with sector order {sector_order(n, r)}")
-    # w^(r*s) for each shift s, then one gather over the configurations
-    out = pair.vector[orbits.orbit_of] * root_table(n)[r * np.arange(n) % n][orbits.shift_of]
-    # L x = deg x - sum over neighbours; no vertex is isolated, so no
-    # reduceat segment is empty (see build_token_graph)
+    # the lift, followed by the zero that every occupied slot reads
+    padded = np.zeros(graph.order + 1, dtype=complex)
+    out = padded[:-1]
+    np.multiply(pair.vector[orbits.orbit_of], phases, out=out)
+    # L x = deg x - sum over neighbours
     res = (graph.degrees - pair.value) * out
-    res -= np.add.reduceat(out[graph.targets], graph.offsets[:-1])
+    res -= padded[graph.moves].sum(axis=0)
     res = float(np.abs(res).max())
     check_bound(f"F_{k}(C_{n}) sector r={r}, eigenvalue {pair.value}",
                 "lifted vector residual", res, LIFT_RESIDUAL_TOL)
     return LiftedVector(pair.value, r, out, res)
-

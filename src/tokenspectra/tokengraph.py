@@ -9,10 +9,12 @@ Laplacian, and the dense-eigensolver spectrum that every other route in
 the library is validated against.  ``k_subsets``, ``subset_rank`` and
 ``token_moves`` enumerate, place and connect configurations for every module.
 
-The adjacency is stored once, in compressed sparse row (CSR) form: the
-neighbours of vertex i are ``targets[offsets[i]:offsets[i + 1]]``.  A
-product with the adjacency is then one gather and one segmented sum,
-``np.add.reduceat(x[targets], offsets[:-1])``.
+The adjacency is stored once, as a fixed-width token-slot table: slot
+2i + way of vertex x holds the rank of x with its token i moved up
+(way 0) or down (way 1), or the sentinel C(n, k) when that cycle vertex
+is occupied.  A product with the adjacency is then one gather from a
+vector padded with one trailing zero and a sum over the 2k slots,
+``padded[moves].sum(axis=0)``, in O(k C(n, k)).
 """
 from __future__ import annotations
 
@@ -68,19 +70,20 @@ def k_subsets(n: int, k: int) -> np.ndarray:
                        count=comb(n, k) * k).reshape(-1, k)
 
 
-def token_moves(subsets, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every move of one token to a free adjacent vertex: (source row, target rank).
+def token_moves(subsets, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every move of one token to a free adjacent vertex: (source row, slot, target rank).
 
-    Token i of a sorted row s of ``subsets`` moves to s_i + 1 unless token
-    i + 1 sits there, and to s_i - 1 unless token i - 1 does (cyclically,
-    mod n).  Moves come by row, then token, up before down; targets differ.
+    Token i of a sorted row s of ``subsets`` moves to s_i + 1 (way 0)
+    unless token i + 1 sits there, and to s_i - 1 (way 1) unless token
+    i - 1 does (cyclically, mod n); the move's slot is 2i + way.  Moves
+    come by row, then slot; the targets of a row differ.
     """
     moved = np.stack([(subsets + 1) % n, (subsets - 1) % n], axis=2)
     blocker = np.stack([np.roll(subsets, -1, axis=1), np.roll(subsets, 1, axis=1)], axis=2)
     row, token, way = np.nonzero(moved != blocker)
     targets = subsets[row]
     targets[np.arange(len(row)), token] = moved[row, token, way]
-    return row, subset_rank(np.sort(targets, axis=1), n)
+    return row, 2 * token + way, subset_rank(np.sort(targets, axis=1), n)
 
 
 @dataclass(frozen=True)
@@ -88,19 +91,18 @@ class TokenGraph:
     """The k-token graph of the n-cycle, vertices in lexicographic order.
 
     Vertex i is ``vertices[i]``, the subset of rank i (``subset_rank``).
-    The adjacency is in CSR form: the directed edges leaving vertex i go
-    to ``targets[offsets[i]:offsets[i + 1]]``, in ``token_moves`` order
-    (moving token, up before down), and ``offsets`` has C(n, k) + 1
-    entries.  ``degrees`` holds the vertex degrees, the differences of
-    ``offsets``; every degree is at least 1 (see ``build_token_graph``).
-    The arrays are read-only.
+    The adjacency is a token-slot table of shape (2k, C(n, k)):
+    ``moves[2i + way, x]`` is the rank of vertex x with its token i moved
+    up (way 0) or down (way 1), the ``token_moves`` slot, and C(n, k)
+    when that cycle vertex is occupied.  ``degrees`` counts each vertex's
+    valid slots; every degree is at least 1 (with 1 <= k <= n/2 some
+    token has a free cycle neighbour).  The arrays are read-only.
     """
 
     n: int
     k: int
     vertices: tuple[tuple[int, ...], ...]
-    targets: np.ndarray = field(repr=False, compare=False)
-    offsets: np.ndarray = field(repr=False, compare=False)
+    moves: np.ndarray = field(repr=False, compare=False)
     degrees: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -113,23 +115,17 @@ class TokenGraph:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def build_token_graph(n: int, k: int) -> TokenGraph:
-    """The token graph F_k(C_n) with its CSR adjacency.
-
-    ``token_moves`` yields the moves grouped by source row, so its
-    targets are the CSR column array as they come.  No vertex is
-    isolated: with 1 <= k <= n/2 some token has a free cycle neighbour,
-    which ``np.add.reduceat`` over ``offsets[:-1]`` relies on (it returns
-    the segment's first entry, not 0, for an empty segment).
-    """
+    """The token graph F_k(C_n) with its token-slot adjacency."""
     check_params(n, k)
     subsets = k_subsets(n, k)
-    source, targets = token_moves(subsets, n)
-    degrees = np.bincount(source, minlength=len(subsets))
-    offsets = np.zeros(len(subsets) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    for arr in (targets, offsets, degrees):
+    m = len(subsets)
+    source, slot, target = token_moves(subsets, n)
+    moves = np.full((2 * k, m), m, dtype=np.int64)
+    moves[slot, source] = target
+    degrees = (moves < m).sum(axis=0)
+    for arr in (moves, degrees):
         arr.flags.writeable = False
-    return TokenGraph(n, k, tuple(map(tuple, subsets.tolist())), targets, offsets, degrees)
+    return TokenGraph(n, k, tuple(map(tuple, subsets.tolist())), moves, degrees)
 
 
 def laplacian(graph: TokenGraph) -> np.ndarray:
@@ -139,7 +135,8 @@ def laplacian(graph: TokenGraph) -> np.ndarray:
     """
     m = graph.order
     lap = np.zeros((m, m))
-    lap[np.repeat(np.arange(m), graph.degrees), graph.targets] = -1.0
+    slot, source = np.nonzero(graph.moves < m)
+    lap[source, graph.moves[slot, source]] = -1.0
     lap[np.diag_indices(m)] = graph.degrees
     return lap
 

@@ -146,7 +146,10 @@ def _terminal(n: int, r: int, w, t):
 
 
 def contfrac_q1(lam: float, n: int, r: int) -> float:
-    """Q_1 by backward recurrence from the case's terminal value."""
+    """Q_1 by backward recurrence from the case's terminal value.
+
+    A denominator below POLE_TOL raises ``PoleError`` naming n, r and lambda.
+    """
     _check_sector(n, r)
     _check_finite(lam)
     if 2 * r == n:
@@ -154,14 +157,15 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
     c = math.cos(math.pi * r / n)
     z = (4.0 - lam) / (2.0 * c)
+    where = f"F_2(C_{n}) sector r={r} at lambda={lam}"
     rr, ss = _terminal(n, r, z, 1)
     if abs(ss) < POLE_TOL:
-        raise PoleError(f"terminal denominator vanishes at lambda={lam}")
+        raise PoleError(f"{where}: terminal denominator vanishes")
     q = rr / ss
     for _ in range(n // 2 - 2):
         den = z - q
         if abs(den) < POLE_TOL:
-            raise PoleError(f"continued fraction hits a pole at lambda={lam}")
+            raise PoleError(f"{where}: continued fraction hits a pole")
         q = 1.0 / den
     return q
 
@@ -470,11 +474,13 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     the branch point Z^2 = 4; the polynomial form is authoritative
     everywhere.  At r = n/2 the value is the product of lambda - v over
     ``sector_roots``.  Equals charpoly_sector up to one multiplicative
-    constant per (n, r).  A value past the float range raises
-    ``NumericFailureError`` naming n, r and lambda.
+    constant per (n, r).  A lambda in the guard band raises ``PoleError``
+    and a value past the float range ``NumericFailureError``, each
+    naming n, r and lambda.
     """
     _check_sector(n, r)
     _check_finite(lam)
+    where = f"F_2(C_{n}) sector r={r} at lambda={lam}"
     if 2 * r == n:
         val = math.prod(lam - v for v in sector_roots(n, r).tolist())
     else:
@@ -483,7 +489,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
         alpha = 1.0 / c
         disc = z * z - 4.0
         if abs(disc) <= BRANCH_GUARD:
-            raise PoleError(f"lambda={lam} puts Z^2-4 = {disc:.4f} inside the "
+            raise PoleError(f"{where}: Z^2-4 = {disc:.4f} lies inside the "
                             f"+-{BRANCH_GUARD} guard band")
         s = math.sqrt(disc) if disc > 0 else cmath.sqrt(disc)
         rr, ss = _terminal(n, r, z, 1)
@@ -493,7 +499,6 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
                    - (alpha - rho2) * rho2 ** m * (rho2 * ss - rr)) / s
         except OverflowError:  # a power past the float range
             val = math.inf
-    where = f"F_2(C_{n}) sector r={r} at lambda={lam}"
     if not cmath.isfinite(val):
         raise NumericFailureError(f"{where}: the closed form passes the float range")
     check_bound(where, "closed form imaginary part", abs(val.imag), CLOSED_FORM_IMAG_TOL)

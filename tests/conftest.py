@@ -4,7 +4,7 @@ Spectra are pure functions of (n, k), so tests share one computation
 per pair instead of redoing dense eigensolves.  ``token_neighbors`` is
 the move rule in plain set arithmetic, the tests' independent reference
 for the library's array rule ``tokengraph.token_moves``.  ``edge_pairs``
-reads a graph's CSR adjacency back as (source, target) pairs.
+reads a graph's token-slot adjacency back as (source, target) pairs.
 ``period`` finds a subset's period by rotating it (``rotate``) once per
 divisor of n, the reference for the library's array rule
 ``necklaces.periods_of``.
@@ -82,13 +82,12 @@ def period(subset, n):
 
 
 def edge_pairs(graph):
-    """Every directed edge (source, target) of a token graph, in CSR order.
+    """Every directed edge (source, target) of a token graph, by source, then slot.
 
-    Sources are read from the lengths of the ``offsets`` segments, not
-    from ``degrees``.
+    Edges are read from the valid slots of ``moves``, not from ``degrees``.
     """
-    source = np.repeat(np.arange(graph.order), np.diff(graph.offsets))
-    return list(zip(source.tolist(), graph.targets.tolist()))
+    source, slot = np.nonzero(graph.moves.T < graph.order)
+    return list(zip(source.tolist(), graph.moves[slot, source].tolist()))
 
 
 def assert_kept_then_discarded(report):

@@ -21,7 +21,7 @@ from tokenspectra import (CountMismatchError, EigenPair, LaurentMatrix, NumericF
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_bases, _sector_solutions,
                                      blocked_mask, solve_sector)
-from tokenspectra.tokengraph import subset_rank
+from tokenspectra.tokengraph import CACHE_SIZE, subset_rank
 from tokenspectra.tolerances import quotient_tol
 
 # published orbit matrix of the 3-token graph of the 6-cycle, under the
@@ -743,6 +743,34 @@ class TestLiftEigenvector:
             lifted = lift_eigenvector(pair, orbits, g)
             dense = np.max(np.abs(lap @ lifted.values - pair.value * lifted.values))
             assert abs(lifted.residual - dense) <= 1e-12
+
+    def test_values_are_the_phase_gather_exactly(self):
+        # the cached per-sector phases give the same floats as gathering
+        # w^(r*shift) from the root table on every call
+        n, k = 12, 6
+        orbits = enumerate_orbits(n, k)
+        g = build_token_graph(n, k)
+        pairs = kept_eigenpairs(n, k)
+        assert len(pairs) == comb(n, k)
+        for pair in pairs:
+            want = pair.vector[orbits.orbit_of] * root_table(n)[
+                pair.sector * orbits.shift_of % n]
+            assert np.array_equal(lift_eigenvector(pair, orbits, g).values, want)
+
+    def test_lift_tables_cache_is_bounded(self):
+        assert polymatrix._lift_table.cache_info().maxsize == CACHE_SIZE
+        # one lift in every sector of F_k(C_12), k = 1..6: 72 keys, past the bound
+        assert 6 * 12 > CACHE_SIZE
+        for k in range(1, 7):
+            orbits = enumerate_orbits(12, k)
+            first = {}
+            for pair in kept_eigenpairs(12, k):
+                first.setdefault(pair.sector, pair)
+            assert sorted(first) == list(range(12))
+            for pair in first.values():
+                lift_eigenvector(pair, orbits)
+                assert polymatrix._lift_table.cache_info().currsize <= CACHE_SIZE
+        assert polymatrix._lift_table.cache_info().currsize == CACHE_SIZE
 
     def test_wrong_eigenvalue_raises(self):
         orbits = enumerate_orbits(8, 4)

@@ -82,15 +82,19 @@ def test_two_token_routes_agree(n):
 @given(configurations())
 def test_token_moves_are_single_steps(config):
     n, rows = config
-    source, target = token_moves(np.array(rows), n)
+    source, slot, target = token_moves(np.array(rows), n)
     assert sorted(source.tolist()) == source.tolist()
     for i, row in enumerate(rows):
         ranks = target[source == i].tolist()
+        slots = slot[source == i].tolist()
+        assert slots == sorted(set(slots)), (n, row)
         assert len(set(ranks)) == len(ranks), (n, row)
         assert len(ranks) == sum((a + d) % n not in row for a in row for d in (1, -1))
-        for rank in ranks:
+        for rank, s in zip(ranks, slots):
             moved = _unrank(rank, n, len(row))
             assert len(moved) == len(row)
             gone, came = set(row) - set(moved), set(moved) - set(row)
             assert len(gone) == len(came) == 1, (n, row, moved)
-            assert (came.pop() - gone.pop()) % n in (1, n - 1), (n, row, moved)
+            # slot 2t + way moves token t up (way 0) or down (way 1)
+            assert gone == {row[s // 2]}, (n, row, moved, s)
+            assert came == {(row[s // 2] + (1, -1)[s % 2]) % n}, (n, row, moved, s)

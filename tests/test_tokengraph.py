@@ -65,14 +65,34 @@ class TestBuildTokenGraph:
         blocks = np.count_nonzero((np.roll(v, -1, axis=1) - v) % n != 1, axis=1)
         assert build_token_graph(n, k).degrees.tolist() == (2 * blocks).tolist()
 
-    def test_csr_offsets_cover_targets_and_no_vertex_is_isolated(self):
-        # lift_eigenvector's np.add.reduceat needs every segment nonempty
-        for n in range(3, 13):
-            for k in range(1, n // 2 + 1):
-                g = build_token_graph(n, k)
-                assert g.offsets[0] == 0 and g.offsets[-1] == len(g.targets), (n, k)
-                assert np.array_equal(np.diff(g.offsets), g.degrees), (n, k)
-                assert g.degrees.min() >= 1, (n, k)
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(3, 13) for k in range(1, n // 2 + 1)])
+    def test_slot_table_invariants(self, n, k):
+        # slot 2i + way of vertex x: token i of x moved up (way 0) or down
+        # (way 1), or the sentinel C(n, k) when that cycle vertex is taken
+        g = build_token_graph(n, k)
+        m = g.order
+        assert g.moves.shape == (2 * k, m)
+        assert not g.moves.flags.writeable and not g.degrees.flags.writeable
+        for x, v in enumerate(g.vertices):
+            for slot in range(2 * k):
+                token, way = divmod(slot, 2)
+                to = (v[token] + (1, -1)[way]) % n
+                if to in v:
+                    assert g.moves[slot, x] == m, (x, slot)
+                else:
+                    moved = tuple(sorted(set(v) - {v[token]} | {to}))
+                    assert g.vertices[g.moves[slot, x]] == moved, (x, slot)
+        assert np.array_equal(g.degrees, np.count_nonzero(g.moves < m, axis=0))
+        assert g.degrees.min() >= 1
+        pairs = edge_pairs(g)
+        assert set(pairs) == {(j, i) for i, j in pairs}
+        index = {v: i for i, v in enumerate(g.vertices)}
+        want = np.zeros((m, m))
+        for i, v in enumerate(g.vertices):
+            for nb in token_neighbors(v, n):
+                want[i, index[nb]] = -1.0
+                want[i, i] += 1.0
+        assert np.array_equal(laplacian(g), want)
 
     @pytest.mark.parametrize("n,k", [(6, 2), (7, 3), (8, 4), (9, 2)])
     def test_adjacent_iff_symmetric_difference_is_cycle_edge(self, n, k):
@@ -154,7 +174,7 @@ class TestBruteSpectrum:
 
     def test_degree_sum_is_twice_edges(self):
         g = build_token_graph(9, 3)
-        degsum = len(g.targets)
+        degsum = np.count_nonzero(g.moves < g.order)
         assert degsum % 2 == 0
         # trace of the Laplacian equals the degree sum
         assert_allclose(np.trace(laplacian(g)), degsum)

@@ -236,8 +236,16 @@ class TestContfracQ1:
 
     def test_pole_raises(self):
         # lambda = 2 makes the odd-n terminal denominator vanish at r = 0
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=r"^F_2\(C_7\) sector r=0 at lambda=2\.0: "
+                                            r"terminal denominator vanishes$"):
             contfrac_q1(2.0, 7, 0)
+
+    def test_pole_inside_the_recurrence_raises(self):
+        # at r = 0 of n = 8, Q = 2/Z, then Z - Q vanishes at Z^2 = 2
+        lam = 4.0 - 2.0 * math.sqrt(2.0)
+        with pytest.raises(PoleError, match=rf"^F_2\(C_8\) sector r=0 at lambda={lam}: "
+                                            r"continued fraction hits a pole$"):
+            contfrac_q1(lam, 8, 0)
 
 
 class TestSectorRoots:
@@ -688,7 +696,8 @@ class TestCharpolyRhoForm:
 
     def test_branch_guard(self):
         # r = 0 puts Z(0) = 2 exactly on the branch point Z^2 = 4
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=r"^F_2\(C_7\) sector r=0 at lambda=0\.0: "
+                                            r"Z\^2-4 = 0\.0000 lies inside the \+-0\.1 guard band$"):
             charpoly_rho_form(7, 0, 0.0)
 
     def test_zero_is_sector_zero_root_by_polynomial_route(self):
