@@ -6,8 +6,13 @@ is reached from the other by moving a single token to an unoccupied
 neighbouring cycle vertex; equivalently, their symmetric difference is
 {a, b} with b = a +- 1 (mod n).  This module constructs that graph, its
 Laplacian, and the dense-eigensolver spectrum that every other route in
-the library is validated against.  ``k_subsets``, ``subset_rank`` and
-``token_moves`` enumerate, place and connect configurations for every module.
+the library is validated against.  That oracle splits the Laplacian by
+the reflection X -> -X and, when 2k = n, the complement X -> Z_n - X,
+permutations of the explicit vertex list checked exactly on the
+adjacency, into one block per sign character; it never uses rotation,
+the symmetry the orbit routes are built on.  ``k_subsets``,
+``subset_rank`` and ``token_moves`` enumerate, place and connect
+configurations for every module.
 
 The adjacency is stored once, as a fixed-width token-slot table: slot
 2i + way of vertex x holds the rank of x with its token i moved up
@@ -25,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ParameterDomainError, SizeLimitError
+from .errors import CountMismatchError, NumericFailureError, ParameterDomainError, SizeLimitError
 from .report import SpectrumReport
 from .tolerances import ZERO_TOL
 
@@ -141,17 +146,111 @@ def laplacian(graph: TokenGraph) -> np.ndarray:
     return lap
 
 
-def brute_spectrum(n: int, k: int) -> SpectrumReport:
-    """All C(n, k) Laplacian eigenvalues by dense symmetric eigensolve.
+def involutions(graph: TokenGraph) -> list[np.ndarray]:
+    """The reflection X -> -X and, when 2k = n, the complement X -> Z_n - X.
 
-    Guarded at C(n, k) <= 5000 so runtimes stay in seconds.
+    Each is a vertex permutation: entry x is the rank of the image of
+    vertex x.  Neither is checked here; ``symmetry_blocks`` checks them.
+    """
+    n, k, m = graph.n, graph.k, graph.order
+    subsets = k_subsets(n, k)
+    gens = [subset_rank(np.sort(-subsets % n, axis=1), n)]
+    if 2 * k == n:
+        # the complement of each sorted row, in ascending order
+        free = np.ones((m, n), dtype=bool)
+        free[np.arange(m)[:, None], subsets] = False
+        gens.append(subset_rank(np.nonzero(free)[1].reshape(m, k), n))
+    return gens
+
+
+def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarray]:
+    """The Laplacian split into one block per sign character of <gens>.
+
+    ``gens`` are commuting involutive automorphisms of the graph, as
+    vertex permutations; G is the abelian group of their products
+    (element e applies the generators named by the bits of e) and
+    character c of G is chi_c(e) = (-1)^popcount(c & e).  Each vertex
+    has a lead, the least vertex of its G-orbit, reached by h_x in G,
+    and a stabilizer of size s_x.  Block c has a row per lead a whose
+    stabilizer lies in ker chi_c, with entries
+    L_c[a, b] = sqrt(s_b / s_a) sum over y in G b of chi_c(h_y) L[a, y]
+    (Serre, Linear Representations of Finite Groups, 2.3), built from
+    the slot-table edges out of the leads; no C(n, k)-wide matrix is
+    formed.  Before any block is built, each generator must be an
+    involution and an automorphism (the sorted slot row of g(x) equals
+    the sorted images of the slot row of x, sentinel to sentinel) and
+    the generators must commute, or ``NumericFailureError`` names
+    F_k(C_n) and the check.  The block sizes must add up to C(n, k)
+    (``CountMismatchError``) and the block traces to the degree sum,
+    exactly: each diagonal entry is a sum of integers.
+    """
+    m, moves = graph.order, graph.moves
+    where = f"F_{graph.k}(C_{graph.n})"
+    ident = np.arange(m)
+    for i, g in enumerate(gens):
+        if not np.array_equal(g[g], ident):
+            raise NumericFailureError(f"{where}: symmetry {i} is not an involution")
+        images = np.append(g, m)[moves]
+        if not np.array_equal(np.sort(moves[:, g], axis=0), np.sort(images, axis=0)):
+            raise NumericFailureError(f"{where}: symmetry {i} is not an automorphism")
+    for i, j in combinations(range(len(gens)), 2):
+        if not np.array_equal(gens[i][gens[j]], gens[j][gens[i]]):
+            raise NumericFailureError(f"{where}: symmetries {i} and {j} do not commute")
+    # orbit[e, x] is the image of x under element e
+    orbit, chi = ident[None], np.ones((1, 1), dtype=np.int64)
+    for g in gens:
+        orbit = np.concatenate([orbit, g[orbit]])
+        chi = np.kron([[1, 1], [1, -1]], chi)
+    lead, h = orbit.min(axis=0), orbit.argmin(axis=0)
+    is_lead = lead == ident
+    leads = np.flatnonzero(is_lead)
+    fixed = orbit == ident
+    stab = np.count_nonzero(fixed, axis=0)
+    # rows[c, x]: x is a lead and chi_c is 1 on its stabilizer
+    rows = is_lead & ~((chi[:, :, None] < 0) & fixed).any(axis=1)
+    slot, src = np.nonzero(moves[:, leads] < m)
+    src = leads[src]
+    y = moves[slot, src]
+    col = lead[y]
+    weight = np.sqrt(stab[col] / stab[src])
+    blocks, trace = [], 0.0
+    for c in range(len(chi)):
+        at = np.cumsum(rows[c]) - 1
+        size = int(rows[c].sum())
+        keep = rows[c][src] & rows[c][col]
+        block = np.bincount(at[src[keep]] * size + at[col[keep]],
+                            -chi[c, h[y[keep]]] * weight[keep],
+                            minlength=size * size).reshape(size, size)
+        block[np.diag_indices(size)] += graph.degrees[rows[c]]
+        trace += block.trace()
+        blocks.append(block)
+    rows_total = sum(map(len, blocks))
+    if rows_total != m:
+        raise CountMismatchError(
+            f"{where}: symmetry blocks have {rows_total} rows for {m} vertices")
+    if trace != graph.degrees.sum():
+        raise NumericFailureError(f"{where}: symmetry block traces add up to {trace}, "
+                                  f"not the degree sum {graph.degrees.sum()}")
+    return blocks
+
+
+def brute_spectrum(n: int, k: int) -> SpectrumReport:
+    """All C(n, k) Laplacian eigenvalues by dense symmetric eigensolves.
+
+    The Laplacian is split by the reflection and, when 2k = n, the
+    complement of the explicit graph (``involutions``), never by
+    rotation, into 2 or 4 blocks (``symmetry_blocks``, with its exact
+    checks), and each block is solved densely.  Guarded at
+    C(n, k) <= 5000 so runtimes stay in seconds.
     """
     check_params(n, k)
     size = comb(n, k)
     if size > DENSE_SPECTRUM_CAP:
         raise SizeLimitError(
             f"C({n},{k}) = {size} exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
-    vals = np.linalg.eigvalsh(laplacian(build_token_graph(n, k)))
+    graph = build_token_graph(n, k)
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
+                                   for block in symmetry_blocks(graph, involutions(graph))]))
     return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 
 

@@ -1,9 +1,12 @@
 """Shared caches and references for the test suite.
 
 Spectra are pure functions of (n, k), so tests share one computation
-per pair instead of redoing dense eigensolves.  ``token_neighbors`` is
-the move rule in plain set arithmetic, the tests' independent reference
-for the library's array rule ``tokengraph.token_moves``.  ``edge_pairs``
+per pair instead of redoing dense eigensolves.  ``reference_brute`` is
+the unsplit oracle, one ``eigvalsh`` of the whole Laplacian, the
+reference for the library's block-split ``brute_spectrum``.
+``token_neighbors`` is the move rule in plain set arithmetic, the tests'
+independent reference for the library's array rule
+``tokengraph.token_moves``.  ``edge_pairs``
 reads a graph's token-slot adjacency back as (source, target) pairs.
 ``period`` finds a subset's period by rotating it (``rotate``) once per
 divisor of n, the reference for the library's array rule
@@ -33,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from tokenspectra import (LaurentMatrix, ParameterDomainError, brute_spectrum,
-                          full_spectrum, spectrum_2token)
+                          build_token_graph, full_spectrum, laplacian, spectrum_2token)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask
 from tokenspectra.tolerances import CLUSTER_TOL, check_bound, quotient_tol
@@ -44,6 +47,11 @@ SQRT_HALF = np.sqrt(0.5)
 @lru_cache(maxsize=None)
 def cached_brute(n, k):
     return brute_spectrum(n, k)
+
+
+def reference_brute(n, k):
+    """Every Laplacian eigenvalue of F_k(C_n), ascending, by one dense ``eigvalsh``."""
+    return np.linalg.eigvalsh(laplacian(build_token_graph(n, k)))
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from math import comb
@@ -775,8 +776,11 @@ class TestLiftEigenvector:
     def test_wrong_eigenvalue_raises(self):
         orbits = enumerate_orbits(8, 4)
         pair = kept_eigenpairs(8, 4)[5]
-        with pytest.raises(NumericFailureError, match="lifted vector residual"):
-            lift_eigenvector(replace(pair, value=pair.value + 1e-3), orbits)
+        value = pair.value + 1e-3
+        where = re.escape(f"F_4(C_8) sector r={pair.sector}, eigenvalue {value}")
+        with pytest.raises(NumericFailureError,
+                           match=rf"^{where}: lifted vector residual \S+ exceeds tol 1\.000e-08$"):
+            lift_eigenvector(replace(pair, value=value), orbits)
 
     def test_vector_of_another_orbit_table_raises(self):
         orbits = enumerate_orbits(12, 6)

@@ -1,21 +1,26 @@
+import ast
 import math
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cached_brute, edge_pairs, token_neighbors
+from conftest import cached_brute, edge_pairs, reference_brute, token_neighbors
 from numpy.testing import assert_allclose
 
-from tokenspectra import (ParameterDomainError, SizeLimitError, build_poly_matrix,
-                          build_token_graph, charpoly_rho_form, charpoly_sector,
-                          contfrac_q1, enumerate_orbits, kept_eigenpairs, laplacian,
-                          lift_eigenvector, multiset_contains, sector_roots)
+from tokenspectra import (NumericFailureError, ParameterDomainError, SizeLimitError,
+                          build_poly_matrix, build_token_graph, charpoly_rho_form,
+                          charpoly_sector, contfrac_q1, enumerate_orbits, kept_eigenpairs,
+                          laplacian, lift_eigenvector, multiset_contains, sector_roots,
+                          tokengraph)
 from tokenspectra.polymatrix import solve_sector
-from tokenspectra.tokengraph import algebraic_connectivity, subset_rank
+from tokenspectra.tokengraph import (DENSE_SPECTRUM_CAP, algebraic_connectivity, involutions,
+                                     k_subsets, subset_rank, symmetry_blocks)
 
 
 PAIRS_TO_16 = [(n, k) for n in range(3, 17) for k in range(1, n // 2 + 1)]
+PAIRS_TO_CAP = [(n, k) for n, k in PAIRS_TO_16 if n <= 14 and comb(n, k) <= DENSE_SPECTRUM_CAP]
 
 
 def cycle_laplacian_spectrum(n):
@@ -187,6 +192,51 @@ class TestBruteSpectrum:
                 assert multiset_contains(sup.kept, sub.kept, 1e-8)
             conns = [algebraic_connectivity(rep) for rep in reports]
             assert max(conns) - min(conns) < 1e-8
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("n,k", PAIRS_TO_CAP)
+    def test_matches_the_unsplit_reference(self, n, k):
+        assert_allclose(cached_brute(n, k).kept, reference_brute(n, k), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,k", PAIRS_TO_16)
+    def test_block_sizes_add_up_to_the_vertex_count(self, n, k):
+        g = build_token_graph(n, k)
+        sizes = [len(block) for block in symmetry_blocks(g, involutions(g))]
+        assert sum(sizes) == comb(n, k)
+        assert len(sizes) == (4 if 2 * k == n else 2)
+
+    def test_rejects_a_generator_that_is_not_an_involution(self):
+        g = build_token_graph(6, 2)
+        with pytest.raises(NumericFailureError,
+                           match=r"F_2\(C_6\): symmetry 0 is not an involution"):
+            symmetry_blocks(g, [np.roll(np.arange(g.order), 1)])
+
+    def test_rejects_a_swap_of_two_degrees(self):
+        g = build_token_graph(6, 2)
+        x, y = int(np.argmin(g.degrees)), int(np.argmax(g.degrees))
+        assert g.degrees[x] != g.degrees[y]
+        swap = np.arange(g.order)
+        swap[[x, y]] = y, x
+        with pytest.raises(NumericFailureError,
+                           match=r"F_2\(C_6\): symmetry 0 is not an automorphism"):
+            symmetry_blocks(g, [swap])
+
+    def test_rejects_generators_that_do_not_commute(self):
+        # X -> -X and X -> 1 - X are automorphisms whose product is a rotation by 1
+        n, k = 7, 3
+        g, subsets = build_token_graph(n, k), k_subsets(n, k)
+        gens = [subset_rank(np.sort((s - subsets) % n, axis=1), n) for s in (0, 1)]
+        with pytest.raises(NumericFailureError,
+                           match=r"F_3\(C_7\): symmetries 0 and 1 do not commute"):
+            symmetry_blocks(g, gens)
+
+    def test_imports_no_rotation_module(self):
+        tree = ast.parse(Path(tokengraph.__file__).read_text())
+        relative = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert relative == {"errors", "report", "tolerances"}
+        assert not relative & {"necklaces", "polymatrix", "laurent", "twotoken"}
 
 
 # every public routine that takes a sector index of F_3(C_8) or F_2(C_8)
