@@ -21,7 +21,7 @@ from math import comb, gcd, isqrt
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import CACHE_SIZE, check_params, k_subsets, subset_rank
+from .tokengraph import CACHE_SIZE, check_params, involutions, k_subsets, subset_rank
 
 
 def sector_order(n: int, r: int) -> int:
@@ -139,16 +139,12 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     periods = periods_of(reps, n)
     if not np.array_equal(periods, np.bincount(orbit_of)):
         raise NumericFailureError("orbit periods do not match the orbit sizes")
-    mirror = subset_rank(np.sort(-reps % n, axis=1), n)
+    mirror, *comp = involutions(reps, n)
     mirror_of, mirror_shift = orbit_of[mirror], shift_of[mirror]
     check_mirror(mirror_of, mirror_shift, periods)
     arrays = [periods, orbit_of, shift_of, mirror_of, mirror_shift]
     if 2 * k == n:
-        # the complement of each sorted row, in ascending order
-        free = np.ones((len(reps), n), dtype=bool)
-        free[np.arange(len(reps))[:, None], reps] = False
-        comp = subset_rank(np.nonzero(free)[1].reshape(len(reps), k), n)
-        arrays += [orbit_of[comp], shift_of[comp]]
+        arrays += [orbit_of[comp[0]], shift_of[comp[0]]]
         check_complement(*arrays[-2:], periods, mirror_of)
     for arr in arrays:
         arr.flags.writeable = False

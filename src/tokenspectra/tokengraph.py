@@ -146,21 +146,23 @@ def laplacian(graph: TokenGraph) -> np.ndarray:
     return lap
 
 
-def involutions(graph: TokenGraph) -> list[np.ndarray]:
+def involutions(rows: np.ndarray, n: int) -> list[np.ndarray]:
     """The reflection X -> -X and, when 2k = n, the complement X -> Z_n - X.
 
-    Each is a vertex permutation: entry x is the rank of the image of
-    vertex x.  Neither is checked here; ``symmetry_blocks`` checks them.
+    ``rows`` holds sorted k-subsets X of Z_n; entry i of each array is
+    the rank (``subset_rank``) of the image of row i.  On all of
+    ``k_subsets(n, k)`` each is a vertex permutation of the token graph.
+    Neither is checked here; ``symmetry_blocks`` checks the permutations
+    and ``necklaces.check_mirror`` and ``check_complement`` the orbit data.
     """
-    n, k, m = graph.n, graph.k, graph.order
-    subsets = k_subsets(n, k)
-    gens = [subset_rank(np.sort(-subsets % n, axis=1), n)]
+    m, k = rows.shape
+    ranks = [subset_rank(np.sort(-rows % n, axis=1), n)]
     if 2 * k == n:
         # the complement of each sorted row, in ascending order
         free = np.ones((m, n), dtype=bool)
-        free[np.arange(m)[:, None], subsets] = False
-        gens.append(subset_rank(np.nonzero(free)[1].reshape(m, k), n))
-    return gens
+        free[np.arange(m)[:, None], rows] = False
+        ranks.append(subset_rank(np.nonzero(free)[1].reshape(m, k), n))
+    return ranks
 
 
 def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarray]:
@@ -248,9 +250,8 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
     if size > DENSE_SPECTRUM_CAP:
         raise SizeLimitError(
             f"C({n},{k}) = {size} exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
-    graph = build_token_graph(n, k)
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(block)
-                                   for block in symmetry_blocks(graph, involutions(graph))]))
+    blocks = symmetry_blocks(build_token_graph(n, k), involutions(k_subsets(n, k), n))
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
     return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 
 

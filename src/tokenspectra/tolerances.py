@@ -16,8 +16,6 @@ LIFT_SUPPORT_TOL = 1e-10  # lift: components up to this times the largest count 
 LIFT_RESIDUAL_TOL = 1e-8  # lift: |L x - lambda x| of the lifted vector
 NEWTON_STEP_TOL = 1e-12  # two-token Newton steps stop below this fraction of the bracket
 POLE_TOL = 1e-12  # a continued-fraction denominator below this is a pole
-BRANCH_GUARD = 0.1  # the rho form is not evaluated within this of Z^2 = 4 ...
-CLOSED_FORM_IMAG_TOL = 1e-8  # ... and its imaginary part must stay within this
 ZERO_TOL = 1e-8  # algebraic_connectivity: eigenvalues at most this are zero
 
 

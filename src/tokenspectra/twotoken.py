@@ -48,9 +48,9 @@ runs on polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R)
 and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
 Nothing divides by t, so the half turn t = 0 needs no case of its own,
 and the leading coefficient is +-1.  Diagonalizing the 2x2 transfer
-step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 that
-starts from ``_terminal``'s pair, as the recurrence does, so
-``_terminal`` is the one case split of all three forms.
+step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2, real
+and continuous through Z^2 = 4 with no guard band, that starts from
+``_terminal``'s pair, so ``_terminal`` is the one case split of all three forms.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -60,7 +60,6 @@ sectors, and nu - 1 values are kept.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -69,8 +68,7 @@ from .errors import NumericFailureError, ParameterDomainError, PoleError
 from .laurent import root_table
 from .report import SpectrumReport
 from .tokengraph import check_sector
-from .tolerances import (BRANCH_GUARD, CLOSED_FORM_IMAG_TOL, NEWTON_STEP_TOL,
-                         POLE_TOL, check_bound, quotient_tol)
+from .tolerances import NEWTON_STEP_TOL, POLE_TOL, check_bound, quotient_tol
 
 NEWTON_MAX_STEPS = 64
 SQRT_HALF = np.sqrt(0.5)
@@ -459,47 +457,49 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     """The closed-form sector value at one lambda, via rho_1 and rho_2.
 
     rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2 diagonalize the transfer step of
-    ``contfrac_q1``.  From the terminal pair (R, S) = (S_-1, S_0) of
-    ``_terminal(n, r, Z, 1)`` the recurrence gives
-
-        S_j = (rho_1^j (rho_1 S - R) - rho_2^j (rho_2 S - R))/(rho_1 - rho_2),
-
-    and the sector value is S_(m-1) - (Z - alpha) S_m = alpha S_m - S_(m+1),
-    m = floor(n/2) - 2, the step count of ``contfrac_q1``; the second form
-    needs no negative power.  Outside the band, Z^2 > 4, the arithmetic is
-    real, so no imaginary part leaks from a large power of a negative rho
-    (Python takes complex powers past 100 in polar form); inside it the
-    intermediates are complex and the imaginary part of the result must
-    stay within CLOSED_FORM_IMAG_TOL.  Not defined within BRANCH_GUARD of
-    the branch point Z^2 = 4; the polynomial form is authoritative
-    everywhere.  At r = n/2 the value is the product of lambda - v over
-    ``sector_roots``.  Equals charpoly_sector up to one multiplicative
-    constant per (n, r).  A lambda in the guard band raises ``PoleError``
-    and a value past the float range ``NumericFailureError``, each
-    naming n, r and lambda.
+    ``contfrac_q1``.  From the pair (R, S) = (S_-1, S_0) of
+    ``_terminal(n, r, Z, 1)`` the recurrence gives S_j = S U_j - R U_(j-1),
+    U_j = (rho_1^(j+1) - rho_2^(j+1))/(rho_1 - rho_2) = U_j(Z/2) (Chebyshev,
+    second kind), so the sector value alpha S_m - S_(m+1), m = floor(n/2) - 2
+    the step count of ``contfrac_q1``, is the divided difference of
+    f(rho) = rho^m (alpha - rho)(rho S - R) over rho_1 and rho_2.  It is
+    real for every lambda and continuous through Z^2 = 4; there is no guard
+    band.  With x = |Z|/2 and sigma = sign Z, U_j(Z/2) = sigma^j U_j(x).
+    For x < 1, U_j(x) = sin((j + 1) theta)/sin theta, theta = acos x (at
+    Z/2 itself theta nears pi, where it loses digits).  For x >= 1,
+    rho_1 = 1/rho_2 = sigma (x + sqrt(x^2 - 1)) = sigma exp(acosh x), and
+    the product rule f[rho_1, rho_2] = (alpha - rho_1)(rho_1 S - R) U_(m-1)(Z/2)
+    + rho_2^m (alpha S + R - Z S) avoids the cancellation of
+    alpha S_m - S_(m+1) near the top root.  At r = n/2 the value is the
+    product of lambda - v over ``sector_roots``.  Equals charpoly_sector up
+    to one constant factor per (n, r).  A value past the float range raises
+    ``NumericFailureError`` naming n, r and lambda.
     """
     _check_sector(n, r)
     _check_finite(lam)
-    where = f"F_2(C_{n}) sector r={r} at lambda={lam}"
     if 2 * r == n:
         val = math.prod(lam - v for v in sector_roots(n, r).tolist())
     else:
         c = math.cos(math.pi * r / n)
         z = (4.0 - lam) / (2.0 * c)
         alpha = 1.0 / c
-        disc = z * z - 4.0
-        if abs(disc) <= BRANCH_GUARD:
-            raise PoleError(f"{where}: Z^2-4 = {disc:.4f} lies inside the "
-                            f"+-{BRANCH_GUARD} guard band")
-        s = math.sqrt(disc) if disc > 0 else cmath.sqrt(disc)
         rr, ss = _terminal(n, r, z, 1)
-        rho1, rho2, m = (z + s) / 2, (z - s) / 2, n // 2 - 2
+        m, x, sigma = n // 2 - 2, abs(z) / 2, math.copysign(1.0, z)
         try:
-            val = ((alpha - rho1) * rho1 ** m * (rho1 * ss - rr)
-                   - (alpha - rho2) * rho2 ** m * (rho2 * ss - rr)) / s
+            if x < 1:
+                theta = math.acos(x)
+                u_prev, u_m, u_next = (sigma ** j * math.sin((j + 1) * theta) / math.sin(theta)
+                                       for j in (m - 1, m, m + 1))
+                val = alpha * (ss * u_m - rr * u_prev) - (ss * u_next - rr * u_m)
+            else:
+                t, e_t = math.acosh(x), x + math.sqrt((x - 1) * (x + 1))
+                rho1, rho2 = sigma * e_t, sigma / e_t  # e_t rounds closer than exp(t)
+                u = math.exp((m - 1) * t) * math.expm1(-2 * m * t) / math.expm1(-2 * t) if t else m
+                val = ((alpha - rho1) * (rho1 * ss - rr) * sigma ** (m - 1) * u
+                       + rho2 ** m * (alpha * ss + rr - z * ss))
         except OverflowError:  # a power past the float range
             val = math.inf
-    if not cmath.isfinite(val):
-        raise NumericFailureError(f"{where}: the closed form passes the float range")
-    check_bound(where, "closed form imaginary part", abs(val.imag), CLOSED_FORM_IMAG_TOL)
-    return float(val.real)
+    if not math.isfinite(val):
+        raise NumericFailureError(f"F_2(C_{n}) sector r={r} at lambda={lam}: "
+                                  "the closed form passes the float range")
+    return float(val)

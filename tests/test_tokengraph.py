@@ -202,9 +202,22 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize("n,k", PAIRS_TO_16)
     def test_block_sizes_add_up_to_the_vertex_count(self, n, k):
         g = build_token_graph(n, k)
-        sizes = [len(block) for block in symmetry_blocks(g, involutions(g))]
+        sizes = [len(block) for block in symmetry_blocks(g, involutions(k_subsets(n, k), n))]
         assert sum(sizes) == comb(n, k)
         assert len(sizes) == (4 if 2 * k == n else 2)
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 4), (10, 5)])
+    def test_involutions_row_by_row(self, n, k):
+        # each image built with set arithmetic on one row at a time
+        rows = k_subsets(n, k)
+        rank = {tuple(x): i for i, x in enumerate(rows.tolist())}
+        want = [[rank[tuple(sorted(-v % n for v in x))] for x in rows.tolist()]]
+        if 2 * k == n:
+            want.append([rank[tuple(sorted(set(range(n)) - set(x)))] for x in rows.tolist()])
+        assert [g.tolist() for g in involutions(rows, n)] == want
+        reps = np.array(enumerate_orbits(n, k).reps)
+        assert [g.tolist() for g in involutions(reps, n)] == [
+            [w[rank[tuple(x)]] for x in reps.tolist()] for w in want]
 
     def test_rejects_a_generator_that_is_not_an_involution(self):
         g = build_token_graph(6, 2)

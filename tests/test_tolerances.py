@@ -12,11 +12,10 @@ def test_values():
     assert {name: getattr(tolerances, name) for name in (
         "AGREE_TOL", "RESIDUAL_TOL", "IMAG_TOL", "CLUSTER_TOL", "RANK_TOL",
         "LIFT_SUPPORT_TOL", "LIFT_RESIDUAL_TOL", "NEWTON_STEP_TOL", "POLE_TOL",
-        "BRANCH_GUARD", "CLOSED_FORM_IMAG_TOL", "ZERO_TOL")} == {
+        "ZERO_TOL")} == {
         "AGREE_TOL": 1e-8, "RESIDUAL_TOL": 1e-8, "IMAG_TOL": 1e-7, "CLUSTER_TOL": 1e-6,
         "RANK_TOL": 1e-8, "LIFT_SUPPORT_TOL": 1e-10, "LIFT_RESIDUAL_TOL": 1e-8,
-        "NEWTON_STEP_TOL": 1e-12, "POLE_TOL": 1e-12, "BRANCH_GUARD": 0.1,
-        "CLOSED_FORM_IMAG_TOL": 1e-8, "ZERO_TOL": 1e-8}
+        "NEWTON_STEP_TOL": 1e-12, "POLE_TOL": 1e-12, "ZERO_TOL": 1e-8}
 
 
 def test_quotient_tol_scalar_and_per_sector():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -21,7 +22,7 @@ from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound
 from tokenspectra.tolerances import quotient_tol
 from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
-                                   _solve_sectors, _sturm_counts)
+                                   _solve_sectors, _sturm_counts, _terminal)
 
 SQRT5 = math.sqrt(5)
 
@@ -662,6 +663,21 @@ class TestCharpolySector:
             charpoly_sector(n, r)
 
 
+def exact_rho_form(n, r, lam):
+    """alpha S_m - S_(m+1) and |alpha S_m| + |S_(m+1)| in exact rationals.
+
+    The same float Z and alpha as ``charpoly_rho_form``, run through
+    ``_terminal``'s recurrence.
+    """
+    c = math.cos(math.pi * r / n)
+    z, alpha = Fraction((4.0 - lam) / (2.0 * c)), Fraction(1.0 / c)
+    rr, ss = (Fraction(v) for v in _terminal(n, r, z, 1))
+    for _ in range(n // 2 - 2):
+        rr, ss = ss, z * ss - rr
+    nxt = z * ss - rr
+    return alpha * ss - nxt, abs(alpha * ss) + abs(nxt)
+
+
 class TestCharpolyRhoForm:
     @pytest.mark.parametrize("n,r", [(7, 0), (7, 1), (9, 2), (5, 1),
                                      (8, 0), (8, 1), (8, 2), (10, 1), (12, 2)])
@@ -671,10 +687,7 @@ class TestCharpolyRhoForm:
         ratio = None
         checked = 0
         for lam in rng.uniform(-4, 13, size=40):
-            try:
-                val = charpoly_rho_form(n, r, float(lam))
-            except PoleError:
-                continue
+            val = charpoly_rho_form(n, r, float(lam))
             ref = np.polyval(coeffs, lam)
             if abs(ref) < 1e-9:
                 continue
@@ -694,17 +707,58 @@ class TestCharpolyRhoForm:
         assert abs(charpoly_rho_form(5, 0, lam2)
                    - ratio * (lam2 * lam2 - 4 * lam2)) < 1e-9 * (1 + abs(ratio))
 
-    def test_branch_guard(self):
-        # r = 0 puts Z(0) = 2 exactly on the branch point Z^2 = 4
-        with pytest.raises(PoleError, match=r"^F_2\(C_7\) sector r=0 at lambda=0\.0: "
-                                            r"Z\^2-4 = 0\.0000 lies inside the \+-0\.1 guard band$"):
-            charpoly_rho_form(7, 0, 0.0)
+    def test_branch_point_root(self):
+        # r = 0 puts Z(0) = 2 exactly on the branch point Z^2 = 4, and
+        # lambda = 0 is a root of sector 0
+        assert charpoly_rho_form(7, 0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", range(6, 41))
+    def test_matches_exact_recurrence(self, n):
+        # on a Z grid and at and around the branch points Z = +-2
+        zs = [*np.linspace(-3.5, 3.5, 15), *(s * 2 + d for s in (1, -1)
+                                             for d in (0, 1e-9, -1e-9, 1e-4, -1e-4))]
+        for r in range((n + 1) // 2):
+            c = math.cos(math.pi * r / n)
+            for z in zs:
+                lam = 4 - 2 * c * z
+                want, scale = exact_rho_form(n, r, lam)
+                err = abs(Fraction(charpoly_rho_form(n, r, lam)) - want)
+                assert err <= Fraction(1e-11) * scale, (r, z)
+
+    @pytest.mark.parametrize("n", range(6, 61))
+    def test_relative_error_next_to_the_top_root(self, n):
+        # outside the band alpha S_m - S_(m+1) cancels near the top root
+        # (relative error up to 2.3e-11 here); the product rule does not
+        for r in range((n + 1) // 2):
+            c = math.cos(math.pi * r / n)
+            for lam in sector_roots(n, r)[0] + np.array([-1e-3, 1e-3]):
+                if abs((4 - lam) / (2 * c)) < 2:
+                    continue
+                want, _ = exact_rho_form(n, r, float(lam))
+                err = abs(Fraction(charpoly_rho_form(n, r, float(lam))) - want)
+                assert err <= Fraction(5e-12) * abs(want), (r, lam)
+
+    @pytest.mark.parametrize("n,r", [(250, 1), (251, 3), (120, 1)])
+    def test_extreme_roots_near_the_branch_point(self, n, r):
+        # both extreme roots have |Z^2 - 4| < 0.02 here; the form stays
+        # proportional to the root product right next to them
+        roots = sector_roots(n, r)
+        log_ratios = []
+        for lam in (roots[0] - 1e-3, roots[0] + 1e-6, roots[-1] - 1e-6, roots[-1] + 1e-6):
+            val = charpoly_rho_form(n, r, float(lam))
+            assert math.isfinite(val)
+            diffs = lam - roots
+            sign = np.sign(val) * np.prod(np.sign(diffs))
+            log_ratios.append((sign, math.log(abs(val)) - np.log(np.abs(diffs)).sum()))
+        signs, logs = zip(*log_ratios)
+        assert len(set(signs)) == 1
+        assert max(logs) - min(logs) <= 1e-9
 
     def test_zero_is_sector_zero_root_by_polynomial_route(self):
         assert abs(np.polyval(charpoly_sector(7, 0), 0.0)) < 1e-9
 
     def test_complex_band_returns_real(self):
-        # inside the oscillatory band Z^2 < 4 the intermediates are complex
+        # inside the oscillatory band Z^2 < 4 the arithmetic is real too
         n, r = 9, 1
         c = math.cos(math.pi * r / n)
         lam = 4 - 0.5 * (2 * c)  # Z = 0.5
