@@ -11,14 +11,13 @@ from .errors import (CountMismatchError, NumericFailureError,
 from .laurent import LaurentMatrix
 from .necklaces import (OrbitTable, count_burnside, count_moreau, count_polya,
                         enumerate_orbits)
-from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix,
-                         filter_spurious, full_spectrum, kept_eigenpairs,
-                         lift_eigenvector, sector_eigenpairs)
+from .polymatrix import (EigenPair, LiftedVector, build_poly_matrix, full_spectrum,
+                         kept_eigenpairs, lift_eigenvector)
 from .report import SpectrumReport, multiset_contains, multisets_close
 from .tokengraph import (TokenGraph, brute_spectrum, build_token_graph,
                          laplacian)
-from .twotoken import (build_b2, charpoly_rho_form, charpoly_sector,
-                       contfrac_q1, sector_roots, spectrum_2token)
+from .twotoken import (charpoly_rho_form, charpoly_sector, contfrac_q1,
+                       sector_roots, spectrum_2token)
 
 __version__ = "0.1.0"
 
@@ -28,11 +27,11 @@ __all__ = [
     "LaurentMatrix",
     "OrbitTable", "count_burnside", "count_moreau", "count_polya",
     "enumerate_orbits",
-    "EigenPair", "LiftedVector", "build_poly_matrix", "filter_spurious",
-    "full_spectrum", "kept_eigenpairs", "lift_eigenvector", "sector_eigenpairs",
+    "EigenPair", "LiftedVector", "build_poly_matrix", "full_spectrum",
+    "kept_eigenpairs", "lift_eigenvector",
     "SpectrumReport", "multiset_contains", "multisets_close",
     "TokenGraph", "brute_spectrum", "build_token_graph", "laplacian",
-    "build_b2", "charpoly_rho_form", "charpoly_sector", "contfrac_q1",
-    "sector_roots", "spectrum_2token",
+    "charpoly_rho_form", "charpoly_sector", "contfrac_q1", "sector_roots",
+    "spectrum_2token",
     "__version__",
 ]

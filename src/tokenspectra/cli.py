@@ -287,8 +287,8 @@ def _fmt_coeff(c: float) -> str:
     return repr(float(c))
 
 
-def run_verification(n_max: int = 12, tol: float = AGREE_TOL, echo=print):
-    """Cross-method verification sweep up to n_max.
+def run_verification(n_max: int = 12, tol: float = AGREE_TOL):
+    """Cross-method verification sweep up to n_max, printing one line per n.
 
     Checks per (n, k): counting routes agree; orbit sizes add to
     C(n, k); over-lift kept spectrum equals brute force; discard count
@@ -339,8 +339,8 @@ def run_verification(n_max: int = 12, tol: float = AGREE_TOL, echo=print):
             conns = [algebraic_connectivity(per_k[k]) for k in ks]
             check(max(conns) - min(conns) <= tol,
                   f"(n={n}) algebraic connectivity across k")
-        echo(f"n={n}: checked k=1..{n // 2}"
-             + ("" if not failures else f" ({len(failures)} failures so far)"))
+        print(f"n={n}: checked k=1..{n // 2}"
+              + ("" if not failures else f" ({len(failures)} failures so far)"))
     return failures, checks, spectra
 
 

@@ -96,22 +96,16 @@ class ClusterVerdict:
         return self.total - self.kept
 
 
-def build_poly_matrix(n: int, k: int, shift: str = "smallest") -> LaurentMatrix:
+def build_poly_matrix(n: int, k: int) -> LaurentMatrix:
     """The orbit polynomial matrix of the k-token graph of the n-cycle.
 
-    Rows and columns follow the cached ``enumerate_orbits(n, k)``.
-    ``shift`` picks the representative shift when the target orbit is
-    short and the shift is only determined mod its period: "smallest"
-    (default) or "largest".  Both choices leave the kept spectrum
-    unchanged; entries differ.
+    Rows and columns follow the cached ``enumerate_orbits(n, k)``.  Each
+    neighbour sits at its smallest shift ``shift_of`` (fixed mod its orbit's
+    period); the tests build the largest one as the invariance check.
     """
-    if shift not in ("smallest", "largest"):
-        raise ParameterDomainError(f"unknown shift choice {shift!r}")
     orbits = enumerate_orbits(n, k)
     row, _, at = token_moves(np.array(orbits.reps), n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
-    if shift == "largest":
-        exp = exp + n - orbits.periods[col]
     # each neighbour adds 1 to the diagonal and -z^s to its orbit's column
     return LaurentMatrix(n, orbits.count, np.tile(row, 2), np.concatenate([row, col]),
                          np.concatenate([np.zeros_like(exp), exp]),
@@ -468,8 +462,7 @@ def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
     return SectorSolution(r, vals, res, discarded, v, tuple(sizes.tolist()))
 
 
-def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
-                      vectors: bool) -> list[SectorSolution]:
+def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
     """The ``SectorSolution`` of every sector r = 0..n-1, in sector order.
 
     Only the sectors r <= n/2 are solved.  The coefficients of B(z) are
@@ -479,7 +472,7 @@ def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
     same order n/gcd(n, r), so they block the same orbits.
     """
     orbits = enumerate_orbits(n, k)
-    matrix = build_poly_matrix(n, k, shift)
+    matrix = build_poly_matrix(n, k)
     rs = list(range(n // 2 + 1))
     sols = [_solve_sector(matrix.specialize(r), orbits, r, basis, vectors)
             for r, basis in zip(rs, _sector_bases(orbits, rs))]
@@ -490,9 +483,9 @@ def _sector_solutions(n: int, k: int, shift: str = "smallest", *,
     return sols
 
 
-def full_spectrum(n: int, k: int, shift: str = "smallest") -> SpectrumReport:
+def full_spectrum(n: int, k: int) -> SpectrumReport:
     """Union of the kept sector spectra, laid out by ``SpectrumReport.from_sectors``."""
-    sols = _sector_solutions(n, k, shift, vectors=False)
+    sols = _sector_solutions(n, k, vectors=False)
     values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
     return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
                                        [len(sol.discarded) for sol in sols])

@@ -64,9 +64,15 @@ def subset_rank(subsets, n: int) -> np.ndarray:
     """
     subsets = np.asarray(subsets, dtype=np.int64)
     k = subsets.shape[-1]
-    # binom[a * k + i] = C(a, k - i)
-    binom = np.array([comb(a, k - i) for a in range(n) for i in range(k)], dtype=np.int64)
-    return comb(n, k) - 1 - binom.take((n - 1 - subsets) * k + np.arange(k)).sum(axis=-1)
+    return comb(n, k) - 1 - _rank_table(n, k).take(subsets * k + np.arange(k)).sum(axis=-1)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _rank_table(n: int, k: int) -> np.ndarray:
+    """table[s * k + i] = C(n - 1 - s, k - i) for s < n, i < k, read-only."""
+    table = np.array([comb(n - 1 - s, k - i) for s in range(n) for i in range(k)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def k_subsets(n: int, k: int) -> np.ndarray:

@@ -495,8 +495,9 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
                 t, e_t = math.acosh(x), x + math.sqrt((x - 1) * (x + 1))
                 rho1, rho2 = sigma * e_t, sigma / e_t  # e_t rounds closer than exp(t)
                 u = math.exp((m - 1) * t) * math.expm1(-2 * m * t) / math.expm1(-2 * t) if t else m
-                val = ((alpha - rho1) * (rho1 * ss - rr) * sigma ** (m - 1) * u
-                       + rho2 ** m * (alpha * ss + rr - z * ss))
+                val = rho2 ** m * (alpha * ss + rr - z * ss)
+                if m:  # U_(-1) = 0, but the product before it may overflow
+                    val += (alpha - rho1) * (rho1 * ss - rr) * sigma ** (m - 1) * u
         except OverflowError:  # a power past the float range
             val = math.inf
     if not math.isfinite(val):

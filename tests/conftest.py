@@ -21,6 +21,13 @@ half phases and rotated pair by pair, with no symmetry blocks.
 ``reference_sector`` solves a sector through them, the independent
 reference for ``polymatrix.solve_sector``.
 
+``build_poly_matrix`` places a neighbour in a short orbit at its
+smallest shift, which is fixed only mod the orbit's period.
+``largest_shift_matrix`` is the other extreme choice, and
+``largest_shift_spectrum`` its kept and discarded values laid out as
+``full_spectrum``'s; every choice must keep the same spectrum.
+``matrix_at_shift`` and ``spectrum_at_shift`` pick either by name.
+
 A Laurent polynomial mod z^n = 1 is a dict {exponent: coefficient}
 with canonical exponents in [0, n), ascending, and no zero
 coefficient: the form of a ``LaurentMatrix.entries`` cell.
@@ -35,10 +42,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from tokenspectra import (LaurentMatrix, ParameterDomainError, brute_spectrum,
-                          build_token_graph, full_spectrum, laplacian, spectrum_2token)
+from tokenspectra import (LaurentMatrix, ParameterDomainError, SpectrumReport,
+                          brute_spectrum, build_poly_matrix, build_token_graph,
+                          enumerate_orbits, full_spectrum, laplacian, spectrum_2token)
 from tokenspectra.laurent import root_table
-from tokenspectra.polymatrix import blocked_mask
+from tokenspectra.polymatrix import blocked_mask, solve_sector
 from tokenspectra.tolerances import CLUSTER_TOL, check_bound, quotient_tol
 
 SQRT_HALF = np.sqrt(0.5)
@@ -240,6 +248,38 @@ def reference_sector(b, orbits, r):
     kept = np.linalg.eigh(basis.reduce(b, "reference"))[0]
     discarded = np.sort(np.linalg.eig(b[np.ix_(blocked, blocked)])[0].real)
     return kept, discarded
+
+
+def largest_shift_matrix(n, k):
+    """B(z) with every neighbour at its largest shift.
+
+    The library's terms, with the exponent of each negative (neighbour)
+    term raised by n - period of its column's orbit.
+    """
+    m = build_poly_matrix(n, k)
+    periods = enumerate_orbits(n, k).periods
+    exp = np.where(m.coeff < 0, m.exp + n - periods[m.col], m.exp)
+    return LaurentMatrix(n, m.order, m.row, m.col, exp, m.coeff)
+
+
+def largest_shift_spectrum(n, k):
+    """``largest_shift_matrix`` solved by ``solve_sector`` in every sector, as a report."""
+    orbits = enumerate_orbits(n, k)
+    m = largest_shift_matrix(n, k)
+    sols = [solve_sector(m.specialize(r), orbits, r, vectors=False) for r in range(n)]
+    values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
+    return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
+                                       [len(sol.discarded) for sol in sols])
+
+
+def matrix_at_shift(n, k, shift):
+    """B(z) at the "smallest" (the library's) or the "largest" shift."""
+    return {"smallest": build_poly_matrix, "largest": largest_shift_matrix}[shift](n, k)
+
+
+def spectrum_at_shift(n, k, shift):
+    """The overlift report of ``matrix_at_shift``."""
+    return {"smallest": full_spectrum, "largest": largest_shift_spectrum}[shift](n, k)
 
 
 _CELL_RE = re.compile(r"(\d+\.\d{4})(\*?)")

@@ -9,12 +9,13 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import cached_brute, cached_contfrac, cached_overlift, expand_lift
+from conftest import (cached_brute, cached_contfrac, cached_overlift, expand_lift,
+                      largest_shift_spectrum)
 from numpy.testing import assert_allclose
 
 from tokenspectra import (build_poly_matrix, build_token_graph, charpoly_sector,
                           count_burnside, count_polya, enumerate_orbits,
-                          full_spectrum, kept_eigenpairs, laplacian,
+                          kept_eigenpairs, laplacian,
                           lift_eigenvector, multiset_contains, multisets_close)
 from tokenspectra.report import max_multiset_deviation
 from tokenspectra.tokengraph import algebraic_connectivity
@@ -171,7 +172,7 @@ def test_criterion_6_characteristic_polynomials():
     # dense characteristic polynomial of the sector matrix (two published
     # digits fail that check; see the repository notes)
     got9 = charpoly_sector(9, 1)
-    from tokenspectra import build_b2
+    from tokenspectra.twotoken import build_b2
     assert_allclose(got9, np.poly(build_b2(9, 1)).real, atol=1e-9)
     assert_allclose(got9, [1, -15.8794, 80.1976, -136.2222, 47.7602], atol=5e-3)
     assert_allclose(got9, [1, -15.88, 80.19, -136.2, 47.79], atol=5e-2)
@@ -188,7 +189,7 @@ def test_criterion_7_property_suite():
     t0 = time.perf_counter()
     # shift-choice invariance of the kept multiset
     for n, k in ALL_PAIRS:
-        alt = full_spectrum(n, k, shift="largest")
+        alt = largest_shift_spectrum(n, k)
         assert multisets_close(alt.kept, cached_overlift(n, k).kept, 1e-8), (n, k)
     # sector conjugacy of raw specialized spectra and of kept values
     for n, k in ALL_PAIRS:

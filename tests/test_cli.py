@@ -481,7 +481,7 @@ class TestVerify:
         assert code == 0
 
     def test_run_verification_counts(self):
-        failures, checks, spectra = cli.run_verification(12, echo=lambda _: None)
+        failures, checks, spectra = cli.run_verification(12)
         assert (failures, checks, spectra) == ([], 218, 412)
 
     def test_injected_defect_detected(self, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import eval_root, parse_laurent
+from conftest import eval_root, matrix_at_shift, parse_laurent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -160,7 +160,7 @@ class TestLaurentMatrix:
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     @pytest.mark.parametrize("shift", ["smallest", "largest"])
     def test_specialize_matches_entrywise_evaluation(self, n, k, shift):
-        m = build_poly_matrix(n, k, shift=shift)
+        m = matrix_at_shift(n, k, shift)
         grid = m.entries
         for r in range(n):
             want = np.array([[eval_root(p, n, r) for p in row] for row in grid])
@@ -183,7 +183,7 @@ class TestLaurentMatrix:
     def test_grid_round_trip(self):
         # the grid lists exactly the canonical terms, cell by cell
         for shift in ("smallest", "largest"):
-            m = build_poly_matrix(8, 4, shift=shift)
+            m = matrix_at_shift(8, 4, shift)
             grid = m.entries
             assert len(grid) == m.order and all(len(row) == m.order for row in grid)
             terms = [[i, j, e, c] for i, row in enumerate(grid)

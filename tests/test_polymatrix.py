@@ -8,20 +8,23 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (RealBasis, assert_kept_then_discarded, cached_brute, cached_overlift,
-                      expand_lift, kept_first_ties, parse_laurent, reference_sector,
-                      reflection_basis, rotate, shown_sectors)
+                      expand_lift, kept_first_ties, largest_shift_matrix,
+                      largest_shift_spectrum, matrix_at_shift, parse_laurent,
+                      reference_sector, reflection_basis, rotate, shown_sectors,
+                      spectrum_at_shift)
 from numpy.testing import assert_allclose
 
 from tokenspectra import cli, polymatrix
 from tokenspectra import (CountMismatchError, EigenPair, LaurentMatrix, NumericFailureError,
                           ParameterDomainError, PhaseConsistencyError,
                           build_poly_matrix,
-                          build_token_graph, enumerate_orbits, filter_spurious,
+                          build_token_graph, enumerate_orbits,
                           full_spectrum, kept_eigenpairs, laplacian,
-                          lift_eigenvector, multisets_close, sector_eigenpairs)
+                          lift_eigenvector, multisets_close)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_bases, _sector_solutions,
-                                     blocked_mask, solve_sector)
+                                     blocked_mask, filter_spurious, sector_eigenpairs,
+                                     solve_sector)
 from tokenspectra.tokengraph import CACHE_SIZE, subset_rank
 from tokenspectra.tolerances import quotient_tol
 
@@ -126,17 +129,9 @@ class TestBuildPolyMatrix:
         assert_allclose(b @ np.ones(10), 0, atol=1e-12)
 
     def test_shift_choice_changes_entries_not_spectrum(self):
-        small = build_poly_matrix(6, 3, shift="smallest")
-        large = build_poly_matrix(6, 3, shift="largest")
-        assert small.entries != large.entries
-        from tokenspectra import full_spectrum
-        a = full_spectrum(6, 3, shift="smallest")
-        b = full_spectrum(6, 3, shift="largest")
-        assert multisets_close(a.kept, b.kept, 1e-8)
-
-    def test_bad_shift_choice(self):
-        with pytest.raises(ParameterDomainError):
-            build_poly_matrix(6, 3, shift="median")
+        assert build_poly_matrix(6, 3).entries != largest_shift_matrix(6, 3).entries
+        assert multisets_close(full_spectrum(6, 3).kept, largest_shift_spectrum(6, 3).kept,
+                               1e-8)
 
 
 class TestSectorEigenpairs:
@@ -287,7 +282,7 @@ class TestFullSpectrum:
     @pytest.mark.parametrize("n,k", [(6, 2), (10, 2), (10, 4), (14, 2), (14, 4), (14, 6)])
     def test_kept_values_precede_tied_discarded_ones(self, n, k, shift, monkeypatch,
                                                       capsys):
-        report = full_spectrum(n, k, shift)
+        report = spectrum_at_shift(n, k, shift)
         assert_kept_then_discarded(report)
         monkeypatch.setattr(cli, "overlift_spectrum", lambda *_: report)
         for flags, audit in ((("--format", "csv"), False), (("--audit",), True)):
@@ -345,7 +340,7 @@ class TestSolveSector:
         for k in range(1, n // 2 + 1):
             orbits = enumerate_orbits(n, k)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, shift=shift)
+                m = matrix_at_shift(n, k, shift)
                 for r in range(n):
                     sol = solve_sector(m.specialize(r), orbits, r, vectors=False)
                     verdicts = filter_spurious(sector_eigenpairs(m, r), orbits, r)
@@ -451,7 +446,7 @@ class TestSolveSector:
         for k in range(1, n // 2 + 1):
             orbits = enumerate_orbits(n, k)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, shift=shift)
+                m = matrix_at_shift(n, k, shift)
                 for r in range(n):
                     b = m.specialize(r)
                     sol = solve_sector(b, orbits, r, vectors=False)
@@ -541,7 +536,7 @@ class TestReflectionBasis:
             orbits = enumerate_orbits(n, k)
             periods = np.asarray(orbits.periods)
             for shift in ("smallest", "largest"):
-                m = build_poly_matrix(n, k, shift=shift)
+                m = matrix_at_shift(n, k, shift)
                 for r in range(n):
                     b, basis = _reference_basis(m.specialize(r), orbits, r)
                     blocked = _blocked_mask(orbits, r)
@@ -858,6 +853,5 @@ class TestExpandLift:
 class TestShiftInvariance:
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (10, 4), (12, 6)])
     def test_largest_shift_same_kept_multiset(self, n, k):
-        from tokenspectra import full_spectrum
-        alt = full_spectrum(n, k, shift="largest")
+        alt = largest_shift_spectrum(n, k)
         assert multisets_close(alt.kept, cached_overlift(n, k).kept, 1e-8)

@@ -12,11 +12,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import edge_pairs, period, rotate, token_neighbors
+from conftest import edge_pairs, matrix_at_shift, period, rotate, token_neighbors
 
-from tokenspectra import (NumericFailureError, build_poly_matrix,
-                          build_token_graph, enumerate_orbits, necklaces)
-from tokenspectra.tokengraph import subset_rank
+from tokenspectra import (NumericFailureError, build_token_graph, enumerate_orbits,
+                          necklaces, tokengraph)
+from tokenspectra.tokengraph import CACHE_SIZE, subset_rank
 
 SMALL_PAIRS = [(n, k) for n in range(3, 15) for k in range(1, n // 2 + 1)]
 
@@ -72,6 +72,13 @@ class TestSubsetRank:
         stacked = np.array([[[0, 1, 2], [3, 4, 5]], [[0, 2, 4], [1, 3, 5]]])
         assert subset_rank(stacked, 6).tolist() == [[0, 19], [5, 14]]
 
+    def test_rank_table_bounded_and_read_only(self):
+        assert tokengraph._rank_table.cache_info().maxsize == CACHE_SIZE
+        subset_rank((0, 2, 4), 6)
+        table = tokengraph._rank_table(6, 3)
+        assert table is tokengraph._rank_table(6, 3)
+        assert not table.flags.writeable
+
 
 class TestAgainstDictReference:
     @pytest.mark.parametrize("n,k", SMALL_PAIRS)
@@ -89,7 +96,7 @@ class TestAgainstDictReference:
     @pytest.mark.parametrize("n,k", SMALL_PAIRS)
     def test_matrix_terms(self, n, k):
         for shift in ("smallest", "largest"):
-            terms = build_poly_matrix(n, k, shift=shift).terms.tolist()
+            terms = matrix_at_shift(n, k, shift).terms.tolist()
             assert terms == [list(t) for t in reference_terms(n, k, shift)], shift
 
     @pytest.mark.parametrize("n,k", SMALL_PAIRS)

@@ -2,8 +2,8 @@ import inspect
 
 import numpy as np
 
-from tokenspectra import (charpoly_rho_form, contfrac_q1, filter_spurious,
-                          sector_eigenpairs, tolerances)
+from tokenspectra import charpoly_rho_form, contfrac_q1, tolerances
+from tokenspectra.polymatrix import filter_spurious, sector_eigenpairs
 from tokenspectra.tokengraph import algebraic_connectivity
 
 

@@ -15,14 +15,14 @@ from conftest import (assert_kept_then_discarded, cached_brute, cached_contfrac,
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
-                          PoleError, build_b2, build_poly_matrix,
+                          PoleError, build_poly_matrix,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound
 from tokenspectra.tolerances import quotient_tol
 from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
-                                   _solve_sectors, _sturm_counts, _terminal)
+                                   _solve_sectors, _sturm_counts, _terminal, build_b2)
 
 SQRT5 = math.sqrt(5)
 
@@ -790,8 +790,21 @@ class TestCharpolyRhoForm:
         assert len(set(signs)) == 1
         assert max(logs) - min(logs) <= 1e-9
 
+    @pytest.mark.parametrize("n,r,lam", [(4, 1, 1e200), (4, 3, -1e300), (5, 1, 1e150),
+                                         (5, 2, 1e150)])
+    def test_no_step_value_that_fits(self, n, r, lam):
+        # with m = 0 steps (n = 4, 5) the factor U_(-1) is 0, so the
+        # product before it, which would overflow, must not be formed
+        roots = sector_roots(n, r).tolist()
+        val = charpoly_rho_form(n, r, lam)
+        assert math.isfinite(val)
+        ratio = val / math.prod(lam - v for v in roots)
+        want = charpoly_rho_form(n, r, 10.0) / math.prod(10.0 - v for v in roots)
+        assert abs(ratio - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("n,r,lam", [(2001, 1, -50.0), (1000, 3, -50.0), (300, 1, 1e10),
-                                         (9, 1, 1e200), (1000, 500, 1e10)])
+                                         (9, 1, 1e200), (1000, 500, 1e10), (4, 0, 1e200),
+                                         (5, 1, 1e200)])
     def test_float_range_is_a_typed_error(self, n, r, lam):
         # an overflowing power, or a non-finite value, is reported once with
         # its point; no OverflowError and no numpy warning escapes
