@@ -14,8 +14,7 @@ class NumericFailureError(RuntimeError):
 
 
 class PoleError(ArithmeticError):
-    """A continued-fraction denominator, or the closed-form branch factor,
-    vanishes (or nearly vanishes) at the requested point."""
+    """A denominator of ``contfrac_q1`` vanishes (or nearly vanishes)."""
 
 
 class PhaseConsistencyError(RuntimeError):

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CountMismatchError
+from .errors import CountMismatchError, ParameterDomainError
 from .tolerances import AGREE_TOL
 
 
@@ -82,7 +82,7 @@ def max_multiset_deviation(a, b) -> float:
     """Largest pointwise gap between two equal-size sorted multisets."""
     a, b = _sorted_pair(a, b)
     if a.shape != b.shape:
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
+        raise ParameterDomainError(f"size mismatch: {len(a)} vs {len(b)}")
     return float(np.max(np.abs(a - b), initial=0.0))
 
 

@@ -266,4 +266,4 @@ def algebraic_connectivity(report: SpectrumReport) -> float:
     for v in report.kept:
         if v > ZERO_TOL:
             return v
-    raise ValueError("spectrum has no nonzero eigenvalue")
+    raise ParameterDomainError("spectrum has no nonzero eigenvalue")

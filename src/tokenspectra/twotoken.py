@@ -35,7 +35,7 @@ which cannot overflow.  In sector 0 the top root is Z = 2 exactly
 "Eigenvalues of several tridiagonal matrices", Appl. Math. E-Notes 2005.)
 
 The roots are checked against the sector matrix itself, read from
-``root_table`` with the same powers z, conj(z) and z^nu as ``build_b2``,
+``root_table`` with the powers z, conj(z), z^(nu-1) and z^nu of B(z),
 band by band and without a dense matrix (``_check_roots``): its Hermitian
 quotient H must not couple a blocked orbit and must be Hermitian, and
 since the reflection X -> -X of the cycle fixes every orbit {0, h},
@@ -94,13 +94,13 @@ def _kept_counts(n: int, rs: np.ndarray) -> np.ndarray:
 def _sector_band(n: int, rs: np.ndarray):
     """The bands (lower, diag, upper) of B(w^r) for the sectors rs.
 
-    One row per sector.  Diagonal (2, 4, ..., 4); couplings -1-z below
-    and -1-1/z above.  For odd n the last diagonal entry gains
-    -z^nu - z^-nu; for even n the bottom coupling becomes
-    -1-z-z^nu-z^(nu+1) = -(1+z)(1+z^nu).  Powers of z come from
-    ``root_table``, so sector n - r is exactly the conjugate of sector r;
-    for even n, z^nu = (-1)^r exactly, so the bottom coupling of an odd
-    sector is exactly zero.
+    One row per sector, entry for entry B(z) of ``build_poly_matrix(n, 2)``,
+    every neighbour at its smallest shift.  Diagonal (2, 4, ..., 4);
+    couplings -1-z below and -1-1/z above.  For odd n the last diagonal
+    entry gains -z^nu - z^-nu; for even n the bottom coupling becomes
+    -(1+z)(1+z^nu) and the top one -1-z^(nu-1).  Powers of z come from
+    ``root_table``, so sector n - r is exactly the conjugate of sector r,
+    and for even n, z^nu = (-1)^r exactly zeroes odd sectors' bottom coupling.
     """
     nu = n // 2
     table = root_table(n)
@@ -113,6 +113,7 @@ def _sector_band(n: int, rs: np.ndarray):
         diag[:, -1:] = 4 - z_nu - z_nu.conj()
     else:
         lower[:, -1:] = -(1 + z) * (1 + z_nu)
+        upper[:, -1:] = -1 - table[rs * (nu - 1) % n, None]
     return lower, diag, upper
 
 
@@ -470,15 +471,15 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     rho_1 = 1/rho_2 = sigma (x + sqrt(x^2 - 1)) = sigma exp(acosh x), and
     the product rule f[rho_1, rho_2] = (alpha - rho_1)(rho_1 S - R) U_(m-1)(Z/2)
     + rho_2^m (alpha S + R - Z S) avoids the cancellation of
-    alpha S_m - S_(m+1) near the top root.  At r = n/2 the value is the
-    product of lambda - v over ``sector_roots``.  Equals charpoly_sector up
-    to one constant factor per (n, r).  A value past the float range raises
-    ``NumericFailureError`` naming n, r and lambda.
+    alpha S_m - S_(m+1) near the top root.  At r = n/2 it is the product
+    of lambda - v over the kept diagonal 2, 4, ..., 4, with no solve.
+    Equals charpoly_sector up to one constant factor per (n, r).  A value
+    past the float range raises ``NumericFailureError`` naming n, r and lambda.
     """
     _check_sector(n, r)
     _check_finite(lam)
     if 2 * r == n:
-        val = math.prod(lam - v for v in sector_roots(n, r).tolist())
+        val = math.prod([lam - 2.0] + [lam - 4.0] * (_kept_counts(n, r) - 1))
     else:
         c = math.cos(math.pi * r / n)
         z = (4.0 - lam) / (2.0 * c)

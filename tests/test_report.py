@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import cached_brute, cached_contfrac, cached_overlift
 
-from tokenspectra import (CountMismatchError, SpectrumReport, multiset_contains,
-                          multisets_close)
+from tokenspectra import (CountMismatchError, ParameterDomainError, SpectrumReport,
+                          multiset_contains, multisets_close)
 from tokenspectra.report import max_multiset_deviation
 
 
@@ -48,6 +48,10 @@ class TestMultisets:
         assert not multisets_close([1.0, 2.0], [1.0], 1.0)
         with pytest.raises(ValueError):
             max_multiset_deviation([1.0, 2.0], [1.0])
+
+    def test_size_mismatch_is_a_typed_error_naming_both_sizes(self):
+        with pytest.raises(ParameterDomainError, match=r"^size mismatch: 3 vs 2$"):
+            max_multiset_deviation([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_contains_against_loop(self):
         rng = np.random.default_rng(7)

@@ -173,6 +173,11 @@ class TestBruteSpectrum:
         conn = algebraic_connectivity(cached_brute(5, 2))
         assert abs(conn - (5 - math.sqrt(5)) / 2) < 1e-9
 
+    def test_algebraic_connectivity_needs_a_nonzero_value(self):
+        report = replace(cached_brute(5, 2), values=np.zeros(10))
+        with pytest.raises(ParameterDomainError, match="no nonzero eigenvalue"):
+            algebraic_connectivity(report)
+
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             cached_brute(25, 5)

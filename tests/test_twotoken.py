@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from tokenspectra import (NumericFailureError, ParameterDomainError,
                           PoleError, build_poly_matrix,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
-                          multisets_close, sector_roots, spectrum_2token)
+                          multisets_close, sector_roots, spectrum_2token, twotoken)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound
 from tokenspectra.tolerances import quotient_tol
@@ -128,20 +128,13 @@ class TestBuildB2:
         assert_allclose(b.sum(axis=1), 0, atol=1e-12)
 
     def test_matches_general_orbit_matrix(self):
-        # same representatives, same order, so the matrices must agree
-        # wherever the shift is unambiguous; eigenvalues agree everywhere
-        for n in (5, 7, 9, 11):
+        # same representatives, same order and every neighbour at its
+        # smallest shift, so the matrices agree entry for entry
+        for n in range(4, 61):
             m = build_poly_matrix(n, 2)
             for r in range(n):
-                assert_allclose(build_b2(n, r), m.specialize(r), atol=1e-12)
-
-    def test_even_n_same_sector_eigenvalues_as_orbit_matrix(self):
-        for n in (6, 8, 10):
-            m = build_poly_matrix(n, 2)
-            for r in range(n):
-                a = np.sort(np.linalg.eigvals(build_b2(n, r)).real)
-                b = np.sort(np.linalg.eigvals(m.specialize(r)).real)
-                assert_allclose(a, b, atol=1e-7)
+                assert_allclose(build_b2(n, r), m.specialize(r), rtol=0, atol=1e-14,
+                                err_msg=f"n={n}, r={r}")
 
     def test_matches_loop_reference(self):
         # entry by entry, with complex powers of cmath.exp
@@ -159,6 +152,7 @@ class TestBuildB2:
                     want[-1, -1] = 4 - z ** nu - z.conjugate() ** nu
                 else:
                     want[-1, -2] = -1 - z - z ** nu - z ** (nu + 1)
+                    want[-2, -1] = -1 - z ** (nu - 1)
                 assert_allclose(build_b2(n, r), want, atol=1e-12)
 
     def test_conjugate_sectors_exact(self):
@@ -767,6 +761,19 @@ class TestCharpolyRhoForm:
 
     def test_half_turn_value(self):
         assert charpoly_rho_form(8, 4, 5.0) == (5 - 2) * (5 - 4) ** 3
+
+    def test_half_turn_needs_no_solve(self, monkeypatch):
+        # the diagonal values are known, so neither the secular solve nor
+        # the band check runs, and the product is the one over sector_roots
+        cases = [(n, lam) for n in range(4, 40, 2) for lam in sample_lambdas(9)]
+        want = [math.prod(lam - v for v in sector_roots(n, n // 2).tolist())
+                for n, lam in cases]
+
+        def refuse(*args):
+            raise AssertionError("the half turn needs no solve")
+        monkeypatch.setattr(twotoken, "_solve_sectors", refuse)
+        monkeypatch.setattr(twotoken, "_check_roots", refuse)
+        assert [charpoly_rho_form(n, n // 2, float(lam)) for n, lam in cases] == want
 
     def test_nan_lambda_raises(self):
         # a domain error, raised before any arithmetic
