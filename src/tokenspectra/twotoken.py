@@ -39,10 +39,22 @@ The roots are checked against the sector matrix itself, read from
 band by band and without a dense matrix (``_check_roots``): its Hermitian
 quotient H must not couple a blocked orbit and must be Hermitian, and
 since the reflection X -> -X of the cycle fixes every orbit {0, h},
-diagonal phases must make H a real symmetric tridiagonal S.  Sturm
-counts of S (Barth, Martin and Wilkinson, Numer. Math. 1967) then show
-that the i-th smallest root lies within tol of the i-th eigenvalue of S,
-multiplicities included.  Conjugate sectors r and n - r share their
+diagonal phases must make H a real symmetric tridiagonal S.  Between
+its head row and its last row S is Toeplitz, diagonal 4 and couplings
+e = 2|cos(r pi/n)|, and its spread from that must stay within a
+TOEPLITZ_SHARE of tol.  There the pivots of the LDL^T factorization of
+S - x, over e, run q -> Z - 1/q with Z = (4 - x)/e, so the count of
+negative pivots, the number of eigenvalues below x, has a closed form
+with no loop over the rows: an angle inside the band |Z| < 2 and at most
+one sign change outside it (discrete Sturm oscillation; Teschl, "Jacobi
+Operators and Completely Integrable Nonlinear Lattices", AMS 2000).
+Counts at x_i -+ tol show that the i-th smallest root x_i lies within
+tol of the i-th eigenvalue of S, multiplicities included.  tol is first
+lowered by the spread, which by Weyl's inequality bounds how far the
+eigenvalues of S lie from those of the Toeplitz matrix counted, so no
+check is looser.  The pivot loop of Barth, Martin and Wilkinson (Numer.
+Math. 1967), ``_sturm_counts``, stays as the reference and measures the
+gap of a failed check.  Conjugate sectors r and n - r share their
 roots.  Multiplied through by t = 2 cos(r pi/n), the same recurrence
 runs on polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R)
 and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
@@ -68,9 +80,11 @@ from .errors import NumericFailureError, ParameterDomainError, PoleError
 from .laurent import root_table
 from .report import SpectrumReport
 from .tokengraph import check_sector
-from .tolerances import NEWTON_STEP_TOL, POLE_TOL, check_bound, quotient_tol
+from .tolerances import (NEWTON_STEP_TOL, POLE_TOL, TOEPLITZ_SHARE, check_bound,
+                         quotient_tol)
 
 NEWTON_MAX_STEPS = 64
+COUNT_BLOCK = 1 << 16  # points per block of sectors in the root check
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -316,6 +330,83 @@ def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
     return counts
 
 
+def _band_pivots(head: np.ndarray, half: np.ndarray, steps: int):
+    """Negative pivots of rows 0..steps, and the last pivot, inside the band.
+
+    ``head`` is the first pivot and ``half`` = Z/2 = cos(theta), |Z| < 2,
+    both over the interior coupling e, so pivot j is
+    sin(beta + (j + 1) theta)/sin(beta + j theta) with beta in (0, pi).
+    Rows 0..steps-1 hold floor(phi/pi) negative pivots, phi = beta + steps
+    theta, and the last pivot is cos(theta) + sin(theta) cot(phi).  Both
+    come from one split of phi into turns of pi and a remainder held in
+    [0, pi], so where rounding moves phi across a turn, the count and the
+    last pivot's pole move together, and the total stays the same.
+    """
+    sin = np.sqrt((1 - half) * (1 + half))
+    phi = np.arctan2(sin, head - half) + steps * np.arccos(half)
+    turns = np.floor(phi / np.pi)
+    last = half + sin / np.tan((phi - turns * np.pi).clip(0, np.pi))
+    return turns + np.signbit(last), last
+
+
+def _edge_pivots(head: np.ndarray, half: np.ndarray, steps: int):
+    """``_band_pivots`` outside the band, |Z| >= 2, from one sign change.
+
+    For Z = 2 cosh(t) the pivots are ratios f_(j+1)/f_j of
+    f_j = a rho^j + b rho^-j, rho = exp(t), a = head - 1/rho and
+    b = rho - head.  f_0 > 0, so rows 0..steps hold one negative pivot
+    when f_(steps+1) < 0 and none otherwise.  Up to positive factors,
+    f_j is a + b rho^(-2j) once rho^(-2j) is small, and
+    1 + b expm1(-2jt)/(2 sinh t) near the band edge, which at t = 0 is
+    the parabolic 1 - bj.  Z <= -2 mirrors Z >= 2: negating every pivot
+    flips every sign bit.
+    """
+    flip = half < 0
+    head = np.where(flip, -head, head)
+    h = np.abs(half)
+    sinh = np.sqrt(h - 1) * np.sqrt(h + 1)
+    rho = h + sinh
+    t = np.log1p(h - 1 + sinh)
+    b = rho - head
+    j = np.array([[steps], [steps + 1]])
+    power = -2 * j * t
+    decay = np.exp(power)
+    near = np.where(sinh > 0, np.expm1(power) / (2 * sinh), -j)
+    f = np.where(decay[1] < 0.5, head - 1 / rho + b * decay, 1 + b * near)
+    neg = np.signbit(f[1])
+    last = rho * f[1] / f[0]
+    return np.where(flip, steps + 1 - neg, neg), np.where(flip, -last, last)
+
+
+def _toeplitz_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
+                     full: np.ndarray) -> np.ndarray:
+    """``_sturm_counts`` in closed form, for matrices with a Toeplitz interior.
+
+    Same arguments and count for matrices whose rows 1..L, L = len(a) - 2,
+    have diagonal a[1] and couplings sqrt(e2[0]) into them; away from
+    the eigenvalues, where only rounding decides, the two counts are
+    equal.  Over e = sqrt(e2[0]) the head pivot is (a[0] - x)/e, and the
+    interior runs the pivot recurrence q -> Z - 1/q, Z = (a[1] - x)/e,
+    in closed form (discrete Sturm oscillation; Teschl, Jacobi Operators
+    and Completely Integrable Nonlinear Lattices, AMS 2000, ch. 4):
+    ``_band_pivots`` on every point with Z clipped to the band, then
+    ``_edge_pivots`` on the points out of it.  The tail row L + 1, used
+    where ``full``, is one generic pivot with its own a and e2.  No loop
+    runs over the rows.
+    """
+    steps = len(a) - 2
+    e = np.sqrt(e2[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        head = (a[0] - x) / e
+        half = 0.5 * (a[1] - x) / e
+        count, last = _band_pivots(head, half.clip(-1, 1), steps)
+        edge = np.abs(half) >= 1
+        if edge.any():
+            count[edge], last[edge] = _edge_pivots(head[edge], half[edge], steps)
+        tail = a[-1] - x - e2[-1] / (e * last)
+        return (count + (np.signbit(tail) & full)).astype(np.min_scalar_type(len(a)))
+
+
 def _root_gap(a: np.ndarray, e2: np.ndarray, roots: np.ndarray) -> float:
     """max|roots - eig(S)| for one matrix, by bisection on Sturm counts."""
     radius = 2.0 * math.sqrt(e2.max(initial=0.0))
@@ -330,44 +421,74 @@ def _root_gap(a: np.ndarray, e2: np.ndarray, roots: np.ndarray) -> float:
     return float(np.max(np.abs(roots - 0.5 * (lo + hi)[:, 0])))
 
 
-def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
-    """Check the kept roots of the sectors rs against their sector bands.
+def _real_band(n: int, rs: np.ndarray, band):
+    """The real symmetric S of each sector, one column per sector.
 
-    ``roots`` holds one row per sector, as ``_solve_sectors`` returns
-    them; entries past the kept count are ignored.  On the Hermitian
-    quotient H (``_quotient_band``) the skew max|H - H^*| must stay
-    within tol.  The reflection of the cycle fixes every orbit,
-    -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
-    H into a real symmetric S with the same eigenvalues (the reflection
-    basis of ``polymatrix.solve_sector`` with every orbit fixed), and
-    max|Im S| must stay within tol; the phases leave the diagonal as it
-    is, and the skew bounds its imaginary part.  Then for the sorted
-    roots x_i, Sturm counts of S must show
-    count(x_i - tol) <= i < count(x_i + tol), that is, the i-th
-    eigenvalue of S lies within tol of x_i, which also checks
-    multiplicities.  A failure raises ``NumericFailureError`` naming n,
-    r, the quantity, its value and tol.
+    On the Hermitian quotient H (``_quotient_band``) the skew
+    max|H - H^*| must stay within tol.  The reflection of the cycle fixes
+    every orbit, -{0, h} = {0, h} + (n - h), so the phases
+    exp(-i pi r (n - h)/n) turn H into a real symmetric S with the same
+    eigenvalues (the reflection basis of ``polymatrix.solve_sector`` with
+    every orbit fixed), and max|Im S| must stay within tol.  The phases
+    of neighbouring orbits differ by the one factor exp(-i pi r/n), which
+    multiplies the couplings below the diagonal; they leave the diagonal
+    as it is, and the skew bounds its imaginary part.  Returns the
+    diagonal a, the squared couplings e2 (floored at the smallest normal
+    float), the kept sizes and the tols.
     """
-    nu = n // 2
     (lower, diag, upper), m, tol = _quotient_band(n, rs, band)
     skew = np.maximum(2 * np.abs(diag.imag).max(axis=1),
                       np.abs(upper - lower.conj()).max(axis=1))
     _check_sectors(n, rs, "skew max|H - H^*|", skew, tol)
-    phase = root_table(2 * n)[(-rs[:, None] * (n - np.arange(1, nu + 1))) % (2 * n)]
-    lower = lower * phase[:, 1:].conj() * phase[:, :-1]
-    upper = upper * phase[:, :-1].conj() * phase[:, 1:]
+    turn = root_table(2 * n)[-rs % (2 * n), None]
+    lower = lower * turn
+    upper = upper * turn.conj()
     imag = np.maximum(np.abs(lower.imag), np.abs(upper.imag)).max(axis=1)
     _check_sectors(n, rs, "real form imaginary part max|Im S|", imag, tol)
-
-    # one column per sector from here on
     a = np.ascontiguousarray(diag.real.T)
     e2 = np.maximum(np.ascontiguousarray(lower.real.T) ** 2, np.finfo(float).tiny)
+    return a, e2, m, tol
+
+
+def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
+    """Check the kept roots of the sectors rs against their sector bands.
+
+    ``roots`` holds one row per sector, as ``_solve_sectors`` returns
+    them; entries past the kept count are ignored.  The band must have a
+    real form S (``_real_band``), and rows 1..nu-2 of S must be Toeplitz:
+    the spread max|diag - diag[1]| + 2 max|coupling - coupling[0]| over
+    them bounds the norm of S - T, T the matrix that is exactly Toeplitz
+    there, and may be at most a TOEPLITZ_SHARE of tol.  Then for the
+    sorted roots x_i the closed-form counts of T (``_toeplitz_counts``),
+    taken in blocks of sectors, must show
+    count(x_i - tol') <= i < count(x_i + tol'), tol' = tol - spread: the
+    i-th eigenvalue of T lies within tol' of x_i, so by Weyl's inequality
+    that of S lies within tol, which also checks multiplicities.  A
+    failure raises ``NumericFailureError`` naming n, r, the quantity, its
+    value and tol; a failed count reports the gap that bisection on
+    ``_sturm_counts`` of S measures.
+    """
+    nu = n // 2
+    a, e2, m, tol = _real_band(n, rs, band)
+    steps = nu - 2
+    coupling = np.sqrt(e2[:steps])
+    spread = (np.abs(a[1:steps + 1] - a[1]).max(axis=0, initial=0.0)
+              + 2 * np.abs(coupling - coupling[:1]).max(axis=0, initial=0.0))
+    _check_sectors(n, rs, "interior Toeplitz spread max|S - T|", spread, TOEPLITZ_SHARE * tol)
+    margin = tol - spread
     rank = np.arange(nu)[:, None]
     kept = rank < m
     x = np.where(kept, np.sort(np.where(kept, roots.T, np.inf), axis=0), 0.0)
-    counts = _sturm_counts(a, e2, np.concatenate([x - tol, x + tol]), m == nu)
-    ok = (counts[:nu] <= rank) & (rank < counts[nu:]) & np.isfinite(x)
-    bad = ~(ok | ~kept).all(axis=0)
+    ok = ~kept | np.isfinite(x)
+    full = m == nu
+    step = max(1, COUNT_BLOCK // (2 * nu))
+    for lo in range(0, len(rs), step):
+        cols = slice(lo, lo + step)
+        xs, dx = x[:, cols], margin[cols]
+        counts = _toeplitz_counts(a[:, cols], e2[:, cols], np.concatenate([xs - dx, xs + dx]),
+                                  full[cols])
+        ok[:, cols] &= ~kept[:, cols] | (counts[:nu] <= rank) & (rank < counts[nu:])
+    bad = ~ok.all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"F_2(C_{n}) sector r={rs[i]}"

@@ -20,9 +20,10 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           multisets_close, sector_roots, spectrum_2token, twotoken)
 from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound
-from tokenspectra.tolerances import quotient_tol
-from tokenspectra.twotoken import (_check_roots, _quotient_band, _sector_band,
-                                   _solve_sectors, _sturm_counts, _terminal, build_b2)
+from tokenspectra.tolerances import TOEPLITZ_SHARE, quotient_tol
+from tokenspectra.twotoken import (_check_roots, _quotient_band, _real_band, _sector_band,
+                                   _solve_sectors, _sturm_counts, _terminal,
+                                   _toeplitz_counts, build_b2)
 
 SQRT5 = math.sqrt(5)
 
@@ -373,6 +374,56 @@ class TestVerifyRoots:
         with pytest.raises(NumericFailureError, match="blocked orbit"):
             dense_verify_roots(n, r, sector_roots(n, r), b)
 
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_rejects_non_toeplitz_interior(self, n, r):
+        # one interior coupling off by 1e-6 relative: H stays Hermitian
+        # and its real form real, but the closed-form count no longer
+        # describes S
+        rs, roots, band = banded(n, r)
+        e = abs(band[0][0, 0])
+        band[0][0, 1] *= 1 + 1e-6
+        band[2][0, 1] *= 1 + 1e-6
+        with pytest.raises(NumericFailureError, match=failure_pattern(
+                n, r, "interior Toeplitz spread max|S - T|")) as info:
+            _check_roots(n, rs, roots, band)
+        value, tol = (float(v) for v in re.findall(r"\d\.\d{3}e[-+]\d+", str(info.value)))
+        assert value == pytest.approx(2e-6 * e, rel=1e-3)
+        assert tol == pytest.approx(TOEPLITZ_SHARE * quotient_tol(float(np.abs(build_b2(n, r)).max())),
+                                    rel=1e-3)
+        b = build_b2(n, r)
+        b[2, 1] *= 1 + 1e-6
+        b[1, 2] *= 1 + 1e-6
+        with pytest.raises(NumericFailureError, match="root gap"):
+            dense_verify_roots(n, r, sector_roots(n, r), b)
+
+    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    def test_spread_comes_off_tol(self, n, r):
+        # with the interior spread at half its bound, a root within
+        # tol - spread of its eigenvalue in T, the exactly Toeplitz
+        # matrix counted, passes, and one within tol but past tol - spread
+        # fails: only then is S's eigenvalue surely within tol
+        rs, roots, band = banded(n, r)
+        e = abs(band[0][0, 0])
+        tol = quotient_tol(float(np.abs(build_b2(n, r)).max()))
+        spread = 0.5 * TOEPLITZ_SHARE * tol
+        band[0][0, 1] *= 1 + spread / (2 * e)
+        band[2][0, 1] *= 1 + spread / (2 * e)
+        a, e2, m, _ = _real_band(n, rs, band)
+        k = m[0]
+        off = np.full(k - 1, math.sqrt(e2[0, 0]))
+        if k == len(a):  # the tail row keeps its own coupling
+            off[-1] = math.sqrt(e2[-1, 0])
+        t = np.diag(a[:k, 0]) + np.diag(off, 1) + np.diag(off, -1)
+        eig = np.linalg.eigvalsh(t)
+        for shift, passes in ((tol - 2 * spread, True), (tol - 0.5 * spread, False)):
+            moved = roots.copy()
+            moved[0, 1] = eig[1] + shift
+            if passes:
+                _check_roots(n, rs, moved, band)
+            else:
+                with pytest.raises(NumericFailureError):
+                    _check_roots(n, rs, moved, band)
+
     def test_band_left_unchanged(self):
         rs, roots, band = banded(12, 4)
         before = [v.copy() for v in band]
@@ -468,6 +519,94 @@ class TestSturmCounts:
         e2 = np.full((2, 1), np.finfo(float).tiny)
         x = np.array([[2.0, 4.0, 3.0, 5.0]]).T
         assert _sturm_counts(a, e2, x, np.array([True]))[:, 0].tolist() == [1, 2, 1, 3]
+
+
+def checked_points(n):
+    """Every sector r <= n/2 of the real form S, with the points to count at.
+
+    One column per sector: every value x_i -+ tol of ``spectrum_2token(n)``,
+    then seeded points uniform in [-1, 10] and [3.9, 4.1] and within 1e-9
+    of both band edges 4 -+ 2e, e the interior coupling.
+    """
+    nu = n // 2
+    rs = np.arange(nu + 1)
+    a, e2, m, tol = _real_band(n, rs, _sector_band(n, rs))
+    report = spectrum_2token(n)
+    x = np.stack([report.values[report.sectors == r] for r in rs], axis=1)
+    rng = np.random.default_rng(n)
+    e = np.sqrt(e2[0])
+    size = (20, len(rs))
+    points = [x - tol, x + tol, rng.uniform(-1, 10, size), rng.uniform(3.9, 4.1, size)]
+    points += [edge + rng.uniform(-1e-9, 1e-9, size) for edge in (4 - 2 * e, 4 + 2 * e)]
+    return a, e2, np.concatenate(points), m == nu
+
+
+class TestToeplitzCounts:
+    """The closed-form count against the pivot loop, as integers."""
+
+    @pytest.mark.parametrize("n", [*range(4, 131), 199, 200, 301, 1000])
+    def test_equals_sturm_counts_on_every_sector(self, n):
+        # n = 4 and 5 have no interior rows; for even n the last column
+        # is the half turn, whose couplings are zero (floored at tiny)
+        a, e2, x, full = checked_points(n)
+        if n % 2 == 0:
+            assert (e2[:, -1] == np.finfo(float).tiny).all()
+        got, want = _toeplitz_counts(a, e2, x, full), _sturm_counts(a, e2, x, full)
+        assert got.dtype == want.dtype
+        bad = np.argwhere(got != want)
+        assert not len(bad), [(x[i, c], c, got[i, c], want[i, c]) for i, c in bad[:5]]
+
+    @pytest.mark.parametrize("nu", range(2, 41))
+    def test_synthetic_bands_at_the_band_edge_and_a_zero_head_pivot(self, nu):
+        # e = 1 and diagonal 4 inside, so x = 2 and x = 6 put |Z| = 2
+        # exactly (the parabolic pivots) and x = a0 zeroes the head pivot;
+        # a0 = 2 and 6 do both at once.  A blocked 2 x 2 band is the
+        # 1 x 1 matrix [a0], whose eigenvalue is x = a0 itself, where the
+        # count rests on rounding alone, so nu = 2 keeps its tail row.
+        rng = np.random.default_rng(nu)
+        cols = 24
+        a = np.full((nu, cols), 4.0)
+        a[0] = np.concatenate([[2.0, 6.0], rng.uniform(-1, 9, cols - 2)])
+        a[-1] = rng.uniform(-1, 9, cols)
+        e2 = np.ones((nu - 1, cols))
+        e2[-1] = rng.uniform(0.1, 3.0, cols)
+        full = (np.arange(cols) % 2 == 0) | (nu == 2)
+        x = np.stack([np.full(cols, 2.0), np.full(cols, 6.0), a[0]])
+        assert np.array_equal(_toeplitz_counts(a, e2, x, full), _sturm_counts(a, e2, x, full))
+
+    @pytest.mark.parametrize("nu", [3, 6, 20, 60])
+    def test_synthetic_bands_with_a_zero_last_interior_pivot(self, nu):
+        # the head row is chosen so that beta + L theta is a multiple of
+        # pi: pivot L - 1 is zero up to rounding, and the remainder of that
+        # angle can round below zero, which the count must hold in [0, pi]
+        rng = np.random.default_rng(nu)
+        steps = nu - 2
+        theta = rng.uniform(0.05, np.pi - 0.05, 4000)
+        beta = rng.integers(1, steps + 1, 4000) * np.pi - steps * theta
+        inside = (beta > 0.01) & (beta < np.pi - 0.01)
+        theta, beta = theta[inside], beta[inside]
+        x = 4 - 2 * np.cos(theta)
+        a = np.full((nu, len(x)), 4.0)
+        a[0] = x + np.cos(theta) + np.sin(theta) / np.tan(beta)
+        a[-1] = rng.uniform(-1, 9, len(x))
+        e2 = np.ones((nu - 1, len(x)))
+        e2[-1] = rng.uniform(0.1, 3.0, len(x))
+        full = np.ones(len(x), bool)
+        assert np.array_equal(_toeplitz_counts(a, e2, x[None], full),
+                              _sturm_counts(a, e2, x[None], full))
+
+    @pytest.mark.parametrize("n", range(4, 131, 2))
+    def test_half_turn_at_its_head_value(self, n):
+        # at x = 2 the head pivot is zero and Z = 2/sqrt(tiny), far out of
+        # band, where only the unsubtracted form a + b rho^(-2j) keeps the
+        # sign of the pivots; S's eigenvalue 2 - tiny/2 lies below x
+        nu = n // 2
+        rs = np.array([nu])
+        a, e2, m, _ = _real_band(n, rs, _sector_band(n, rs))
+        x = np.array([[2.0], [3.0], [0.0], [9.0]])
+        got = _toeplitz_counts(a, e2, x, m == nu)
+        assert got[:, 0].tolist() == _sturm_counts(a, e2, x, m == nu)[:, 0].tolist()
+        assert got[0, 0] == 1
 
 
 class TestSpectrum2Token:
