@@ -183,11 +183,14 @@ def cmd_spectrum(args) -> int:
         raise ParameterDomainError("argument --tol: only applies with --check-against")
     if args.k != 2 and "contfrac" in (args.method, args.check_against):
         raise ParameterDomainError("method contfrac requires k = 2")
-    report = _spectrum_by_method(args.method, args.n, args.k)
+    # brute first: past its cap it fails before the other route is solved
+    methods = sorted({args.method, args.check_against} - {None}, key=lambda m: m != "brute")
+    reports = {m: _spectrum_by_method(m, args.n, args.k) for m in methods}
+    report = reports[args.method]
     status, check_note = 0, ""
     if args.check_against:
         tol = AGREE_TOL if args.tol is None else args.tol
-        other = _spectrum_by_method(args.check_against, args.n, args.k).kept
+        other = reports[args.check_against].kept
         check_note = f"check {args.method} vs {args.check_against}: "
         if multisets_close(report.kept, other, tol):
             dev = max_multiset_deviation(report.kept, other)

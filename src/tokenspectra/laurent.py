@@ -17,13 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tokengraph import check_sector
-
-# root tables kept: each sector pipeline reads the tables of n and 2n
-ROOT_CACHE_SIZE = 64
+from .tokengraph import CACHE_SIZE, check_sector
 
 
-@lru_cache(maxsize=ROOT_CACHE_SIZE)
+@lru_cache(maxsize=2 * CACHE_SIZE)  # each sector pipeline reads the tables of n and 2n
 def root_table(n: int) -> np.ndarray:
     """The n-th roots of unity exp(2*pi*i*m/n) for m = 0..n-1, read-only.
 

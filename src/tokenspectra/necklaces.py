@@ -21,7 +21,8 @@ from math import comb, gcd, isqrt
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import CACHE_SIZE, check_params, involutions, k_subsets, subset_rank
+from .tokengraph import (CACHE_SIZE, check_integers, check_params, involutions, k_subsets,
+                         subset_rank)
 
 
 def sector_order(n: int, r: int) -> int:
@@ -112,7 +113,7 @@ class OrbitTable:
         return len(self.reps)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: 6.0 == 6 must reach check_params
 def enumerate_orbits(n: int, k: int) -> OrbitTable:
     """One canonical representative per orbit, with periods and positions.
 
@@ -200,6 +201,7 @@ def _exact_div(total: int, n: int, what: str) -> int:
 
 def _check_count_domain(n: int, k: int) -> None:
     """The counts hold for 1 <= k <= n, wider than ``check_params``."""
+    check_integers(n=n, k=k)
     if n < 1 or k < 1 or k > n:
         raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -39,8 +40,17 @@ DENSE_SPECTRUM_CAP = 5000
 CACHE_SIZE = 32
 
 
+def check_integers(**sizes) -> None:
+    """Reject a size that is not an integer: floats, bools and strings; NumPy integers pass."""
+    for name, value in sizes.items():
+        # exact ints skip the ABC test, which costs more than the range check after it
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ParameterDomainError(f"{name}={value!r} must be an integer")
+
+
 def check_params(n: int, k: int) -> None:
     """Reject (n, k) outside 1 <= k <= n/2, n >= 3."""
+    check_integers(n=n, k=k)
     if n < 3:
         raise ParameterDomainError(f"cycle length n={n} must be at least 3")
     if k < 1 or 2 * k > n:
@@ -50,6 +60,7 @@ def check_params(n: int, k: int) -> None:
 
 def check_sector(n: int, r: int) -> None:
     """Reject a sector index r outside [0, n) of the n-cycle."""
+    check_integers(n=n, r=r)
     if not 0 <= r < n:
         raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
 
@@ -124,7 +135,7 @@ class TokenGraph:
         return int(self.degrees[i])
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: 6.0 == 6 must reach check_params
 def build_token_graph(n: int, k: int) -> TokenGraph:
     """The token graph F_k(C_n) with its token-slot adjacency."""
     check_params(n, k)

@@ -52,12 +52,12 @@ Counts at x_i -+ tol show that the i-th smallest root x_i lies within
 tol of the i-th eigenvalue of S, multiplicities included.  tol is first
 lowered by the spread, which by Weyl's inequality bounds how far the
 eigenvalues of S lie from those of the Toeplitz matrix counted, so no
-check is looser.  The pivot loop of Barth, Martin and Wilkinson (Numer.
-Math. 1967), ``_sturm_counts``, stays as the reference and measures the
-gap of a failed check.  Conjugate sectors r and n - r share their
-roots.  Multiplied through by t = 2 cos(r pi/n), the same recurrence
-runs on polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R)
-and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
+check is looser.  The same count, by bisection, measures the gap of a
+failed check; the pivot loop of Barth, Martin and Wilkinson (Numer.
+Math. 1967) is its exact reference in the tests.  Conjugate sectors r
+and n - r share their roots.  Multiplied through by t = 2 cos(r pi/n),
+the same recurrence runs on polynomials in w = 4 - lambda as
+(R, S) -> (S, w S - t^2 R) and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
 Nothing divides by t, so the half turn t = 0 needs no case of its own,
 and the leading coefficient is +-1.  Diagonalizing the 2x2 transfer
 step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2, real
@@ -88,10 +88,12 @@ COUNT_BLOCK = 1 << 16  # points per block of sectors in the root check
 SQRT_HALF = np.sqrt(0.5)
 
 
-def _check_sector(n: int, r: int) -> None:
+def _check_sector(n: int, r: int) -> tuple[int, int]:
+    """Check a two-token sector; (n, r) as Python ints, so NumPy's narrow sizes cannot wrap."""
+    check_sector(n, r)
     if n < 4:
         raise ParameterDomainError(f"two-token closed forms need n >= 4, got {n}")
-    check_sector(n, r)
+    return int(n), int(r)
 
 
 def _check_finite(lam: float) -> None:
@@ -137,7 +139,7 @@ def build_b2(n: int, r: int) -> np.ndarray:
     The dense form of ``_sector_band``; ``build_b2(n, n - r)`` is exactly
     the conjugate of ``build_b2(n, r)``.
     """
-    _check_sector(n, r)
+    n, r = _check_sector(n, r)
     lower, diag, upper = (v[0] for v in _sector_band(n, np.array([r])))
     return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
 
@@ -163,7 +165,7 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
 
     A denominator below POLE_TOL raises ``PoleError`` naming n, r and lambda.
     """
-    _check_sector(n, r)
+    n, r = _check_sector(n, r)
     _check_finite(lam)
     if 2 * r == n:
         raise ParameterDomainError(
@@ -271,65 +273,6 @@ def _check_sectors(n: int, rs: np.ndarray, quantity: str, values: np.ndarray,
                     float(tol[i]))
 
 
-def _quotient_band(n: int, rs: np.ndarray, band):
-    """The bands of the Hermitian quotients H, their kept sizes and tols.
-
-    Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
-    even n, which has period n/2 and is blocked in the odd sectors.  As
-    in ``polymatrix.solve_sector``, the blocked coupling
-    b[nu-1, nu-2] must vanish within tol = ``quotient_tol(max|b|)``, and
-    H = D^(1/2) b D^(-1/2) on the first m kept orbits.  Band entries past
-    m are zero.  ``band`` is left unchanged.
-    """
-    lower, diag, upper = (np.array(v, dtype=complex) for v in band)
-    biggest = np.maximum(np.abs(diag).max(axis=1),
-                         np.maximum(np.abs(lower), np.abs(upper)).max(axis=1))
-    tol = quotient_tol(biggest)
-    m = _kept_counts(n, rs)
-    if n % 2 == 0:
-        blocked = m < n // 2
-        _check_sectors(n, rs, "blocked orbit coupling max|b[X, U]|",
-                       np.where(blocked, np.abs(lower[:, -1]), 0.0), tol)
-        lower[:, -1] *= SQRT_HALF
-        upper[:, -1] /= SQRT_HALF
-        lower[blocked, -1] = upper[blocked, -1] = diag[blocked, -1] = 0
-    return (lower, diag, upper), m, tol
-
-
-def _sturm_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
-                  full: np.ndarray) -> np.ndarray:
-    """Eigenvalues below each point, for a row of tridiagonal matrices.
-
-    Column i of ``a`` (diagonal) and ``e2`` (squared couplings, all
-    positive) is a real symmetric tridiagonal matrix, and column i of
-    ``x`` holds its points; ``full`` marks the matrices that use their
-    last diagonal entry.  The count is the number of negative pivots d
-    of the LDL^T factorization of S - x (Sylvester's law of inertia).
-    Signed-zero rule: a pivot keeps the sign IEEE arithmetic gives it
-    and counts by its sign bit, so a zero pivot +-0 makes e2/d = +-inf
-    and the next pivot -+inf, the limit as that pivot tends to zero from
-    its side, and the one after sees +-0 again; the count is that at x
-    moved by an infinitesimal.  Positive e2 rules out 0/0.  Matrices
-    run along the contiguous axis.
-    """
-    counts = np.empty(x.shape, dtype=np.min_scalar_type(len(a)))
-    last = len(a) - 1
-    with np.errstate(divide="ignore", over="ignore"):
-        d = a[0] - x
-        t = np.empty_like(d)
-        neg = np.signbit(d)
-        counts[...] = neg
-        for j in range(1, last + 1):
-            np.divide(e2[j - 1], d, out=t)
-            np.subtract(a[j], x, out=d)
-            d -= t
-            np.signbit(d, out=neg)
-            if j == last:
-                neg &= full
-            counts += neg
-    return counts
-
-
 def _band_pivots(head: np.ndarray, half: np.ndarray, steps: int):
     """Negative pivots of rows 0..steps, and the last pivot, inside the band.
 
@@ -380,74 +323,98 @@ def _edge_pivots(head: np.ndarray, half: np.ndarray, steps: int):
 
 def _toeplitz_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
                      full: np.ndarray) -> np.ndarray:
-    """``_sturm_counts`` in closed form, for matrices with a Toeplitz interior.
+    """Eigenvalues below each point, per row of tridiagonal matrices, in closed form.
 
-    Same arguments and count for matrices whose rows 1..L, L = len(a) - 2,
-    have diagonal a[1] and couplings sqrt(e2[0]) into them; away from
-    the eigenvalues, where only rounding decides, the two counts are
-    equal.  Over e = sqrt(e2[0]) the head pivot is (a[0] - x)/e, and the
-    interior runs the pivot recurrence q -> Z - 1/q, Z = (a[1] - x)/e,
-    in closed form (discrete Sturm oscillation; Teschl, Jacobi Operators
-    and Completely Integrable Nonlinear Lattices, AMS 2000, ch. 4):
-    ``_band_pivots`` on every point with Z clipped to the band, then
-    ``_edge_pivots`` on the points out of it.  The tail row L + 1, used
-    where ``full``, is one generic pivot with its own a and e2.  No loop
-    runs over the rows.
+    Row i of ``a`` (diagonal) and ``e2`` (squared couplings, all
+    positive) is a real symmetric tridiagonal matrix T, and row i of
+    ``x`` holds its points; ``full`` marks the matrices that use their
+    last diagonal entry.  T is taken Toeplitz inside: rows 1..L,
+    L = a.shape[1] - 2, have diagonal a[:, 1] and couplings
+    sqrt(e2[:, 0]) into them.  The count is the number of negative
+    pivots of the LDL^T factorization of T - x (Sylvester's law of
+    inertia).  Over e = sqrt(e2[:, 0]) the head pivot is (a[:, 0] - x)/e,
+    and the interior runs the pivot recurrence q -> Z - 1/q,
+    Z = (a[:, 1] - x)/e, in closed form (discrete Sturm oscillation;
+    Teschl, Jacobi Operators and Completely Integrable Nonlinear
+    Lattices, AMS 2000, ch. 4): ``_band_pivots`` on every point with Z
+    clipped to the band, then ``_edge_pivots`` on the points out of it.
+    The tail row L + 1, used where ``full``, is one generic pivot with
+    its own a and e2.  No loop runs over the rows.  The root check and
+    the gap of a failed one both count here; away from the eigenvalues,
+    where only rounding decides, the count equals the pivot loop's.
     """
-    steps = len(a) - 2
-    e = np.sqrt(e2[0])
+    steps = a.shape[1] - 2
+    e = np.sqrt(e2[:, :1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        head = (a[0] - x) / e
-        half = 0.5 * (a[1] - x) / e
+        head = (a[:, :1] - x) / e
+        half = 0.5 * (a[:, 1:2] - x) / e
         count, last = _band_pivots(head, half.clip(-1, 1), steps)
         edge = np.abs(half) >= 1
         if edge.any():
             count[edge], last[edge] = _edge_pivots(head[edge], half[edge], steps)
-        tail = a[-1] - x - e2[-1] / (e * last)
-        return (count + (np.signbit(tail) & full)).astype(np.min_scalar_type(len(a)))
+        tail = a[:, -1:] - x - e2[:, -1:] / (e * last)
+        return (count + (np.signbit(tail) & full[:, None])).astype(np.min_scalar_type(a.shape[1]))
 
 
-def _root_gap(a: np.ndarray, e2: np.ndarray, roots: np.ndarray) -> float:
-    """max|roots - eig(S)| for one matrix, by bisection on Sturm counts."""
-    radius = 2.0 * math.sqrt(e2.max(initial=0.0))
-    lo = np.full((len(a), 1), a.min() - radius)
-    hi = np.full((len(a), 1), a.max() + radius)
-    rank = np.arange(len(a))[:, None]
+def _root_gap(a: np.ndarray, e2: np.ndarray, full: np.ndarray, roots: np.ndarray) -> float:
+    """max|roots - eig(T)| for one sector, by bisection on ``_toeplitz_counts``.
+
+    ``a``, ``e2`` and ``full`` are the sector's single row as the check
+    counts on it, and ``roots`` its sorted kept roots.
+    """
+    radius = 2.0 * math.sqrt(e2.max())
+    lo = np.full((1, len(roots)), a.min() - radius)
+    hi = np.full((1, len(roots)), a.max() + radius)
+    rank = np.arange(len(roots))
     for _ in range(64):  # enough halvings of the Gershgorin interval to reach rounding
         mid = 0.5 * (lo + hi)
-        below = _sturm_counts(a[:, None], e2[:, None], mid, np.ones(1, bool)) > rank
+        below = _toeplitz_counts(a, e2, mid, full) > rank
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-    return float(np.max(np.abs(roots - 0.5 * (lo + hi)[:, 0])))
+    return float(np.max(np.abs(roots - 0.5 * (lo + hi)[0])))
 
 
 def _real_band(n: int, rs: np.ndarray, band):
-    """The real symmetric S of each sector, one column per sector.
+    """The real symmetric S of each sector, one row per sector.
 
-    On the Hermitian quotient H (``_quotient_band``) the skew
-    max|H - H^*| must stay within tol.  The reflection of the cycle fixes
-    every orbit, -{0, h} = {0, h} + (n - h), so the phases
-    exp(-i pi r (n - h)/n) turn H into a real symmetric S with the same
-    eigenvalues (the reflection basis of ``polymatrix.solve_sector`` with
-    every orbit fixed), and max|Im S| must stay within tol.  The phases
-    of neighbouring orbits differ by the one factor exp(-i pi r/n), which
-    multiplies the couplings below the diagonal; they leave the diagonal
-    as it is, and the skew bounds its imaginary part.  Returns the
-    diagonal a, the squared couplings e2 (floored at the smallest normal
-    float), the kept sizes and the tols.
+    Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
+    even n, which has period n/2 and is blocked in the odd sectors.  As
+    in ``polymatrix.solve_sector``, the blocked coupling b[nu-1, nu-2]
+    must vanish within tol = ``quotient_tol(max|b|)``, and the Hermitian
+    quotient H = D^(1/2) b D^(-1/2) on the first m kept orbits, its
+    entries past m zero, must have skew max|H - H^*| within tol.  The
+    reflection of the cycle fixes every orbit, -{0, h} = {0, h} + (n - h),
+    so the phases exp(-i pi r (n - h)/n) turn H into a real symmetric S
+    with the same eigenvalues (the reflection basis of
+    ``polymatrix.solve_sector`` with every orbit fixed), and max|Im S|
+    must stay within tol.  The phases of neighbouring orbits differ by
+    the one factor exp(-i pi r/n), which multiplies the couplings below
+    the diagonal; they leave the diagonal as it is, and the skew bounds
+    its imaginary part.  Returns the diagonal a, contiguous, the squared
+    couplings e2 (floored at the smallest normal float), the kept sizes
+    and the tols.  ``band`` is left unchanged.
     """
-    (lower, diag, upper), m, tol = _quotient_band(n, rs, band)
+    lower, diag, upper = (np.array(v, dtype=complex) for v in band)
+    biggest = np.maximum(np.abs(diag).max(axis=1),
+                         np.maximum(np.abs(lower), np.abs(upper)).max(axis=1))
+    tol = quotient_tol(biggest)
+    m = _kept_counts(n, rs)
+    if n % 2 == 0:
+        blocked = m < n // 2
+        _check_sectors(n, rs, "blocked orbit coupling max|b[X, U]|",
+                       np.where(blocked, np.abs(lower[:, -1]), 0.0), tol)
+        lower[:, -1] *= SQRT_HALF
+        upper[:, -1] /= SQRT_HALF
+        lower[blocked, -1] = upper[blocked, -1] = diag[blocked, -1] = 0
     skew = np.maximum(2 * np.abs(diag.imag).max(axis=1),
                       np.abs(upper - lower.conj()).max(axis=1))
     _check_sectors(n, rs, "skew max|H - H^*|", skew, tol)
     turn = root_table(2 * n)[-rs % (2 * n), None]
-    lower = lower * turn
-    upper = upper * turn.conj()
+    lower *= turn
+    upper *= turn.conj()
     imag = np.maximum(np.abs(lower.imag), np.abs(upper.imag)).max(axis=1)
     _check_sectors(n, rs, "real form imaginary part max|Im S|", imag, tol)
-    a = np.ascontiguousarray(diag.real.T)
-    e2 = np.maximum(np.ascontiguousarray(lower.real.T) ** 2, np.finfo(float).tiny)
-    return a, e2, m, tol
+    return diag.real.copy(), np.maximum(lower.real ** 2, np.finfo(float).tiny), m, tol
 
 
 def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
@@ -465,34 +432,35 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     i-th eigenvalue of T lies within tol' of x_i, so by Weyl's inequality
     that of S lies within tol, which also checks multiplicities.  A
     failure raises ``NumericFailureError`` naming n, r, the quantity, its
-    value and tol; a failed count reports the gap that bisection on
-    ``_sturm_counts`` of S measures.
+    value and tol; a failed count reports the gap to the eigenvalues of
+    T that bisection on the same count measures (``_root_gap``).
     """
     nu = n // 2
     a, e2, m, tol = _real_band(n, rs, band)
     steps = nu - 2
-    coupling = np.sqrt(e2[:steps])
-    spread = (np.abs(a[1:steps + 1] - a[1]).max(axis=0, initial=0.0)
-              + 2 * np.abs(coupling - coupling[:1]).max(axis=0, initial=0.0))
+    coupling = np.sqrt(e2[:, :steps])
+    spread = (np.abs(a[:, 1:steps + 1] - a[:, 1:2]).max(axis=1, initial=0.0)
+              + 2 * np.abs(coupling - coupling[:, :1]).max(axis=1, initial=0.0))
     _check_sectors(n, rs, "interior Toeplitz spread max|S - T|", spread, TOEPLITZ_SHARE * tol)
-    margin = tol - spread
-    rank = np.arange(nu)[:, None]
-    kept = rank < m
-    x = np.where(kept, np.sort(np.where(kept, roots.T, np.inf), axis=0), 0.0)
+    margin = (tol - spread)[:, None]
+    rank = np.arange(nu)
+    kept = rank < m[:, None]
+    x = np.where(kept, np.sort(np.where(kept, roots, np.inf), axis=1), 0.0)
     ok = ~kept | np.isfinite(x)
     full = m == nu
     step = max(1, COUNT_BLOCK // (2 * nu))
     for lo in range(0, len(rs), step):
-        cols = slice(lo, lo + step)
-        xs, dx = x[:, cols], margin[cols]
-        counts = _toeplitz_counts(a[:, cols], e2[:, cols], np.concatenate([xs - dx, xs + dx]),
-                                  full[cols])
-        ok[:, cols] &= ~kept[:, cols] | (counts[:nu] <= rank) & (rank < counts[nu:])
-    bad = ~ok.all(axis=0)
+        rows = slice(lo, lo + step)
+        xs, dx = x[rows], margin[rows]
+        counts = _toeplitz_counts(a[rows], e2[rows], np.concatenate([xs - dx, xs + dx], axis=1),
+                                  full[rows])
+        ok[rows] &= ~kept[rows] | (counts[:, :nu] <= rank) & (rank < counts[:, nu:])
+    bad = ~ok.all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"F_2(C_{n}) sector r={rs[i]}"
-        gap = _root_gap(a[:m[i], i], e2[:m[i] - 1, i], x[:m[i], i])
+        one = slice(i, i + 1)
+        gap = _root_gap(a[one], e2[one], full[one], x[i, :m[i]])
         check_bound(where, "root gap max|roots - eig(S)|", gap, float(tol[i]))
         raise NumericFailureError(
             f"{where}: Sturm counts put a root at least tol {tol[i]:.3e} "
@@ -506,7 +474,7 @@ def sector_roots(n: int, r: int) -> np.ndarray:
     same roots, and checks them against the band of sector r itself (see
     ``_solve_sectors`` and ``_check_roots``).
     """
-    _check_sector(n, r)
+    n, r = _check_sector(n, r)
     rs = np.array([r])
     roots = _solve_sectors(n, np.minimum(rs, n - rs))
     _check_roots(n, rs, roots, _sector_band(n, rs))
@@ -524,7 +492,7 @@ def spectrum_2token(n: int) -> SpectrumReport:
     spurious 4 of the blocked half-turn orbit
     (``SpectrumReport.from_sectors``).
     """
-    _check_sector(n, 0)  # sector 0 exists for every n; this checks n
+    n, _ = _check_sector(n, 0)  # sector 0 exists for every n; this checks n
     nu = n // 2
     rs = np.arange(nu + 1)
     roots = _solve_sectors(n, rs)
@@ -563,7 +531,7 @@ def charpoly_sector(n: int, r: int) -> np.ndarray:
     identical coefficients.  Coefficients that overflow a float raise
     ``NumericFailureError``.
     """
-    _check_sector(n, r)
+    n, r = _check_sector(n, r)
     with np.errstate(over="ignore", invalid="ignore"):
         p = _transfer_polynomial(n, r)
     # the lead is exactly +-1, so this is monic; adding 0.0 clears negative zeros
@@ -597,7 +565,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     Equals charpoly_sector up to one constant factor per (n, r).  A value
     past the float range raises ``NumericFailureError`` naming n, r and lambda.
     """
-    _check_sector(n, r)
+    n, r = _check_sector(n, r)
     _check_finite(lam)
     if 2 * r == n:
         val = math.prod([lam - 2.0] + [lam - 4.0] * (_kept_counts(n, r) - 1))

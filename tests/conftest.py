@@ -11,6 +11,9 @@ reads a graph's token-slot adjacency back as (source, target) pairs.
 ``period`` finds a subset's period by rotating it (``rotate``) once per
 divisor of n, the reference for the library's array rule
 ``necklaces.periods_of``.
+``sturm_counts`` is the pivot loop of Barth, Martin and Wilkinson
+(Numer. Math. 1967), the exact reference for the closed-form count
+``twotoken._toeplitz_counts``.
 ``assert_kept_then_discarded`` checks the sector routes' trail layout,
 and ``shown_sectors`` with ``kept_first_ties`` the order a spectrum
 command shows at a tie.
@@ -114,6 +117,38 @@ def assert_kept_then_discarded(report):
         m = np.count_nonzero(kept)
         assert kept[:m].all() and not kept[m:].any(), r
         assert np.all(np.diff(values[:m]) >= 0) and np.all(np.diff(values[m:]) >= 0), r
+
+
+def sturm_counts(a, e2, x, full):
+    """Eigenvalues below each point, for rows of tridiagonal matrices.
+
+    Row i of ``a`` (diagonal) and ``e2`` (squared couplings, all
+    positive) is a real symmetric tridiagonal matrix, and row i of ``x``
+    holds its points; ``full`` marks the matrices that use their last
+    diagonal entry.  The count is the number of negative pivots d of the
+    LDL^T factorization of S - x (Sylvester's law of inertia).
+    Signed-zero rule: a pivot keeps the sign IEEE arithmetic gives it
+    and counts by its sign bit, so a zero pivot +-0 makes e2/d = +-inf
+    and the next pivot -+inf, the limit as that pivot tends to zero from
+    its side, and the one after sees +-0 again; the count is that at x
+    moved by an infinitesimal.  Positive e2 rules out 0/0.
+    """
+    counts = np.empty(x.shape, dtype=np.min_scalar_type(a.shape[1]))
+    last = a.shape[1] - 1
+    with np.errstate(divide="ignore", over="ignore"):
+        d = a[:, :1] - x
+        t = np.empty_like(d)
+        neg = np.signbit(d)
+        counts[...] = neg
+        for j in range(1, last + 1):
+            np.divide(e2[:, j - 1:j], d, out=t)
+            np.subtract(a[:, j:j + 1], x, out=d)
+            d -= t
+            np.signbit(d, out=neg)
+            if j == last:
+                neg &= full[:, None]
+            counts += neg
+    return counts
 
 
 class RealBasis:

@@ -295,6 +295,30 @@ class TestSpectrum:
         assert (code, out) == (2, "")
         assert "method contfrac requires k = 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "17", "--k", "8", "--check-against", "brute"),
+        ("--n", "17", "--k", "8", "--method", "brute", "--check-against", "overlift"),
+        ("--n", "120", "--k", "2", "--method", "contfrac", "--check-against", "brute"),
+        ("--n", "120", "--k", "2", "--method", "brute", "--check-against", "contfrac"),
+    ])
+    def test_brute_cap_refused_before_the_other_route(self, capsys, monkeypatch, argv):
+        def unexpected(*args):
+            raise AssertionError("the other route was solved before the brute cap")
+        monkeypatch.setattr(cli, "overlift_spectrum", unexpected)
+        monkeypatch.setattr(twotoken, "spectrum_2token", unexpected)
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert (code, out) == (2, "")
+        assert "exceeds the dense spectrum cap" in err
+
+    def test_method_named_twice_is_solved_once(self, capsys, monkeypatch):
+        calls = []
+        solve = cli.overlift_spectrum
+        monkeypatch.setattr(cli, "overlift_spectrum", lambda n, k: calls.append(n) or solve(n, k))
+        code, out, _ = run(capsys, "spectrum", "--n", "6", "--k", "3",
+                           "--check-against", "overlift")
+        assert code == 0 and "agree within" in out
+        assert calls == [6]
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "8", "--k", "2",
                            "--method", "contfrac", "--format", "json")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from tokenspectra import LaurentMatrix, ParameterDomainError, build_poly_matrix
+from tokenspectra import LaurentMatrix, ParameterDomainError, build_poly_matrix, tokengraph
 from tokenspectra.laurent import root_table
 
 
@@ -171,6 +171,10 @@ class TestLaurentMatrix:
         m = build_poly_matrix(n, k)
         for r in range(1, n):
             assert np.array_equal(m.specialize(n - r), m.specialize(r).conj())
+
+    def test_root_table_keeps_the_tables_of_n_and_2n(self):
+        # a sector pipeline reads the tables of n and 2n for each cached (n, k)
+        assert root_table.cache_info().maxsize == 2 * tokengraph.CACHE_SIZE
 
     def test_root_table_conjugate_symmetric(self):
         for n in range(1, 20):

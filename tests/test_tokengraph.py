@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -10,9 +11,10 @@ from conftest import cached_brute, edge_pairs, reference_brute, token_neighbors
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError, SizeLimitError,
-                          build_poly_matrix, build_token_graph, charpoly_rho_form,
-                          charpoly_sector, contfrac_q1, enumerate_orbits, kept_eigenpairs,
-                          laplacian, lift_eigenvector, multiset_contains, sector_roots,
+                          brute_spectrum, build_poly_matrix, build_token_graph,
+                          charpoly_rho_form, charpoly_sector, contfrac_q1, count_burnside,
+                          enumerate_orbits, full_spectrum, kept_eigenpairs, laplacian,
+                          lift_eigenvector, multiset_contains, sector_roots, spectrum_2token,
                           tokengraph)
 from tokenspectra.polymatrix import solve_sector
 from tokenspectra.tokengraph import (DENSE_SPECTRUM_CAP, algebraic_connectivity, involutions,
@@ -276,3 +278,34 @@ SECTOR_CALLS = {
 def test_sector_outside_the_cycle_raises(call, r):
     with pytest.raises(ParameterDomainError, match=rf"sector r={r} must lie in \[0, 8\)"):
         SECTOR_CALLS[call](r)
+
+
+# sizes that are not integers, each named in the error; the cached
+# (6, 3) tables must not let 6.0 past the check
+NOT_INTEGERS = [
+    (sector_roots, (7, 1.0), "r=1.0"),
+    (spectrum_2token, (4.0,), "n=4.0"),
+    (full_spectrum, (6.0, 3), "n=6.0"),
+    (count_burnside, (6, 3.0), "k=3.0"),
+    (brute_spectrum, (5, True), "k=True"),
+    (build_token_graph, ("6", 3), "n='6'"),
+    (enumerate_orbits, (6, np.True_), "k=np.True_"),
+]
+
+
+@pytest.mark.parametrize("call,args,named", NOT_INTEGERS,
+                         ids=[f"{call.__name__}{args}" for call, args, _ in NOT_INTEGERS])
+def test_non_integer_sizes_raise_the_typed_error(call, args, named):
+    full_spectrum(6, 3)
+    with pytest.raises(ParameterDomainError, match=rf"^{re.escape(named)} must be an integer$"):
+        call(*args)
+
+
+def test_numpy_integer_sizes_pass():
+    n, k = np.int64(6), np.int32(3)
+    assert np.array_equal(full_spectrum(n, k).kept, full_spectrum(6, 3).kept)
+    assert np.array_equal(brute_spectrum(n, k).kept, brute_spectrum(6, 3).kept)
+    assert count_burnside(n, k) == count_burnside(6, 3)
+    assert np.array_equal(sector_roots(np.uint8(7), np.uint8(1)), sector_roots(7, 1))
+    assert np.array_equal(spectrum_2token(np.uint8(9)).values, spectrum_2token(9).values)
+    assert np.array_equal(charpoly_sector(np.uint8(9), np.uint8(2)), charpoly_sector(9, 2))

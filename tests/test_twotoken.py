@@ -11,19 +11,17 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (assert_kept_then_discarded, cached_brute, cached_contfrac,
-                      cached_overlift, reflection_basis, token_neighbors)
+                      cached_overlift, reflection_basis, sturm_counts, token_neighbors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
                           PoleError, build_poly_matrix,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token, twotoken)
-from tokenspectra.laurent import root_table
 from tokenspectra.polymatrix import blocked_mask, check_bound
 from tokenspectra.tolerances import TOEPLITZ_SHARE, quotient_tol
-from tokenspectra.twotoken import (_check_roots, _quotient_band, _real_band, _sector_band,
-                                   _solve_sectors, _sturm_counts, _terminal,
-                                   _toeplitz_counts, build_b2)
+from tokenspectra.twotoken import (_check_roots, _real_band, _sector_band, _solve_sectors,
+                                   _terminal, _toeplitz_counts, build_b2)
 
 SQRT5 = math.sqrt(5)
 
@@ -280,6 +278,9 @@ class TestSectorRoots:
 
 # one sector of each case: odd, even-even, even-odd
 VERIFY_CASES = [(9, 2), (12, 4), (12, 5)]
+# and the failure gap at nu = 2 (n = 4 with its blocked m = 1 sector, n = 5)
+# and at n = 1000, blocked and not
+ROOT_GAP_CASES = [*VERIFY_CASES, (4, 0), (4, 1), (5, 1), (5, 2), (1000, 3), (1000, 250)]
 
 
 class TestVerifyRoots:
@@ -291,15 +292,37 @@ class TestVerifyRoots:
         _check_roots(n, rs, roots, band)
         dense_verify_roots(n, r, sector_roots(n, r), build_b2(n, r))
 
-    @pytest.mark.parametrize("n,r", VERIFY_CASES)
+    @pytest.mark.parametrize("n,r", ROOT_GAP_CASES)
     def test_rejects_perturbed_root(self, n, r):
         rs, roots, band = banded(n, r)
-        roots[0, 1] += 1e-6
+        m = len(sector_roots(n, r))
+        roots[0, min(1, m - 1)] += 1e-6
         with pytest.raises(NumericFailureError,
                            match=failure_pattern(n, r, "root gap max|roots - eig(S)|")):
             _check_roots(n, rs, roots, band)
         with pytest.raises(NumericFailureError):
-            dense_verify_roots(n, r, roots[0, :len(sector_roots(n, r))], build_b2(n, r))
+            dense_verify_roots(n, r, roots[0, :m], build_b2(n, r))
+
+    @pytest.mark.parametrize("n,r", ROOT_GAP_CASES)
+    def test_reported_gap_is_the_dense_gap(self, n, r, monkeypatch):
+        # the gap a failed count reports, measured on the band's own row,
+        # is that of eigvalsh of the dense real form
+        rs, roots, band = banded(n, r)
+        m = len(sector_roots(n, r))
+        roots[0, m - 1] -= 3e-6
+        reported = {}
+
+        def record(where, quantity, value, tol):
+            reported[quantity] = value
+            check_bound(where, quantity, value, tol)
+
+        monkeypatch.setattr(twotoken, "check_bound", record)
+        with pytest.raises(NumericFailureError,
+                           match=failure_pattern(n, r, "root gap max|roots - eig(S)|")):
+            _check_roots(n, rs, roots, band)
+        s = two_token_basis(n, r).reduce(build_b2(n, r), "")
+        want = np.max(np.abs(np.sort(roots[0, :m]) - np.linalg.eigvalsh(s)))
+        assert abs(reported["root gap max|roots - eig(S)|"] - want) <= 1e-12
 
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_rejects_duplicated_root(self, n, r):
@@ -411,9 +434,9 @@ class TestVerifyRoots:
         a, e2, m, _ = _real_band(n, rs, band)
         k = m[0]
         off = np.full(k - 1, math.sqrt(e2[0, 0]))
-        if k == len(a):  # the tail row keeps its own coupling
-            off[-1] = math.sqrt(e2[-1, 0])
-        t = np.diag(a[:k, 0]) + np.diag(off, 1) + np.diag(off, -1)
+        if k == a.shape[1]:  # the tail row keeps its own coupling
+            off[-1] = math.sqrt(e2[0, -1])
+        t = np.diag(a[0, :k]) + np.diag(off, 1) + np.diag(off, -1)
         eig = np.linalg.eigvalsh(t)
         for shift, passes in ((tol - 2 * spread, True), (tol - 0.5 * spread, False)):
             moved = roots.copy()
@@ -452,26 +475,24 @@ class TestBandedSectors:
                 assert roots[nu, :m].tolist() == [2.0] + [4.0] * (m - 1)
 
     @pytest.mark.parametrize("n", range(4, 61))
-    def test_quotient_band_matches_dense_quotient(self, n):
+    def test_real_band_matches_dense_real_form(self, n):
         # the band under the phases of _check_roots is the real form S
         # that RealBasis.reduce makes of the dense sector matrix
         rs = np.arange(n)
-        (lower, diag, upper), m, tol = _quotient_band(n, rs, _sector_band(n, rs))
-        nu = n // 2
-        phase = root_table(2 * n)[(-rs[:, None] * (n - np.arange(1, nu + 1))) % (2 * n)]
+        a, e2, m, tol = _real_band(n, rs, _sector_band(n, rs))
+        tiny = np.finfo(float).tiny
+        assert a.flags.c_contiguous and a.shape == (n, n // 2)
         for r in rs:
             b = build_b2(n, r)
             s = two_token_basis(n, r).reduce(b, "")
-            k, p = m[r], phase[r, :m[r]]
+            k = m[r]
             assert s.shape == (k, k)
             want_tol = quotient_tol(float(np.abs(b).max()))
             assert abs(tol[r] - want_tol) <= 1e-13 * want_tol
-            assert_allclose(diag[r, :k] * p.conj() * p, np.diag(s), rtol=0, atol=1e-13)
-            assert_allclose(lower[r, :k - 1] * p[1:].conj() * p[:-1], np.diag(s, -1),
-                            rtol=0, atol=1e-13)
-            assert_allclose(upper[r, :k - 1] * p[:-1].conj() * p[1:], np.diag(s, 1),
-                            rtol=0, atol=1e-13)
-            assert not diag[r, k:].any() and not lower[r, k - 1:].any()
+            assert_allclose(a[r, :k], np.diag(s), rtol=0, atol=1e-13)
+            assert_allclose(np.sqrt(e2[r, :k - 1]), np.abs(np.diag(s, -1)), rtol=0, atol=1e-13)
+            assert_allclose(np.diag(s, -1), np.diag(s, 1), rtol=0, atol=1e-13)
+            assert not a[r, k:].any() and (e2[r, k - 1:] == tiny).all()
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_dense_check_accepts_roots(self, n):
@@ -491,40 +512,42 @@ class TestBandedSectors:
 
 
 class TestSturmCounts:
+    """The reference pivot loop against eigvalsh and at exact zero pivots."""
+
     def test_matches_eigvalsh(self):
-        # one matrix per column, as the sectors are passed
+        # one matrix per row, as the sectors are passed
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(9, 6))
-        e2 = rng.uniform(0.01, 2.0, size=(8, 6))
-        x = rng.normal(scale=3.0, size=(40, 6))
+        a = rng.normal(size=(9, 6)).T
+        e2 = rng.uniform(0.01, 2.0, size=(8, 6)).T
+        x = rng.normal(scale=3.0, size=(40, 6)).T
         full = np.array([True, False, True, True, False, True])
-        counts = _sturm_counts(a, e2, x, full)
+        counts = sturm_counts(a, e2, x, full)
         for i in range(6):
             m = 9 if full[i] else 8
-            off = np.sqrt(e2[:m - 1, i])
-            eig = np.linalg.eigvalsh(np.diag(a[:m, i]) + np.diag(off, 1) + np.diag(off, -1))
-            assert counts[:, i].tolist() == [int(np.sum(eig < v)) for v in x[:, i]]
+            off = np.sqrt(e2[i, :m - 1])
+            eig = np.linalg.eigvalsh(np.diag(a[i, :m]) + np.diag(off, 1) + np.diag(off, -1))
+            assert counts[i].tolist() == [int(np.sum(eig < v)) for v in x[i]]
 
     def test_zero_pivots(self):
         # S = [[0, 1], [1, 0]] has eigenvalues -1 and 1; at x = 0 the first
         # pivot is exactly +0 and the second -inf
-        a = np.zeros((2, 1))
+        a = np.zeros((1, 2))
         e2 = np.ones((1, 1))
-        x = np.array([[0.0, -1.5, 1.5, -0.5, 0.5]]).T
-        assert _sturm_counts(a, e2, x, np.array([True]))[:, 0].tolist() == [1, 0, 2, 1, 1]
+        x = np.array([[0.0, -1.5, 1.5, -0.5, 0.5]])
+        assert sturm_counts(a, e2, x, np.array([True]))[0].tolist() == [1, 0, 2, 1, 1]
         # diag(2, 4, 4) with couplings floored at the smallest normal
         # float: exact zero pivots at x = 2 and x = 4 give no 0/0, and the
         # counts are those of the eigenvalues 2 - tiny/2 and 4 -+ sqrt(tiny)
-        a = np.array([[2.0, 4.0, 4.0]]).T
-        e2 = np.full((2, 1), np.finfo(float).tiny)
-        x = np.array([[2.0, 4.0, 3.0, 5.0]]).T
-        assert _sturm_counts(a, e2, x, np.array([True]))[:, 0].tolist() == [1, 2, 1, 3]
+        a = np.array([[2.0, 4.0, 4.0]])
+        e2 = np.full((1, 2), np.finfo(float).tiny)
+        x = np.array([[2.0, 4.0, 3.0, 5.0]])
+        assert sturm_counts(a, e2, x, np.array([True]))[0].tolist() == [1, 2, 1, 3]
 
 
 def checked_points(n):
     """Every sector r <= n/2 of the real form S, with the points to count at.
 
-    One column per sector: every value x_i -+ tol of ``spectrum_2token(n)``,
+    One row per sector: every value x_i -+ tol of ``spectrum_2token(n)``,
     then seeded points uniform in [-1, 10] and [3.9, 4.1] and within 1e-9
     of both band edges 4 -+ 2e, e the interior coupling.
     """
@@ -532,29 +555,29 @@ def checked_points(n):
     rs = np.arange(nu + 1)
     a, e2, m, tol = _real_band(n, rs, _sector_band(n, rs))
     report = spectrum_2token(n)
-    x = np.stack([report.values[report.sectors == r] for r in rs], axis=1)
+    x = np.stack([report.values[report.sectors == r] for r in rs])
     rng = np.random.default_rng(n)
-    e = np.sqrt(e2[0])
+    e = np.sqrt(e2[:, 0])
     size = (20, len(rs))
-    points = [x - tol, x + tol, rng.uniform(-1, 10, size), rng.uniform(3.9, 4.1, size)]
+    points = [x.T - tol, x.T + tol, rng.uniform(-1, 10, size), rng.uniform(3.9, 4.1, size)]
     points += [edge + rng.uniform(-1e-9, 1e-9, size) for edge in (4 - 2 * e, 4 + 2 * e)]
-    return a, e2, np.concatenate(points), m == nu
+    return a, e2, np.concatenate(points).T, m == nu
 
 
 class TestToeplitzCounts:
-    """The closed-form count against the pivot loop, as integers."""
+    """The closed-form count against the reference pivot loop, as integers."""
 
     @pytest.mark.parametrize("n", [*range(4, 131), 199, 200, 301, 1000])
     def test_equals_sturm_counts_on_every_sector(self, n):
-        # n = 4 and 5 have no interior rows; for even n the last column
+        # n = 4 and 5 have no interior rows; for even n the last row
         # is the half turn, whose couplings are zero (floored at tiny)
         a, e2, x, full = checked_points(n)
         if n % 2 == 0:
-            assert (e2[:, -1] == np.finfo(float).tiny).all()
-        got, want = _toeplitz_counts(a, e2, x, full), _sturm_counts(a, e2, x, full)
+            assert (e2[-1] == np.finfo(float).tiny).all()
+        got, want = _toeplitz_counts(a, e2, x, full), sturm_counts(a, e2, x, full)
         assert got.dtype == want.dtype
         bad = np.argwhere(got != want)
-        assert not len(bad), [(x[i, c], c, got[i, c], want[i, c]) for i, c in bad[:5]]
+        assert not len(bad), [(x[r, i], r, got[r, i], want[r, i]) for r, i in bad[:5]]
 
     @pytest.mark.parametrize("nu", range(2, 41))
     def test_synthetic_bands_at_the_band_edge_and_a_zero_head_pivot(self, nu):
@@ -564,15 +587,15 @@ class TestToeplitzCounts:
         # 1 x 1 matrix [a0], whose eigenvalue is x = a0 itself, where the
         # count rests on rounding alone, so nu = 2 keeps its tail row.
         rng = np.random.default_rng(nu)
-        cols = 24
-        a = np.full((nu, cols), 4.0)
-        a[0] = np.concatenate([[2.0, 6.0], rng.uniform(-1, 9, cols - 2)])
-        a[-1] = rng.uniform(-1, 9, cols)
-        e2 = np.ones((nu - 1, cols))
-        e2[-1] = rng.uniform(0.1, 3.0, cols)
-        full = (np.arange(cols) % 2 == 0) | (nu == 2)
-        x = np.stack([np.full(cols, 2.0), np.full(cols, 6.0), a[0]])
-        assert np.array_equal(_toeplitz_counts(a, e2, x, full), _sturm_counts(a, e2, x, full))
+        rows = 24
+        a = np.full((rows, nu), 4.0)
+        a[:, 0] = np.concatenate([[2.0, 6.0], rng.uniform(-1, 9, rows - 2)])
+        a[:, -1] = rng.uniform(-1, 9, rows)
+        e2 = np.ones((rows, nu - 1))
+        e2[:, -1] = rng.uniform(0.1, 3.0, rows)
+        full = (np.arange(rows) % 2 == 0) | (nu == 2)
+        x = np.stack([np.full(rows, 2.0), np.full(rows, 6.0), a[:, 0]], axis=1)
+        assert np.array_equal(_toeplitz_counts(a, e2, x, full), sturm_counts(a, e2, x, full))
 
     @pytest.mark.parametrize("nu", [3, 6, 20, 60])
     def test_synthetic_bands_with_a_zero_last_interior_pivot(self, nu):
@@ -586,14 +609,14 @@ class TestToeplitzCounts:
         inside = (beta > 0.01) & (beta < np.pi - 0.01)
         theta, beta = theta[inside], beta[inside]
         x = 4 - 2 * np.cos(theta)
-        a = np.full((nu, len(x)), 4.0)
-        a[0] = x + np.cos(theta) + np.sin(theta) / np.tan(beta)
-        a[-1] = rng.uniform(-1, 9, len(x))
-        e2 = np.ones((nu - 1, len(x)))
-        e2[-1] = rng.uniform(0.1, 3.0, len(x))
+        a = np.full((len(x), nu), 4.0)
+        a[:, 0] = x + np.cos(theta) + np.sin(theta) / np.tan(beta)
+        a[:, -1] = rng.uniform(-1, 9, len(x))
+        e2 = np.ones((len(x), nu - 1))
+        e2[:, -1] = rng.uniform(0.1, 3.0, len(x))
         full = np.ones(len(x), bool)
-        assert np.array_equal(_toeplitz_counts(a, e2, x[None], full),
-                              _sturm_counts(a, e2, x[None], full))
+        assert np.array_equal(_toeplitz_counts(a, e2, x[:, None], full),
+                              sturm_counts(a, e2, x[:, None], full))
 
     @pytest.mark.parametrize("n", range(4, 131, 2))
     def test_half_turn_at_its_head_value(self, n):
@@ -603,9 +626,9 @@ class TestToeplitzCounts:
         nu = n // 2
         rs = np.array([nu])
         a, e2, m, _ = _real_band(n, rs, _sector_band(n, rs))
-        x = np.array([[2.0], [3.0], [0.0], [9.0]])
+        x = np.array([[2.0, 3.0, 0.0, 9.0]])
         got = _toeplitz_counts(a, e2, x, m == nu)
-        assert got[:, 0].tolist() == _sturm_counts(a, e2, x, m == nu)[:, 0].tolist()
+        assert got[0].tolist() == sturm_counts(a, e2, x, m == nu)[0].tolist()
         assert got[0, 0] == 1
 
 
