@@ -5,15 +5,16 @@ z^n = 1, so a monomial z^-m can be stored as z^(n-m) without changing
 any value.  Exponents are therefore canonicalized to [0, n).  This keeps
 negative powers out of storage while the renderer can still print either
 form.  Coefficients are exact integers.  A matrix is stored only as
-integer term arrays: they specialize to a complex matrix with one table
-lookup and one scatter (the angle r*e is reduced mod n first, so phases
-stay accurate for any exponent), and every text form is rendered from
-them cell by cell.
+integer term arrays.  Evaluated at an n-th root of unity they give the
+matrix's nonzero cells with one table lookup and one segmented sum (the
+angle r*e is reduced mod n first, so phases stay accurate for any
+exponent); the dense form is those cells scattered, and every text form
+is rendered from the terms cell by cell.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,12 +104,32 @@ class LaurentMatrix:
         """
         return [[_cell_text(p, self.n, balanced) for p in row] for row in self.entries]
 
-    def specialize(self, r: int) -> np.ndarray:
-        """Entrywise evaluation at z = exp(2*pi*i*r/n)."""
+    @cached_property
+    def _cell_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first term of each distinct (row, col), and its row and col."""
+        cell, start = np.unique(self.row * self.order + self.col, return_index=True)
+        index = (start, *np.divmod(cell, self.order))
+        for arr in index:
+            arr.flags.writeable = False
+        return index
+
+    def cells(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells (row, col, value) at z = exp(2*pi*i*r/n), sorted by (row, col).
+
+        One cell per (row, col) that holds a term, its value the sum of
+        its terms; a sum that cancels stays a cell.  The values at n - r
+        are exactly the conjugates of those at r.
+        """
         check_sector(self.n, r)
+        start, row, col = self._cell_index
         values = self.coeff * root_table(self.n)[(r * self.exp) % self.n]
+        return row, col, np.add.reduceat(values, start)
+
+    def specialize(self, r: int) -> np.ndarray:
+        """The dense matrix at z = exp(2*pi*i*r/n): ``cells(r)`` scattered."""
+        i, j, values = self.cells(r)
         out = np.zeros((self.order, self.order), dtype=complex)
-        np.add.at(out, (self.row, self.col), values)
+        out[i, j] = values
         return out
 
     def render(self, balanced: bool = False) -> str:

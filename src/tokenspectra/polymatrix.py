@@ -33,10 +33,12 @@ two-dimensional dihedral representation is of real type), so in a basis
 of fixed items and item pairs with half phases H is a real symmetric
 matrix S.  In the real sectors 0 and n/2 the reflection itself is
 linear, and S splits into its even and odd parts.  Each basis vector
-combines at most 4 orbits, so ``solve_sector`` assembles the blocks of S
-from the nonzero cells of b alone, checks the coupling, the skew, the
-realness and the entries between blocks on the way, and solves each
-block by its own real ``eigh``; the kept residual is measured against b.
+combines at most 4 orbits, so no sector is held dense: its cells, at
+most 2k + 1 per row, come from the terms of B(z) (``LaurentMatrix.cells``),
+the blocks of S are assembled from them with the coupling, skew, realness
+and between-block checks on the way, and each block is solved by its own
+real ``eigh``.  The kept residual is measured against the same cells,
+ROW_BLOCK rows at a time in real arithmetic.
 
 ``sector_eigenpairs`` and ``filter_spurious`` keep the paper's literal
 construction (a general eigensolve, then a rank test on the eigenspaces
@@ -62,7 +64,7 @@ from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_
 from .tokengraph import CACHE_SIZE, TokenGraph, build_token_graph, check_sector, token_moves
 
 SQRT_HALF = np.sqrt(0.5)
-COLUMN_CHUNK = 256  # kept vectors built and checked this many columns at a time
+ROW_BLOCK = 128  # rows of b D^(-1/2) Q built and checked at a time for the kept residual
 
 
 @dataclass(frozen=True)
@@ -300,40 +302,6 @@ class SectorSolution:
     blocks: tuple[int, ...] = ()
 
 
-def _real_form(b: np.ndarray, orbits: OrbitTable, basis: tuple, root: np.ndarray,
-               where: str) -> np.ndarray:
-    """The real block diagonal S of the sector matrix b in ``basis``.
-
-    ``basis`` is one entry of ``_sector_bases``.  The nonzero cells of b
-    are read once.  Within tol = ``quotient_tol(max|b|)``, b[X, U] must
-    vanish, H = D_U^(1/2) b[U, U] D_U^(-1/2) must be Hermitian (checked
-    between each cell and its transpose cell) and the complement must
-    square to the identity and take +-1 on every column (both hold
-    exactly when 2k != n).  ``root`` is sqrt(p / top) for each orbit
-    period p.
-    """
-    blocked, col, coef, sizes, square, piece = basis
-    nu = orbits.count
-    flat = b.reshape(-1)
-    cells = np.flatnonzero(flat != 0)
-    values = flat[cells]
-    size = np.abs(values)
-    tol = quotient_tol(float(size.max(initial=0.0)))
-    i, j = np.divmod(cells, nu)
-    out, into = blocked[i], blocked[j]
-    check_bound(where, "blocked orbit coupling max|b[X, U]|",
-                float(size[out > into].max(initial=0.0)), tol)
-    inside = ~(out | into)
-    i, j = i[inside], j[inside]
-    ratio = root[i] / root[j]
-    h = values[inside] * ratio
-    skew = np.abs(h - (flat[j * nu + i] / ratio).conj())
-    check_bound(where, "skew max|H - H^*|", float(skew.max(initial=0.0)), tol)
-    check_bound(where, "complement square max|C^2 - I|", float(square), tol)
-    check_bound(where, "complement piece eigenvalues max|C q - (+-q)|", float(piece), tol)
-    return _assemble(col, coef, i, j, h, sizes, where, tol)
-
-
 def _assemble(col: np.ndarray, coef: np.ndarray, i: np.ndarray, j: np.ndarray,
               h: np.ndarray, sizes: np.ndarray, where: str, tol: float) -> np.ndarray:
     """The real block diagonal S = Q^* H Q from the cells H[i, j] = h.
@@ -393,61 +361,66 @@ def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
     naming its quantity: b[X, U] must vanish, H must be Hermitian, S
     real and zero between its blocks.  The kept vectors v are unit
     eigenvectors of b, exactly zero on the blocked orbits, and their
-    residuals max|b v - v lambda| must stay within RESIDUAL_TOL.  The
-    discarded values are ``eig`` of b[X, X]; their imaginary parts must
-    stay within IMAG_TOL and their residuals within RESIDUAL_TOL.  A
-    sector r outside [0, n) or a b that is not nu x nu for ``orbits``
-    raises ``ParameterDomainError``.
+    residuals max|b v - v lambda|, blocked rows included, must stay
+    within RESIDUAL_TOL.  The discarded values are ``eig`` of b[X, X];
+    their imaginary parts must stay within IMAG_TOL and their residuals
+    within RESIDUAL_TOL.  A sector r outside [0, n) or a b that is not
+    nu x nu for ``orbits`` raises ``ParameterDomainError``.
     """
     check_sector(orbits.n, r)
-    if np.shape(b) != (orbits.count, orbits.count):
+    nu = orbits.count
+    if np.shape(b) != (nu, nu):
         raise ParameterDomainError(f"sector matrix of shape {np.shape(b)} for the "
-                                   f"{orbits.count} orbits of F_{orbits.k}(C_{orbits.n})")
-    return _solve_sector(b, orbits, r, _sector_bases(orbits, [r])[0], vectors)
+                                   f"{nu} orbits of F_{orbits.k}(C_{orbits.n})")
+    flat = np.asarray(b).reshape(-1)
+    cells = np.flatnonzero(flat)
+    i, j = np.divmod(cells, nu)
+    return _solve_sector((i, j, flat[cells], flat[j * nu + i]), orbits, r,
+                         _sector_bases(orbits, [r])[0], vectors)
 
 
-def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
+def _solve_sector(cells: tuple, orbits: OrbitTable, r: int, basis: tuple,
                   vectors: bool) -> SectorSolution:
-    """``solve_sector`` in the sector's entry of ``_sector_bases``.
+    """``solve_sector`` on b's cells (i, j, b[i, j], b[j, i]), sorted by row.
 
-    Besides b, a sector holds S until its blocks are solved, then u and
-    one chunk of COLUMN_CHUNK columns of v and of b v at a time, plus
-    the returned vectors only when they are asked for.
+    ``basis`` is the sector's entry of ``_sector_bases``.  Skew is checked
+    between each cell and its transpose cell.  No nu x nu matrix is held:
+    S until its blocks are solved, then u and ROW_BLOCK rows at a time.
     """
     n, k = orbits.n, orbits.k
     where = f"F_{k}(C_{n}) sector r={r}"
-    blocked, col, coef, sizes = basis[:4]
-    if (r == 0 or 2 * r == n) and not b.imag.any():
-        b = b.real.copy()  # the root table gives +-1 exactly
+    blocked, col, coef, sizes, square, piece = basis
+    i, j, values, transposed = cells
+    if (r == 0 or 2 * r == n) and not np.imag(values).any():
+        values, transposed = values.real, transposed.real  # the root table gives +-1 exactly
+    size = np.abs(values)
+    tol = quotient_tol(float(size.max(initial=0.0)))
+    out, into = blocked[i], blocked[j]
+    check_bound(where, "blocked orbit coupling max|b[X, U]|",
+                float(size[out > into].max(initial=0.0)), tol)
+    inside = ~(out | into)
     root = np.sqrt(orbits.periods / orbits.periods.max())
-    s = _real_form(b, orbits, basis, root, where)
+    iu, ju = i[inside], j[inside]
+    ratio = root[iu] / root[ju]
+    h = values[inside] * ratio
+    skew = np.abs(h - (transposed[inside] / ratio).conj())
+    check_bound(where, "skew max|H - H^*|", float(skew.max(initial=0.0)), tol)
+    check_bound(where, "complement square max|C^2 - I|", float(square), tol)
+    check_bound(where, "complement piece eigenvalues max|C q - (+-q)|", float(piece), tol)
+    s = _assemble(col, coef, iu, ju, h, sizes, where, tol)
     try:
         vals, u = _block_eigh(s, sizes)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"{where}: eigh failed: {exc}") from exc
     del s
-    # v = D^(-1/2) Q u, column scaled, and the residual of b v = v lambda,
-    # one chunk of columns at a time
-    coef = coef / root
-    res = np.empty(len(vals))
-    v = np.empty((len(root), len(vals)), dtype=coef.dtype) if vectors else None
-    for c in range(0, len(vals), COLUMN_CHUNK):
-        part = slice(c, c + COLUMN_CHUNK)
-        chunk = coef[0, :, None] * u[col[0], part]
-        for p in range(1, len(col)):
-            chunk += coef[p, :, None] * u[col[p], part]
-        chunk /= np.linalg.norm(chunk, axis=0)
-        if vectors:
-            v[:, part] = chunk
-        gap = b @ chunk
-        chunk *= vals[part]  # v lambda in place, so no third chunk is made
-        gap -= chunk
-        res[part] = np.abs(gap).max(axis=0)
-        del chunk, gap  # before the next chunk is built
+    res, v = _kept_residuals(i, j, values, col, coef / root, u, vals, vectors)
     del u
     discarded = np.empty(0)
     if blocked.any():
-        bxx = b[np.ix_(blocked, blocked)]
+        at = np.cumsum(blocked) - 1  # b[X, X] from the cells with both ends blocked
+        both = blocked[i] & blocked[j]
+        bxx = np.zeros((at[-1] + 1,) * 2, dtype=values.dtype)
+        bxx[at[i[both]], at[j[both]]] = values[both]
         try:
             dvals, dvecs = np.linalg.eig(bxx)
         except np.linalg.LinAlgError as exc:
@@ -462,9 +435,53 @@ def _solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, basis: tuple,
     return SectorSolution(r, vals, res, discarded, v, tuple(sizes.tolist()))
 
 
+def _kept_residuals(i: np.ndarray, j: np.ndarray, values: np.ndarray, col: np.ndarray,
+                    q: np.ndarray, u: np.ndarray, vals: np.ndarray, vectors: bool) -> tuple:
+    """max|b v - v lambda| per column of v = q u, column scaled, and v if asked for.
+
+    q = D^(-1/2) Q is given by rows as ``_sector_bases`` gives Q, and b's
+    cells by row.  For each ROW_BLOCK rows, one ``np.bincount`` builds
+    G = b[rows] q, its real part above its imaginary part, one gather per
+    slot builds V = q[rows] u, and gap = G u - V lambda takes real
+    products only.  max|gap|^2 and ||V||^2 add up per column, so the
+    residual is sqrt(max / ||V||^2).
+    """
+    nu, m = col.shape[1], len(vals)
+    v = np.empty((nu, m), dtype=q.dtype) if vectors else None
+    # cell (i, j) adds b[i, j] q[j, a] to G[i, a] for each of row j's slots a
+    key, weight = i * m + col[:, j], values * q[:, j]
+    parts = 1 + np.iscomplexobj(weight)
+    top = norm = end = 0
+    for start in range(0, nu, ROW_BLOCK):
+        rows, height = slice(start, start + ROW_BLOCK), min(ROW_BLOCK, nu - start)
+        begin, end = end, i.searchsorted(start + ROW_BLOCK)
+        part = q[0, rows, None] * u[col[0, rows]]
+        for slot in range(1, len(col)):
+            part += q[slot, rows, None] * u[col[slot, rows]]
+        if vectors:
+            v[rows] = part
+        at, w = key[:, begin:end] - start * m, weight[:, begin:end]
+        if parts > 1:  # the imaginary parts below the real ones
+            at = np.concatenate([at, at + height * m], axis=None)
+            w = np.concatenate([w.real, w.imag], axis=None)
+            part = np.concatenate([part.real, part.imag])
+        gap = np.bincount(at.ravel(), w.ravel(), parts * height * m).reshape(-1, m) @ u
+        norm = norm + (part * part).sum(axis=0)
+        part *= vals
+        gap -= part
+        gap *= gap
+        top = np.maximum(top, (gap[:height] + gap[height:] if parts > 1 else gap).max(axis=0))
+        del part, gap  # before the next block is built
+    if vectors:
+        v /= np.sqrt(norm)
+    return np.sqrt(top / norm), v
+
+
 def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
     """The ``SectorSolution`` of every sector r = 0..n-1, in sector order.
 
+    Each sector is solved from the cells of B(w^r) (``LaurentMatrix.cells``);
+    a cell without its transposed cell raises ``NumericFailureError``.
     Only the sectors r <= n/2 are solved.  The coefficients of B(z) are
     integers and the root table is conjugate symmetric, so B(w^(n-r)) is
     exactly the conjugate of B(w^r): its eigenvalues and residuals are
@@ -474,8 +491,17 @@ def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
     orbits = enumerate_orbits(n, k)
     matrix = build_poly_matrix(n, k)
     rs = list(range(n // 2 + 1))
-    sols = [_solve_sector(matrix.specialize(r), orbits, r, basis, vectors)
-            for r, basis in zip(rs, _sector_bases(orbits, rs))]
+    sols = []
+    for r, basis in zip(rs, _sector_bases(orbits, rs)):
+        i, j, values = matrix.cells(r)
+        if r == 0:  # every sector has the same cells
+            key, want = i * orbits.count + j, j * orbits.count + i
+            flip = np.minimum(np.searchsorted(key, want), len(key) - 1)
+            lost = np.flatnonzero(key[flip] != want)
+            if len(lost):
+                raise NumericFailureError(f"F_{k}(C_{n}): cell ({i[lost[0]]}, {j[lost[0]]}) "
+                                          "of B(z) has no transposed cell")
+        sols.append(_solve_sector((i, j, values, values[flip]), orbits, r, basis, vectors))
     for r in range(n // 2 + 1, n):
         sol = sols[n - r]
         conj = None if sol.vectors is None else sol.vectors.conj()

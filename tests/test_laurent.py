@@ -206,3 +206,75 @@ class TestLaurentMatrix:
     def test_specialize_rejects_bad_sector(self):
         with pytest.raises(ParameterDomainError):
             build_poly_matrix(6, 3).specialize(6)
+
+
+def dense_reference(m, r):
+    """B(w^r) with every term added into its entry one by one (``np.add.at``)."""
+    out = np.zeros((m.order, m.order), dtype=complex)
+    np.add.at(out, (m.row, m.col), m.coeff * np.exp(2j * np.pi * (r * m.exp % m.n) / m.n))
+    return out
+
+
+ORBIT_MATRICES = [(n, k) for n in range(3, 15) for k in range(1, n // 2 + 1)]
+
+
+class TestCells:
+    """``cells(r)``: one value per (row, col) that holds a term."""
+
+    @pytest.mark.parametrize("n,k", ORBIT_MATRICES)
+    def test_cells_scatter_to_specialize(self, n, k):
+        # the cells are the distinct (row, col) of the terms, sorted, and
+        # cover every nonzero entry of an independent dense evaluation
+        for shift in ("smallest", "largest"):
+            m = matrix_at_shift(n, k, shift)
+            pattern = np.unique(m.row * m.order + m.col)
+            for r in range(n):
+                i, j, values = m.cells(r)
+                assert np.array_equal(i * m.order + j, pattern), (n, k, shift, r)
+                b = np.zeros((m.order, m.order), dtype=complex)
+                b[i, j] = values
+                assert np.array_equal(m.specialize(r), b), (n, k, shift, r)
+                want = dense_reference(m, r)
+                assert_allclose(b, want, rtol=0, atol=1e-14, err_msg=str((n, k, shift, r)))
+                off = np.ones_like(b, dtype=bool)
+                off[i, j] = False
+                assert not want[off].any(), (n, k, shift, r)
+
+    @pytest.mark.parametrize("n,k", ORBIT_MATRICES)
+    def test_conjugate_cells_exact(self, n, k):
+        m = build_poly_matrix(n, k)
+        for r in range(1, n):
+            i, j, values = m.cells(r)
+            ci, cj, conj = m.cells(n - r)
+            assert np.array_equal(ci, i) and np.array_equal(cj, j)
+            assert np.array_equal(conj, values.conj()), (n, k, r)
+            assert np.array_equal(m.specialize(n - r), m.specialize(r).conj()), (n, k, r)
+
+    @pytest.mark.parametrize("n,k", ORBIT_MATRICES)
+    def test_every_cell_has_its_transposed_cell(self, n, k):
+        # the neighbour relation is symmetric, and no off-diagonal term cancels
+        for shift in ("smallest", "largest"):
+            m = matrix_at_shift(n, k, shift)
+            i, j, _ = m.cells(0)
+            assert set(zip(i.tolist(), j.tolist())) == set(zip(j.tolist(), i.tolist()))
+
+    @given(term_matrices(), st.integers(0, 11))
+    def test_random_term_sets(self, m, r):
+        # repeated and cancelling terms: a cancelled term leaves no cell,
+        # a cancelling sum of distinct exponents stays a cell
+        r %= m.n
+        i, j, values = m.cells(r)
+        key = i * m.order + j
+        assert np.array_equal(key, np.unique(m.row * m.order + m.col))
+        assert_allclose(m.specialize(r), dense_reference(m, r), rtol=0, atol=1e-12)
+
+    def test_cells_are_read_only(self):
+        m = build_poly_matrix(8, 4)
+        i, j, values = m.cells(3)
+        assert not i.flags.writeable and not j.flags.writeable
+        values[0] = 0  # the values are the caller's own
+        assert m.cells(3)[2][0] != 0
+
+    def test_cells_reject_bad_sector(self):
+        with pytest.raises(ParameterDomainError):
+            build_poly_matrix(6, 3).cells(6)

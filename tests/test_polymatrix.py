@@ -22,7 +22,7 @@ from tokenspectra import (CountMismatchError, EigenPair, LaurentMatrix, NumericF
                           full_spectrum, kept_eigenpairs, laplacian,
                           lift_eigenvector, multisets_close)
 from tokenspectra.laurent import root_table
-from tokenspectra.polymatrix import (COLUMN_CHUNK, _sector_bases, _sector_solutions,
+from tokenspectra.polymatrix import (ROW_BLOCK, _sector_bases, _sector_solutions,
                                      blocked_mask, filter_spurious, sector_eigenpairs,
                                      solve_sector)
 from tokenspectra.tokengraph import CACHE_SIZE, subset_rank
@@ -419,21 +419,35 @@ class TestSolveSector:
 
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 4), (9, 3), (12, 6)])
     def test_residuals_are_those_of_the_returned_vectors(self, n, k):
-        # one product against b itself, blocked rows included
+        # one dense product against b itself, blocked rows included; the
+        # solver forms (b D^(-1/2) Q) u instead, a reassociated product
         orbits = enumerate_orbits(n, k)
         m = build_poly_matrix(n, k)
         for r in range(n):
             b, _ = _reference_basis(m.specialize(r), orbits, r)
             sol = solve_sector(b, orbits, r)
             want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
-            assert np.array_equal(sol.residuals, want), (n, k, r)
+            assert_allclose(sol.residuals, want, rtol=0, atol=1e-14, err_msg=str((n, k, r)))
 
-    def test_residuals_across_a_column_chunk_boundary(self):
-        # 429 kept columns at (15, 7), r = 1: two chunks of COLUMN_CHUNK
+    @pytest.mark.parametrize("n,k,r", [(9, 3, 2), (12, 6, 1), (12, 6, 6), (15, 7, 1)])
+    def test_residuals_of_shifted_values(self, n, k, r, monkeypatch):
+        # values moved by 1e-9 leave gaps of 1e-9 |v|, real and imaginary
+        # parts both, far above rounding: the residuals match the dense ones
+        orbits = enumerate_orbits(n, k)
+        b = build_poly_matrix(n, k).specialize(r)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0] + 1e-9, eigh(h)[1]))
+        sol = solve_sector(b, orbits, r)
+        want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
+        assert_allclose(sol.residuals, want, rtol=1e-5, atol=0)
+        assert np.all(sol.residuals > 1e-11)
+
+    def test_residuals_across_a_row_block_boundary(self):
+        # 429 orbits at (15, 7), r = 1: four blocks of ROW_BLOCK rows
         orbits = enumerate_orbits(15, 7)
         b = build_poly_matrix(15, 7).specialize(1)
         sol = solve_sector(b, orbits, 1)
-        assert len(sol.kept) > COLUMN_CHUNK
+        assert orbits.count > ROW_BLOCK
         want = np.max(np.abs(b @ sol.vectors - sol.vectors * sol.kept), axis=0)
         assert_allclose(sol.residuals, want, rtol=0, atol=1e-15)
         bare = solve_sector(b, orbits, 1, vectors=False)
@@ -515,9 +529,47 @@ class TestSolveSector:
                            match=r"sector r=1: complement piece eigenvalues max\|C q - \(\+-q\)\|"):
             solve_sector(b, broken, 1)
 
+    @pytest.mark.parametrize("r", [0, 3, 4])
+    def test_one_sided_skew_raises(self, r):
+        # solve_sector reads a missing transposed cell of a dense b as 0,
+        # so a new cell on one side only is a skew of its full size
+        orbits = enumerate_orbits(8, 4)
+        b = build_poly_matrix(8, 4).specialize(r)
+        blocked = _blocked_mask(orbits, r)
+        a, c = next((a, c) for a in range(orbits.count) for c in range(orbits.count)
+                    if b[a, c] == 0 and not blocked[a] and not blocked[c])
+        b[a, c] = 1e-6
+        with pytest.raises(NumericFailureError,
+                           match=rf"^F_4\(C_8\) sector r={r}: skew max\|H - H\^\*\| "
+                                 r"1\.000e-06 exceeds tol 9\.000e-08$"):
+            solve_sector(b, orbits, r)
+
+    def test_cell_without_transposed_cell_raises(self, monkeypatch):
+        # B(z) of (6, 3) without the terms of its cell (1, 0): the terms
+        # hold no value for the transpose of (0, 1), which must not read 0
+        m = build_poly_matrix(6, 3)
+        keep = (m.row != 1) | (m.col != 0)
+        cut = LaurentMatrix(6, m.order, m.row[keep], m.col[keep], m.exp[keep], m.coeff[keep])
+        monkeypatch.setattr(polymatrix, "build_poly_matrix", lambda n, k: cut)
+        with pytest.raises(NumericFailureError,
+                           match=r"^F_3\(C_6\): cell \(0, 1\) of B\(z\) has no transposed cell$"):
+            full_spectrum(6, 3)
+
+    def test_peak_memory_of_full_spectrum(self):
+        # no sector matrix is held dense: the traced peak of the whole
+        # route at (16, 8) stays below two dense copies of one b
+        nu = enumerate_orbits(16, 8).count
+        tracemalloc.start()
+        try:
+            full_spectrum(16, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (nu * nu * 16) < 2.0
+
     def test_peak_memory_of_a_complex_sector(self):
-        # S is assembled from the cells of b, and v and b v are built one
-        # column chunk at a time: the peak stays below two copies of b
+        # S is assembled from the cells of b, and the residual is built
+        # one block of rows at a time: the peak stays below two copies of b
         peak = _traced_peak(vectors=False)
         assert peak < 2.0, peak
 
