@@ -16,7 +16,6 @@ LIFT_SUPPORT_TOL = 1e-10  # lift: components up to this times the largest count 
 LIFT_RESIDUAL_TOL = 1e-8  # lift: |L x - lambda x| of the lifted vector
 NEWTON_STEP_TOL = 1e-12  # two-token Newton steps stop below this fraction of the bracket
 POLE_TOL = 1e-12  # a continued-fraction denominator below this is a pole
-TOEPLITZ_SHARE = 1e-4  # two-token check: the spread of a band's interior, as a share of its tol
 ZERO_TOL = 1e-8  # algebraic_connectivity: eigenvalues at most this are zero
 
 

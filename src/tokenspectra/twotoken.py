@@ -36,33 +36,32 @@ which cannot overflow.  In sector 0 the top root is Z = 2 exactly
 
 The roots are checked against the sector matrix itself, read from
 ``root_table`` with the powers z, conj(z), z^(nu-1) and z^nu of B(z),
-band by band and without a dense matrix (``_check_roots``): its Hermitian
-quotient H must not couple a blocked orbit and must be Hermitian, and
-since the reflection X -> -X of the cycle fixes every orbit {0, h},
-diagonal phases must make H a real symmetric tridiagonal S.  Between
-its head row and its last row S is Toeplitz, diagonal 4 and couplings
-e = 2|cos(r pi/n)|, and its spread from that must stay within a
-TOEPLITZ_SHARE of tol.  There the pivots of the LDL^T factorization of
-S - x, over e, run q -> Z - 1/q with Z = (4 - x)/e, so the count of
-negative pivots, the number of eigenvalues below x, has a closed form
-with no loop over the rows: an angle inside the band |Z| < 2 and at most
-one sign change outside it (discrete Sturm oscillation; Teschl, "Jacobi
-Operators and Completely Integrable Nonlinear Lattices", AMS 2000).
-Counts at x_i -+ tol show that the i-th smallest root x_i lies within
-tol of the i-th eigenvalue of S, multiplicities included.  tol is first
-lowered by the spread, which by Weyl's inequality bounds how far the
-eigenvalues of S lie from those of the Toeplitz matrix counted, so no
-check is looser.  The same count, by bisection, measures the gap of a
-failed check; the pivot loop of Barth, Martin and Wilkinson (Numer.
-Math. 1967) is its exact reference in the tests.  Conjugate sectors r
-and n - r share their roots.  Multiplied through by t = 2 cos(r pi/n),
-the same recurrence runs on polynomials in w = 4 - lambda as
-(R, S) -> (S, w S - t^2 R) and yields the sector characteristic polynomial t^2 R - (2 - lambda) S.
-Nothing divides by t, so the half turn t = 0 needs no case of its own,
-and the leading coefficient is +-1.  Diagonalizing the 2x2 transfer
-step gives a closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2, real
-and continuous through Z^2 = 4 with no guard band, that starts from
-``_terminal``'s pair, so ``_terminal`` is the one case split of all three forms.
+without a dense matrix (``_check_roots``).  Its rows 1..nu-2 are equal,
+so its band is held as a head, one interior and a tail row.  Its
+Hermitian quotient H must not couple a blocked orbit and must be
+Hermitian, and since the reflection X -> -X of the cycle fixes every
+orbit {0, h}, diagonal phases must make H a real symmetric tridiagonal
+S, Toeplitz inside: diagonal 4, couplings e = 2|cos(r pi/n)|.  There
+the pivots of the LDL^T factorization of S - x, over e, run
+q -> Z - 1/q with Z = (4 - x)/e, so the count of negative pivots, the
+number of eigenvalues below x, has a closed form with no loop over the
+rows: an angle inside the band |Z| < 2 and at most one sign change
+outside it (discrete Sturm oscillation; Teschl, "Jacobi Operators and
+Completely Integrable Nonlinear Lattices", AMS 2000).  Counts at
+x_i -+ tol show that the i-th smallest root x_i lies within tol of the
+i-th eigenvalue of S, multiplicities included.  The same count, by
+bisection, measures the gap of a failed check; the pivot loop of Barth,
+Martin and Wilkinson (Numer. Math. 1967) is its exact reference in the
+tests.  Conjugate sectors r and n - r share their roots.
+
+Multiplied through by t = 2 cos(r pi/n), the same recurrence runs on
+polynomials in w = 4 - lambda as (R, S) -> (S, w S - t^2 R) and yields
+the sector characteristic polynomial t^2 R - (2 - lambda) S.  Nothing
+divides by t, so the half turn t = 0 needs no case of its own, and the
+leading coefficient is +-1.  Diagonalizing the 2x2 transfer step gives a
+closed form in rho_{1,2} = (Z +- sqrt(Z^2 - 4))/2, real and continuous
+through Z^2 = 4 with no guard band, that starts from ``_terminal``'s
+pair, so ``_terminal`` is the one case split of all three forms.
 
 Case split for even n.  At r = n/2 the sector matrix is diagonal with
 entries 2, 4, ..., 4.  When nu = n/2 is even the sector order 2 divides
@@ -80,8 +79,7 @@ from .errors import NumericFailureError, ParameterDomainError, PoleError
 from .laurent import root_table
 from .report import SpectrumReport
 from .tokengraph import check_sector
-from .tolerances import (NEWTON_STEP_TOL, POLE_TOL, TOEPLITZ_SHARE, check_bound,
-                         quotient_tol)
+from .tolerances import NEWTON_STEP_TOL, POLE_TOL, check_bound, quotient_tol
 
 NEWTON_MAX_STEPS = 64
 COUNT_BLOCK = 1 << 16  # points per block of sectors in the root check
@@ -108,23 +106,26 @@ def _kept_counts(n: int, rs: np.ndarray) -> np.ndarray:
 
 
 def _sector_band(n: int, rs: np.ndarray):
-    """The bands (lower, diag, upper) of B(w^r) for the sectors rs.
+    """The distinct entries (lower, diag, upper) of B(w^r) for the sectors rs.
 
     One row per sector, entry for entry B(z) of ``build_poly_matrix(n, 2)``,
     every neighbour at its smallest shift.  Diagonal (2, 4, ..., 4);
     couplings -1-z below and -1-1/z above.  For odd n the last diagonal
     entry gains -z^nu - z^-nu; for even n the bottom coupling becomes
-    -(1+z)(1+z^nu) and the top one -1-z^(nu-1).  Powers of z come from
-    ``root_table``, so sector n - r is exactly the conjugate of sector r,
-    and for even n, z^nu = (-1)^r exactly zeroes odd sectors' bottom coupling.
+    -(1+z)(1+z^nu) and the top one -1-z^(nu-1).  Rows 1..nu-2 are equal, so
+    only the head, one interior and the tail row are held: min(nu, 3)
+    diagonal columns.  Powers of z come from ``root_table``, so sector
+    n - r is exactly the conjugate of sector r, and for even n,
+    z^nu = (-1)^r exactly zeroes odd sectors' bottom coupling.
     """
     nu = n // 2
+    width = min(nu, 3)
     table = root_table(n)
     z, zbar, z_nu = (table[v % n, None] for v in (rs, n - rs, rs * nu))
-    diag = np.full((len(rs), nu), 4.0 + 0j)
+    diag = np.full((len(rs), width), 4.0 + 0j)
     diag[:, 0] = 2.0
-    lower = np.repeat(-1 - z, nu - 1, axis=1)
-    upper = np.repeat(-1 - zbar, nu - 1, axis=1)
+    lower = np.repeat(-1 - z, width - 1, axis=1)
+    upper = np.repeat(-1 - zbar, width - 1, axis=1)
     if n % 2:
         diag[:, -1:] = 4 - z_nu - z_nu.conj()
     else:
@@ -136,12 +137,15 @@ def _sector_band(n: int, rs: np.ndarray):
 def build_b2(n: int, r: int) -> np.ndarray:
     """The specialized tridiagonal sector matrix at z = exp(2*pi*i*r/n).
 
-    The dense form of ``_sector_band``; ``build_b2(n, n - r)`` is exactly
-    the conjugate of ``build_b2(n, r)``.
+    ``_sector_band`` with its interior row repeated nu - 2 times;
+    ``build_b2(n, n - r)`` is exactly the conjugate of ``build_b2(n, r)``.
     """
     n, r = _check_sector(n, r)
     lower, diag, upper = (v[0] for v in _sector_band(n, np.array([r])))
-    return np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    rows = np.minimum(np.arange(n // 2), 1)
+    rows[-1] = len(diag) - 1
+    off = rows[1:] - 1
+    return np.diag(diag[rows]) + np.diag(lower[off], -1) + np.diag(upper[off], 1)
 
 
 def _terminal(n: int, r: int, w, t):
@@ -322,28 +326,27 @@ def _edge_pivots(head: np.ndarray, half: np.ndarray, steps: int):
 
 
 def _toeplitz_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
-                     full: np.ndarray) -> np.ndarray:
+                     full: np.ndarray, steps: int) -> np.ndarray:
     """Eigenvalues below each point, per row of tridiagonal matrices, in closed form.
 
     Row i of ``a`` (diagonal) and ``e2`` (squared couplings, all
-    positive) is a real symmetric tridiagonal matrix T, and row i of
-    ``x`` holds its points; ``full`` marks the matrices that use their
-    last diagonal entry.  T is taken Toeplitz inside: rows 1..L,
-    L = a.shape[1] - 2, have diagonal a[:, 1] and couplings
-    sqrt(e2[:, 0]) into them.  The count is the number of negative
-    pivots of the LDL^T factorization of T - x (Sylvester's law of
-    inertia).  Over e = sqrt(e2[:, 0]) the head pivot is (a[:, 0] - x)/e,
-    and the interior runs the pivot recurrence q -> Z - 1/q,
-    Z = (a[:, 1] - x)/e, in closed form (discrete Sturm oscillation;
-    Teschl, Jacobi Operators and Completely Integrable Nonlinear
-    Lattices, AMS 2000, ch. 4): ``_band_pivots`` on every point with Z
-    clipped to the band, then ``_edge_pivots`` on the points out of it.
-    The tail row L + 1, used where ``full``, is one generic pivot with
-    its own a and e2.  No loop runs over the rows.  The root check and
-    the gap of a failed one both count here; away from the eigenvalues,
-    where only rounding decides, the count equals the pivot loop's.
+    positive) is a real symmetric tridiagonal matrix T of order
+    steps + 2, and row i of ``x`` holds its points; ``full`` marks the
+    matrices that use their last diagonal entry.  T is Toeplitz inside:
+    its head a[:, 0], then ``steps`` rows of diagonal a[:, 1] and
+    couplings e = sqrt(e2[:, 0]) into them, then its tail a[:, -1] with
+    coupling e2[:, -1]; no other column is read.  The count is the
+    number of negative pivots of the LDL^T factorization of T - x
+    (Sylvester's law of inertia).  Over e the head pivot is
+    (a[:, 0] - x)/e, and the interior runs the pivot recurrence
+    q -> Z - 1/q, Z = (a[:, 1] - x)/e, in closed form (discrete Sturm
+    oscillation; Teschl, Jacobi Operators and Completely Integrable
+    Nonlinear Lattices, AMS 2000, ch. 4): ``_band_pivots`` on every point
+    with Z clipped to the band, then ``_edge_pivots`` on the points out
+    of it.  The tail, used where ``full``, is one generic pivot.  No loop
+    runs over the rows.  Away from the eigenvalues, where only rounding
+    decides, the count equals the pivot loop's.
     """
-    steps = a.shape[1] - 2
     e = np.sqrt(e2[:, :1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         head = (a[:, :1] - x) / e
@@ -353,14 +356,16 @@ def _toeplitz_counts(a: np.ndarray, e2: np.ndarray, x: np.ndarray,
         if edge.any():
             count[edge], last[edge] = _edge_pivots(head[edge], half[edge], steps)
         tail = a[:, -1:] - x - e2[:, -1:] / (e * last)
-        return (count + (np.signbit(tail) & full[:, None])).astype(np.min_scalar_type(a.shape[1]))
+        return (count + (np.signbit(tail) & full[:, None])).astype(np.min_scalar_type(steps + 2))
 
 
-def _root_gap(a: np.ndarray, e2: np.ndarray, full: np.ndarray, roots: np.ndarray) -> float:
-    """max|roots - eig(T)| for one sector, by bisection on ``_toeplitz_counts``.
+def _root_gap(a: np.ndarray, e2: np.ndarray, full: np.ndarray, roots: np.ndarray,
+              steps: int) -> float:
+    """max|roots - eig(S)| for one sector, by bisection on ``_toeplitz_counts``.
 
-    ``a``, ``e2`` and ``full`` are the sector's single row as the check
-    counts on it, and ``roots`` its sorted kept roots.
+    ``a``, ``e2`` and ``full`` are the sector's single row and ``steps``
+    its interior length, as the check counts on them, and ``roots`` its
+    sorted kept roots.
     """
     radius = 2.0 * math.sqrt(e2.max())
     lo = np.full((1, len(roots)), a.min() - radius)
@@ -368,31 +373,30 @@ def _root_gap(a: np.ndarray, e2: np.ndarray, full: np.ndarray, roots: np.ndarray
     rank = np.arange(len(roots))
     for _ in range(64):  # enough halvings of the Gershgorin interval to reach rounding
         mid = 0.5 * (lo + hi)
-        below = _toeplitz_counts(a, e2, mid, full) > rank
+        below = _toeplitz_counts(a, e2, mid, full, steps) > rank
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return float(np.max(np.abs(roots - 0.5 * (lo + hi)[0])))
 
 
 def _real_band(n: int, rs: np.ndarray, band):
-    """The real symmetric S of each sector, one row per sector.
+    """The real symmetric S of each sector, in the columns of ``_sector_band``.
 
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.  As
-    in ``polymatrix.solve_sector``, the blocked coupling b[nu-1, nu-2]
-    must vanish within tol = ``quotient_tol(max|b|)``, and the Hermitian
-    quotient H = D^(1/2) b D^(-1/2) on the first m kept orbits, its
-    entries past m zero, must have skew max|H - H^*| within tol.  The
-    reflection of the cycle fixes every orbit, -{0, h} = {0, h} + (n - h),
-    so the phases exp(-i pi r (n - h)/n) turn H into a real symmetric S
-    with the same eigenvalues (the reflection basis of
-    ``polymatrix.solve_sector`` with every orbit fixed), and max|Im S|
-    must stay within tol.  The phases of neighbouring orbits differ by
-    the one factor exp(-i pi r/n), which multiplies the couplings below
-    the diagonal; they leave the diagonal as it is, and the skew bounds
-    its imaginary part.  Returns the diagonal a, contiguous, the squared
-    couplings e2 (floored at the smallest normal float), the kept sizes
-    and the tols.  ``band`` is left unchanged.
+    in ``polymatrix.solve_sector``, the blocked (tail) coupling must
+    vanish within tol = ``quotient_tol(max|b|)``, and the Hermitian
+    quotient H = D^(1/2) b D^(-1/2) on the m kept orbits, its entries
+    past m zero, must have skew max|H - H^*| within tol.  The reflection
+    of the cycle fixes every orbit, -{0, h} = {0, h} + (n - h), so the
+    phases exp(-i pi r (n - h)/n) turn H into a real symmetric S with the
+    same eigenvalues (``polymatrix.solve_sector``'s reflection basis,
+    every orbit fixed), and max|Im S| must stay within tol.  Neighbouring
+    phases differ by the one factor exp(-i pi r/n), which multiplies
+    every coupling below the diagonal and leaves the diagonal, whose
+    imaginary part the skew bounds.  Returns the diagonal a, contiguous,
+    the squared couplings e2 (floored at the smallest normal float), the
+    kept sizes and the tols.  ``band`` is left unchanged.
     """
     lower, diag, upper = (np.array(v, dtype=complex) for v in band)
     biggest = np.maximum(np.abs(diag).max(axis=1),
@@ -422,27 +426,16 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
 
     ``roots`` holds one row per sector, as ``_solve_sectors`` returns
     them; entries past the kept count are ignored.  The band must have a
-    real form S (``_real_band``), and rows 1..nu-2 of S must be Toeplitz:
-    the spread max|diag - diag[1]| + 2 max|coupling - coupling[0]| over
-    them bounds the norm of S - T, T the matrix that is exactly Toeplitz
-    there, and may be at most a TOEPLITZ_SHARE of tol.  Then for the
-    sorted roots x_i the closed-form counts of T (``_toeplitz_counts``),
-    taken in blocks of sectors, must show
-    count(x_i - tol') <= i < count(x_i + tol'), tol' = tol - spread: the
-    i-th eigenvalue of T lies within tol' of x_i, so by Weyl's inequality
-    that of S lies within tol, which also checks multiplicities.  A
-    failure raises ``NumericFailureError`` naming n, r, the quantity, its
-    value and tol; a failed count reports the gap to the eigenvalues of
-    T that bisection on the same count measures (``_root_gap``).
+    real form S (``_real_band``).  Then for the sorted roots x_i the
+    closed-form counts of S (``_toeplitz_counts``), taken in blocks of
+    sectors, must show count(x_i - tol) <= i < count(x_i + tol): the
+    i-th eigenvalue of S lies within tol of x_i, which also checks
+    multiplicities.  A failure raises ``NumericFailureError`` naming n,
+    r, the quantity, its value and tol; a failed count reports the gap
+    that bisection on the same count measures (``_root_gap``).
     """
     nu = n // 2
     a, e2, m, tol = _real_band(n, rs, band)
-    steps = nu - 2
-    coupling = np.sqrt(e2[:, :steps])
-    spread = (np.abs(a[:, 1:steps + 1] - a[:, 1:2]).max(axis=1, initial=0.0)
-              + 2 * np.abs(coupling - coupling[:, :1]).max(axis=1, initial=0.0))
-    _check_sectors(n, rs, "interior Toeplitz spread max|S - T|", spread, TOEPLITZ_SHARE * tol)
-    margin = (tol - spread)[:, None]
     rank = np.arange(nu)
     kept = rank < m[:, None]
     x = np.where(kept, np.sort(np.where(kept, roots, np.inf), axis=1), 0.0)
@@ -451,16 +444,16 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     step = max(1, COUNT_BLOCK // (2 * nu))
     for lo in range(0, len(rs), step):
         rows = slice(lo, lo + step)
-        xs, dx = x[rows], margin[rows]
+        xs, dx = x[rows], tol[rows, None]
         counts = _toeplitz_counts(a[rows], e2[rows], np.concatenate([xs - dx, xs + dx], axis=1),
-                                  full[rows])
+                                  full[rows], nu - 2)
         ok[rows] &= ~kept[rows] | (counts[:, :nu] <= rank) & (rank < counts[:, nu:])
     bad = ~ok.all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"F_2(C_{n}) sector r={rs[i]}"
         one = slice(i, i + 1)
-        gap = _root_gap(a[one], e2[one], full[one], x[i, :m[i]])
+        gap = _root_gap(a[one], e2[one], full[one], x[i, :m[i]], nu - 2)
         check_bound(where, "root gap max|roots - eig(S)|", gap, float(tol[i]))
         raise NumericFailureError(
             f"{where}: Sturm counts put a root at least tol {tol[i]:.3e} "

@@ -13,7 +13,8 @@ divisor of n, the reference for the library's array rule
 ``necklaces.periods_of``.
 ``sturm_counts`` is the pivot loop of Barth, Martin and Wilkinson
 (Numer. Math. 1967), the exact reference for the closed-form count
-``twotoken._toeplitz_counts``.
+``twotoken._toeplitz_counts``; ``full_rows`` writes out the compact
+two-token band that count reads, row by row, for it.
 ``assert_kept_then_discarded`` checks the sector routes' trail layout,
 and ``shown_sectors`` with ``kept_first_ties`` the order a spectrum
 command shows at a tie.
@@ -149,6 +150,17 @@ def sturm_counts(a, e2, x, full):
                 neg &= full[:, None]
             counts += neg
     return counts
+
+
+def full_rows(a, e2, nu):
+    """The compact bands (a, e2) of head, interior and tail rows written out to nu rows each.
+
+    Row 1 of ``a`` and coupling 0 of ``e2`` fill the interior; order 2
+    has no interior row.
+    """
+    rows = np.minimum(np.arange(nu), 1)
+    rows[-1] = a.shape[1] - 1
+    return a[:, rows], e2[:, rows[1:] - 1]
 
 
 class RealBasis:

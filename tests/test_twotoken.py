@@ -11,7 +11,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (assert_kept_then_discarded, cached_brute, cached_contfrac,
-                      cached_overlift, reflection_basis, sturm_counts, token_neighbors)
+                      cached_overlift, full_rows, reflection_basis, sturm_counts,
+                      token_neighbors)
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError,
@@ -19,7 +20,7 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token, twotoken)
 from tokenspectra.polymatrix import blocked_mask, check_bound
-from tokenspectra.tolerances import TOEPLITZ_SHARE, quotient_tol
+from tokenspectra.tolerances import quotient_tol
 from tokenspectra.twotoken import (_check_roots, _real_band, _sector_band, _solve_sectors,
                                    _terminal, _toeplitz_counts, build_b2)
 
@@ -153,6 +154,22 @@ class TestBuildB2:
                     want[-1, -2] = -1 - z - z ** nu - z ** (nu + 1)
                     want[-2, -1] = -1 - z ** (nu - 1)
                 assert_allclose(build_b2(n, r), want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(4, 61))
+    def test_band_holds_each_distinct_entry_once(self, n):
+        # head, one interior and tail row: the dense matrix repeats the
+        # interior row and nothing else
+        width = min(n // 2, 3)
+        lower, diag, upper = _sector_band(n, np.arange(n))
+        assert diag.shape == (n, width) and lower.shape == upper.shape == (n, width - 1)
+        for r in range(n):
+            b = build_b2(n, r)
+            d, lo, up = np.diag(b), np.diag(b, -1), np.diag(b, 1)
+            assert np.array_equal(diag[r], np.r_[d[0], d[1:-1][:1], d[-1]]), r
+            assert (d[1:-1] == diag[r, 1]).all(), r
+            for band, dense in ((lower[r], lo), (upper[r], up)):
+                assert np.array_equal(band, np.r_[dense[:-1][:1], dense[-1]]), r
+                assert (dense[:-1] == band[0]).all(), r
 
     def test_conjugate_sectors_exact(self):
         for n in range(4, 17):
@@ -400,19 +417,8 @@ class TestVerifyRoots:
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
     def test_rejects_non_toeplitz_interior(self, n, r):
         # one interior coupling off by 1e-6 relative: H stays Hermitian
-        # and its real form real, but the closed-form count no longer
-        # describes S
-        rs, roots, band = banded(n, r)
-        e = abs(band[0][0, 0])
-        band[0][0, 1] *= 1 + 1e-6
-        band[2][0, 1] *= 1 + 1e-6
-        with pytest.raises(NumericFailureError, match=failure_pattern(
-                n, r, "interior Toeplitz spread max|S - T|")) as info:
-            _check_roots(n, rs, roots, band)
-        value, tol = (float(v) for v in re.findall(r"\d\.\d{3}e[-+]\d+", str(info.value)))
-        assert value == pytest.approx(2e-6 * e, rel=1e-3)
-        assert tol == pytest.approx(TOEPLITZ_SHARE * quotient_tol(float(np.abs(build_b2(n, r)).max())),
-                                    rel=1e-3)
+        # and its real form real, but the roots are no longer those of S
+        # (the band holds one interior row, so only the dense b has this)
         b = build_b2(n, r)
         b[2, 1] *= 1 + 1e-6
         b[1, 2] *= 1 + 1e-6
@@ -420,25 +426,14 @@ class TestVerifyRoots:
             dense_verify_roots(n, r, sector_roots(n, r), b)
 
     @pytest.mark.parametrize("n,r", VERIFY_CASES)
-    def test_spread_comes_off_tol(self, n, r):
-        # with the interior spread at half its bound, a root within
-        # tol - spread of its eigenvalue in T, the exactly Toeplitz
-        # matrix counted, passes, and one within tol but past tol - spread
-        # fails: only then is S's eigenvalue surely within tol
+    def test_root_gap_boundary_at_tol(self, n, r):
+        # a root 0.9 tol from its eigenvalue of S passes, and one 1.1 tol
+        # from it fails
         rs, roots, band = banded(n, r)
-        e = abs(band[0][0, 0])
-        tol = quotient_tol(float(np.abs(build_b2(n, r)).max()))
-        spread = 0.5 * TOEPLITZ_SHARE * tol
-        band[0][0, 1] *= 1 + spread / (2 * e)
-        band[2][0, 1] *= 1 + spread / (2 * e)
-        a, e2, m, _ = _real_band(n, rs, band)
-        k = m[0]
-        off = np.full(k - 1, math.sqrt(e2[0, 0]))
-        if k == a.shape[1]:  # the tail row keeps its own coupling
-            off[-1] = math.sqrt(e2[0, -1])
-        t = np.diag(a[0, :k]) + np.diag(off, 1) + np.diag(off, -1)
-        eig = np.linalg.eigvalsh(t)
-        for shift, passes in ((tol - 2 * spread, True), (tol - 0.5 * spread, False)):
+        b = build_b2(n, r)
+        tol = quotient_tol(float(np.abs(b).max()))
+        eig = np.linalg.eigvalsh(two_token_basis(n, r).reduce(b, ""))
+        for shift, passes in ((0.9 * tol, True), (1.1 * tol, False)):
             moved = roots.copy()
             moved[0, 1] = eig[1] + shift
             if passes:
@@ -481,7 +476,8 @@ class TestBandedSectors:
         rs = np.arange(n)
         a, e2, m, tol = _real_band(n, rs, _sector_band(n, rs))
         tiny = np.finfo(float).tiny
-        assert a.flags.c_contiguous and a.shape == (n, n // 2)
+        assert a.flags.c_contiguous and a.shape == (n, min(n // 2, 3))
+        a, e2 = full_rows(a, e2, n // 2)
         for r in rs:
             b = build_b2(n, r)
             s = two_token_basis(n, r).reduce(b, "")
@@ -574,7 +570,8 @@ class TestToeplitzCounts:
         a, e2, x, full = checked_points(n)
         if n % 2 == 0:
             assert (e2[-1] == np.finfo(float).tiny).all()
-        got, want = _toeplitz_counts(a, e2, x, full), sturm_counts(a, e2, x, full)
+        got = _toeplitz_counts(a, e2, x, full, n // 2 - 2)
+        want = sturm_counts(*full_rows(a, e2, n // 2), x, full)
         assert got.dtype == want.dtype
         bad = np.argwhere(got != want)
         assert not len(bad), [(x[r, i], r, got[r, i], want[r, i]) for r, i in bad[:5]]
@@ -595,7 +592,8 @@ class TestToeplitzCounts:
         e2[:, -1] = rng.uniform(0.1, 3.0, rows)
         full = (np.arange(rows) % 2 == 0) | (nu == 2)
         x = np.stack([np.full(rows, 2.0), np.full(rows, 6.0), a[:, 0]], axis=1)
-        assert np.array_equal(_toeplitz_counts(a, e2, x, full), sturm_counts(a, e2, x, full))
+        assert np.array_equal(_toeplitz_counts(a, e2, x, full, nu - 2),
+                              sturm_counts(a, e2, x, full))
 
     @pytest.mark.parametrize("nu", [3, 6, 20, 60])
     def test_synthetic_bands_with_a_zero_last_interior_pivot(self, nu):
@@ -615,7 +613,7 @@ class TestToeplitzCounts:
         e2 = np.ones((len(x), nu - 1))
         e2[:, -1] = rng.uniform(0.1, 3.0, len(x))
         full = np.ones(len(x), bool)
-        assert np.array_equal(_toeplitz_counts(a, e2, x[:, None], full),
+        assert np.array_equal(_toeplitz_counts(a, e2, x[:, None], full, steps),
                               sturm_counts(a, e2, x[:, None], full))
 
     @pytest.mark.parametrize("n", range(4, 131, 2))
@@ -627,8 +625,8 @@ class TestToeplitzCounts:
         rs = np.array([nu])
         a, e2, m, _ = _real_band(n, rs, _sector_band(n, rs))
         x = np.array([[2.0, 3.0, 0.0, 9.0]])
-        got = _toeplitz_counts(a, e2, x, m == nu)
-        assert got[0].tolist() == sturm_counts(a, e2, x, m == nu)[0].tolist()
+        got = _toeplitz_counts(a, e2, x, m == nu, nu - 2)
+        assert got[0].tolist() == sturm_counts(*full_rows(a, e2, nu), x, m == nu)[0].tolist()
         assert got[0, 0] == 1
 
 
