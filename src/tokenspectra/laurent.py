@@ -120,9 +120,9 @@ class LaurentMatrix:
         its terms; a sum that cancels stays a cell.  The values at n - r
         are exactly the conjugates of those at r.
         """
-        check_sector(self.n, r)
+        n, r = check_sector(self.n, r)
         start, row, col = self._cell_index
-        values = self.coeff * root_table(self.n)[(r * self.exp) % self.n]
+        values = self.coeff * root_table(n)[(r * self.exp) % n]
         return row, col, np.add.reduceat(values, start)
 
     def specialize(self, r: int) -> np.ndarray:

@@ -123,7 +123,7 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     shift.  The periods come from ``periods_of`` (the smallest rotation
     fixing each representative) and must equal the orbit sizes.
     """
-    check_params(n, k)
+    n, k = check_params(n, k)
     subsets = k_subsets(n, k)
     least = np.arange(len(subsets))
     shift_of = np.zeros(len(subsets), dtype=np.int64)
@@ -199,16 +199,18 @@ def _exact_div(total: int, n: int, what: str) -> int:
     return q
 
 
-def _check_count_domain(n: int, k: int) -> None:
-    """The counts hold for 1 <= k <= n, wider than ``check_params``."""
+def _check_count_domain(n: int, k: int) -> tuple[int, int]:
+    """The counts hold for 1 <= k <= n, wider than ``check_params``; (n, k) as Python ints."""
     check_integers(n=n, k=k)
+    n, k = int(n), int(k)
     if n < 1 or k < 1 or k > n:
         raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    return n, k
 
 
 def count_burnside(n: int, k: int) -> int:
     """Orbit count via the fixed-point sum over all rotations."""
-    _check_count_domain(n, k)
+    n, k = _check_count_domain(n, k)
     total = 0
     for r in range(n):
         o = sector_order(n, r)
@@ -219,13 +221,13 @@ def count_burnside(n: int, k: int) -> int:
 
 def count_polya(n: int, k: int) -> int:
     """Orbit count via the totient sum over divisors of gcd(n, k)."""
-    _check_count_domain(n, k)
+    n, k = _check_count_domain(n, k)
     total = sum(euler_phi(d) * comb(n // d, k // d) for d in divisors(gcd(n, k)))
     return _exact_div(total, n, "totient")
 
 
 def count_moreau(n: int, k: int) -> int:
     """Count of aperiodic orbits (period exactly n), via the Moebius sum."""
-    _check_count_domain(n, k)
+    n, k = _check_count_domain(n, k)
     total = sum(moebius(d) * comb(n // d, k // d) for d in divisors(gcd(n, k)))
     return _exact_div(total, n, "Moebius")

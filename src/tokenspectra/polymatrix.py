@@ -15,7 +15,7 @@ neighbours of a blocked representative are invariant under its period
 shift, so each entry of its row in an unblocked column is a sum
 z^s (1 + z^p + z^(2p) + ...) over a full period of w^(rp), which
 vanishes.  B(w^r) is therefore block upper triangular over (unblocked
-U, blocked X), and ``solve_sector`` reads the split off exactly:
+U, blocked X), and the sector solve reads the split off exactly:
 
 * the kept values are the spectrum of H = D_U^(1/2) B_UU D_U^(-1/2),
   D = diag(orbit periods), which is Hermitian (the quotient-matrix
@@ -61,13 +61,14 @@ from .necklaces import OrbitTable, enumerate_orbits, sector_order
 from .report import SpectrumReport
 from .tolerances import (CLUSTER_TOL, IMAG_TOL, LIFT_RESIDUAL_TOL, LIFT_SUPPORT_TOL,
                          RANK_TOL, RESIDUAL_TOL, check_bound, quotient_tol)
-from .tokengraph import CACHE_SIZE, TokenGraph, build_token_graph, check_sector, token_moves
+from .tokengraph import (CACHE_SIZE, TokenGraph, build_token_graph, check_params, check_sector,
+                         token_moves)
 
 SQRT_HALF = np.sqrt(0.5)
 ROW_BLOCK = 128  # rows of b D^(-1/2) Q built and checked at a time for the kept residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """One eigenvalue of a specialized sector matrix with its eigenvector."""
 
@@ -77,7 +78,7 @@ class EigenPair:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterVerdict:
     """Keep/discard decision for one eigenvalue cluster of a sector.
 
@@ -106,10 +107,10 @@ def build_poly_matrix(n: int, k: int) -> LaurentMatrix:
     period); the tests build the largest one as the invariance check.
     """
     orbits = enumerate_orbits(n, k)
-    row, _, at = token_moves(np.array(orbits.reps), n)
+    row, _, at = token_moves(np.array(orbits.reps), orbits.n)
     col, exp = orbits.orbit_of[at], orbits.shift_of[at]
     # each neighbour adds 1 to the diagonal and -z^s to its orbit's column
-    return LaurentMatrix(n, orbits.count, np.tile(row, 2), np.concatenate([row, col]),
+    return LaurentMatrix(orbits.n, orbits.count, np.tile(row, 2), np.concatenate([row, col]),
                          np.concatenate([np.zeros_like(exp), exp]),
                          np.repeat([1, -1], len(row)))
 
@@ -284,7 +285,7 @@ def _sector_bases(orbits: OrbitTable, rs: list[int]) -> list[tuple]:
              counts[x][counts[x] > 0], square[x], piece[x]) for x in range(len(rs))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorSolution:
     """Kept and discarded eigenvalues of one sector matrix, each ascending.
 
@@ -348,43 +349,25 @@ def _block_eigh(s: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vals[order], u
 
 
-def solve_sector(b: np.ndarray, orbits: OrbitTable, r: int, *,
-                 vectors: bool = True) -> SectorSolution:
-    """Split the sector matrix b = B(w^r) into kept and discarded values.
-
-    The kept values are the eigenvalues of the Hermitian quotient
-    H = D_U^(1/2) b[U, U] D_U^(-1/2) on the unblocked orbits U.  H is
-    written in the symmetry-adapted basis of ``_sector_bases`` as a real
-    block diagonal S, assembled from the nonzero cells of b, and each
-    block is solved by its own real ``eigh``.  Every check runs at
-    tol = ``quotient_tol(max|b|)`` and raises ``NumericFailureError``
-    naming its quantity: b[X, U] must vanish, H must be Hermitian, S
-    real and zero between its blocks.  The kept vectors v are unit
-    eigenvectors of b, exactly zero on the blocked orbits, and their
-    residuals max|b v - v lambda|, blocked rows included, must stay
-    within RESIDUAL_TOL.  The discarded values are ``eig`` of b[X, X];
-    their imaginary parts must stay within IMAG_TOL and their residuals
-    within RESIDUAL_TOL.  A sector r outside [0, n) or a b that is not
-    nu x nu for ``orbits`` raises ``ParameterDomainError``.
-    """
-    check_sector(orbits.n, r)
-    nu = orbits.count
-    if np.shape(b) != (nu, nu):
-        raise ParameterDomainError(f"sector matrix of shape {np.shape(b)} for the "
-                                   f"{nu} orbits of F_{orbits.k}(C_{orbits.n})")
-    flat = np.asarray(b).reshape(-1)
-    cells = np.flatnonzero(flat)
-    i, j = np.divmod(cells, nu)
-    return _solve_sector((i, j, flat[cells], flat[j * nu + i]), orbits, r,
-                         _sector_bases(orbits, [r])[0], vectors)
-
-
 def _solve_sector(cells: tuple, orbits: OrbitTable, r: int, basis: tuple,
                   vectors: bool) -> SectorSolution:
-    """``solve_sector`` on b's cells (i, j, b[i, j], b[j, i]), sorted by row.
+    """Split the sector matrix b = B(w^r) into kept and discarded values.
 
-    ``basis`` is the sector's entry of ``_sector_bases``.  Skew is checked
-    between each cell and its transpose cell.  No nu x nu matrix is held:
+    b is given by its cells (i, j, b[i, j], b[j, i]), sorted by row, and
+    ``basis`` is the sector's entry of ``_sector_bases``.  The kept
+    values are the eigenvalues of the Hermitian quotient
+    H = D_U^(1/2) b[U, U] D_U^(-1/2) on the unblocked orbits U.  H is
+    written in the symmetry-adapted basis as a real block diagonal S,
+    assembled from the cells, and each block is solved by its own real
+    ``eigh``.  Every check runs at tol = ``quotient_tol(max|b|)`` and
+    raises ``NumericFailureError`` naming its quantity: b[X, U] must
+    vanish, H must be Hermitian (skew is checked between each cell and
+    its transpose cell), S real and zero between its blocks.  The kept
+    vectors v are unit eigenvectors of b, exactly zero on the blocked
+    orbits, and their residuals max|b v - v lambda|, blocked rows
+    included, must stay within RESIDUAL_TOL.  The discarded values are
+    ``eig`` of b[X, X]; their imaginary parts must stay within IMAG_TOL
+    and their residuals within RESIDUAL_TOL.  No nu x nu matrix is held:
     S until its blocks are solved, then u and ROW_BLOCK rows at a time.
     """
     n, k = orbits.n, orbits.k
@@ -489,6 +472,7 @@ def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
     same order n/gcd(n, r), so they block the same orbits.
     """
     orbits = enumerate_orbits(n, k)
+    n, k = orbits.n, orbits.k
     matrix = build_poly_matrix(n, k)
     rs = list(range(n // 2 + 1))
     sols = []
@@ -511,6 +495,7 @@ def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
 
 def full_spectrum(n: int, k: int) -> SpectrumReport:
     """Union of the kept sector spectra, laid out by ``SpectrumReport.from_sectors``."""
+    n, k = check_params(n, k)
     sols = _sector_solutions(n, k, vectors=False)
     values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
     return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
@@ -528,7 +513,7 @@ def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:
             for col, (val, res) in enumerate(zip(sol.kept.tolist(), sol.residuals.tolist()))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedVector:
     """Eigenvector over all C(n, k) configurations, graph vertex order."""
 
@@ -574,11 +559,10 @@ def lift_eigenvector(pair: EigenPair, orbits: OrbitTable,
     ``ParameterDomainError``.
     """
     n, k = orbits.n, orbits.k
-    r = pair.sector
     if len(pair.vector) != orbits.count:
         raise ParameterDomainError(f"vector of length {len(pair.vector)} for the "
                                    f"{orbits.count} orbits of F_{k}(C_{n})")
-    check_sector(n, r)
+    n, r = check_sector(n, pair.sector)
     if graph is None:
         graph = build_token_graph(n, k)
     elif (graph.n, graph.k) != (n, k):

@@ -48,21 +48,29 @@ def check_integers(**sizes) -> None:
             raise ParameterDomainError(f"{name}={value!r} must be an integer")
 
 
-def check_params(n: int, k: int) -> None:
-    """Reject (n, k) outside 1 <= k <= n/2, n >= 3."""
+def check_params(n: int, k: int) -> tuple[int, int]:
+    """Reject (n, k) outside 1 <= k <= n/2, n >= 3; return them as Python ints.
+
+    Every route computes with the returned sizes, so a narrow NumPy
+    integer cannot wrap.
+    """
     check_integers(n=n, k=k)
+    n, k = int(n), int(k)
     if n < 3:
         raise ParameterDomainError(f"cycle length n={n} must be at least 3")
     if k < 1 or 2 * k > n:
         raise ParameterDomainError(
             f"token count k={k} must satisfy 1 <= k <= n/2 for n={n}")
+    return n, k
 
 
-def check_sector(n: int, r: int) -> None:
-    """Reject a sector index r outside [0, n) of the n-cycle."""
+def check_sector(n: int, r: int) -> tuple[int, int]:
+    """Reject a sector index r outside [0, n) of the n-cycle; return (n, r) as Python ints."""
     check_integers(n=n, r=r)
+    n, r = int(n), int(r)
     if not 0 <= r < n:
         raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
+    return n, r
 
 
 def subset_rank(subsets, n: int) -> np.ndarray:
@@ -138,7 +146,7 @@ class TokenGraph:
 @lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: 6.0 == 6 must reach check_params
 def build_token_graph(n: int, k: int) -> TokenGraph:
     """The token graph F_k(C_n) with its token-slot adjacency."""
-    check_params(n, k)
+    n, k = check_params(n, k)
     subsets = k_subsets(n, k)
     m = len(subsets)
     source, slot, target = token_moves(subsets, n)
@@ -262,7 +270,7 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
     checks), and each block is solved densely.  Guarded at
     C(n, k) <= 5000 so runtimes stay in seconds.
     """
-    check_params(n, k)
+    n, k = check_params(n, k)
     size = comb(n, k)
     if size > DENSE_SPECTRUM_CAP:
         raise SizeLimitError(

@@ -87,11 +87,11 @@ SQRT_HALF = np.sqrt(0.5)
 
 
 def _check_sector(n: int, r: int) -> tuple[int, int]:
-    """Check a two-token sector; (n, r) as Python ints, so NumPy's narrow sizes cannot wrap."""
-    check_sector(n, r)
+    """``check_sector``, and n >= 4."""
+    n, r = check_sector(n, r)
     if n < 4:
         raise ParameterDomainError(f"two-token closed forms need n >= 4, got {n}")
-    return int(n), int(r)
+    return n, r
 
 
 def _check_finite(lam: float) -> None:
@@ -384,14 +384,15 @@ def _real_band(n: int, rs: np.ndarray, band):
 
     Orbit h = 1..nu has period n, except the half-turn orbit h = n/2 of
     even n, which has period n/2 and is blocked in the odd sectors.  As
-    in ``polymatrix.solve_sector``, the blocked (tail) coupling must
-    vanish within tol = ``quotient_tol(max|b|)``, and the Hermitian
-    quotient H = D^(1/2) b D^(-1/2) on the m kept orbits, its entries
-    past m zero, must have skew max|H - H^*| within tol.  The reflection
-    of the cycle fixes every orbit, -{0, h} = {0, h} + (n - h), so the
-    phases exp(-i pi r (n - h)/n) turn H into a real symmetric S with the
-    same eigenvalues (``polymatrix.solve_sector``'s reflection basis,
-    every orbit fixed), and max|Im S| must stay within tol.  Neighbouring
+    in the overlift sector solve (``polymatrix._solve_sector``), the
+    blocked (tail) coupling must vanish within tol = ``quotient_tol(max|b|)``,
+    and the Hermitian quotient H = D^(1/2) b D^(-1/2) on the m kept
+    orbits, its entries past m zero, must have skew max|H - H^*| within
+    tol.  The reflection of the cycle fixes every orbit,
+    -{0, h} = {0, h} + (n - h), so the phases exp(-i pi r (n - h)/n) turn
+    H into a real symmetric S with the same eigenvalues (that solve's
+    reflection basis, every orbit fixed), and max|Im S| must stay within
+    tol.  Neighbouring
     phases differ by the one factor exp(-i pi r/n), which multiplies
     every coupling below the diagonal and leaves the diagonal, whose
     imaginary part the skew bounds.  Returns the diagonal a, contiguous,

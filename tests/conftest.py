@@ -23,7 +23,9 @@ command shows at a tie.
 matrix to its real symmetric form: one permuted copy of b, scaled by
 half phases and rotated pair by pair, with no symmetry blocks.
 ``reference_sector`` solves a sector through them, the independent
-reference for ``polymatrix.solve_sector``.
+reference for ``solve_sector``: the library's sector solve
+(``polymatrix._solve_sector``) on the nonzero cells of a dense sector
+matrix, the entry the tests perturb b through.
 
 ``build_poly_matrix`` places a neighbour in a short orbit at its
 smallest shift, which is fixed only mod the orbit's period.
@@ -50,7 +52,8 @@ from tokenspectra import (LaurentMatrix, ParameterDomainError, SpectrumReport,
                           brute_spectrum, build_poly_matrix, build_token_graph,
                           enumerate_orbits, full_spectrum, laplacian, spectrum_2token)
 from tokenspectra.laurent import root_table
-from tokenspectra.polymatrix import blocked_mask, solve_sector
+from tokenspectra.polymatrix import _sector_bases, _solve_sector, blocked_mask
+from tokenspectra.tokengraph import check_sector
 from tokenspectra.tolerances import CLUSTER_TOL, check_bound, quotient_tol
 
 SQRT_HALF = np.sqrt(0.5)
@@ -274,6 +277,21 @@ def reflection_basis(mirror_of: np.ndarray, mirror_shift: np.ndarray,
     shift = mirror_shift[np.concatenate([fixed, lows, lows])]
     phase = root_table(2 * n)[(-r * shift) % (2 * n)]
     return RealBasis(order, phase, len(fixed), periods, blocked)
+
+
+def solve_sector(b, orbits, r, *, vectors=True):
+    """``polymatrix._solve_sector`` on the cells of the dense nu x nu sector matrix b.
+
+    A sector r outside [0, n) raises ``ParameterDomainError``; a missing
+    transposed cell reads as 0.
+    """
+    check_sector(orbits.n, r)
+    nu = orbits.count
+    flat = np.asarray(b).reshape(-1)
+    cells = np.flatnonzero(flat)
+    i, j = np.divmod(cells, nu)
+    return _solve_sector((i, j, flat[cells], flat[j * nu + i]), orbits, r,
+                         _sector_bases(orbits, [r])[0], vectors)
 
 
 def reference_sector(b, orbits, r):

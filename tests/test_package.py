@@ -1,12 +1,17 @@
-"""The names ``import tokenspectra`` exports, and the names the benchmark traces."""
+"""The names ``import tokenspectra`` exports, the names the benchmark traces,
+and the README's library example."""
 import ast
 import importlib
+import re
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
+
 import tokenspectra
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 # the paper's literal construction and the dense two-token sector matrix:
 # references kept in their modules, not exported
 UNEXPORTED = {"tokenspectra.polymatrix": ("sector_eigenpairs", "filter_spurious"),
@@ -33,3 +38,18 @@ def test_exports_and_traced_names_resolve():
     for module, attr in ours:
         assert callable(reduce(getattr, attr.split("."), importlib.import_module(module))), \
             (module, attr)
+
+
+def test_readme_library_example_runs_as_commented():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library use\n+```python\n(.*?)```", text, re.S).group(1)
+    names = {}
+    exec(block, names)
+    report, dropped, matrix = names["report"], names["dropped"], names["matrix"]
+    assert len(report.kept) == 20
+    assert report.values[dropped].tolist() == [6.0] * 4
+    assert report.sectors[dropped].tolist() == [1, 2, 4, 5]
+    assert matrix.entries[3][1] == {1: -1, 3: -1, 5: -1}
+    assert matrix.cell_texts(balanced=True)[3][1] == "-z-z^3-z^-1"
+    assert matrix.specialize(1).shape == (4, 4)
+    assert np.shape(names["vec"].values) == (20,)

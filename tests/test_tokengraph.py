@@ -7,16 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cached_brute, edge_pairs, reference_brute, token_neighbors
+from conftest import cached_brute, edge_pairs, reference_brute, solve_sector, token_neighbors
 from numpy.testing import assert_allclose
 
 from tokenspectra import (NumericFailureError, ParameterDomainError, SizeLimitError,
                           brute_spectrum, build_poly_matrix, build_token_graph,
                           charpoly_rho_form, charpoly_sector, contfrac_q1, count_burnside,
-                          enumerate_orbits, full_spectrum, kept_eigenpairs, laplacian,
-                          lift_eigenvector, multiset_contains, sector_roots, spectrum_2token,
-                          tokengraph)
-from tokenspectra.polymatrix import solve_sector
+                          count_moreau, count_polya, enumerate_orbits, full_spectrum,
+                          kept_eigenpairs, laplacian, lift_eigenvector, multiset_contains,
+                          sector_roots, spectrum_2token, tokengraph)
 from tokenspectra.tokengraph import (DENSE_SPECTRUM_CAP, algebraic_connectivity, involutions,
                                      k_subsets, subset_rank, symmetry_blocks)
 
@@ -301,6 +300,31 @@ def test_non_integer_sizes_raise_the_typed_error(call, args, named):
         call(*args)
 
 
+def _orbit_arrays(table):
+    return [table.reps, table.periods, table.orbit_of, table.shift_of, table.mirror_of,
+            table.mirror_shift, table.complement_of, table.complement_shift]
+
+
+def _report_columns(report):
+    return [report.values, report.sectors, report.kept_mask]
+
+
+# narrow NumPy sizes whose products and binomials leave their type's range
+NARROW_SIZES = [
+    (enumerate_orbits, (np.int16(200), np.int16(2)), _orbit_arrays),
+    (build_token_graph, (np.int16(200), np.int16(2)), lambda g: [g.vertices, g.moves, g.degrees]),
+    (build_poly_matrix, (np.uint8(130), np.uint8(2)), lambda m: [m.terms, [m.n, m.order]]),
+    (full_spectrum, (np.int8(12), np.int8(6)), _report_columns),
+    (full_spectrum, (np.int16(200), np.int16(2)), _report_columns),
+    (kept_eigenpairs, (np.int8(12), np.int8(6)),
+     lambda ps: [[p.value for p in ps], [p.sector for p in ps], *(p.vector for p in ps)]),
+    (brute_spectrum, (np.int8(20), np.int8(2)), _report_columns),
+    (count_burnside, (np.int8(100), np.int8(50)), lambda c: [c]),
+    (count_polya, (np.int8(100), np.int8(50)), lambda c: [c]),
+    (count_moreau, (np.int8(100), np.int8(50)), lambda c: [c]),
+]
+
+
 def test_numpy_integer_sizes_pass():
     n, k = np.int64(6), np.int32(3)
     assert np.array_equal(full_spectrum(n, k).kept, full_spectrum(6, 3).kept)
@@ -309,3 +333,11 @@ def test_numpy_integer_sizes_pass():
     assert np.array_equal(sector_roots(np.uint8(7), np.uint8(1)), sector_roots(7, 1))
     assert np.array_equal(spectrum_2token(np.uint8(9)).values, spectrum_2token(9).values)
     assert np.array_equal(charpoly_sector(np.uint8(9), np.uint8(2)), charpoly_sector(9, 2))
+    # each call gives what its Python-int twin gives
+    for call, sizes, fields in NARROW_SIZES:
+        got, want = fields(call(*sizes)), fields(call(*map(int, sizes)))
+        assert len(got) == len(want), call.__name__
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b), call.__name__
+    report = full_spectrum(np.int8(12), np.int8(6))
+    assert type(report.n) is int and type(report.k) is int
