@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tokengraph import CACHE_SIZE, check_sector
+from .errors import ParameterDomainError
+from .tokengraph import CACHE_SIZE, check_integers, check_sector
 
 
 @lru_cache(maxsize=2 * CACHE_SIZE)  # each sector pipeline reads the tables of n and 2n
@@ -59,9 +60,34 @@ class LaurentMatrix:
     coeff: np.ndarray
 
     def __init__(self, n: int, order: int, row, col, exp, coeff) -> None:
-        """Matrix with the given terms; repeated (row, col, exp) terms add up."""
-        row, col, exp, coeff = (np.asarray(a, dtype=np.int64)
-                                for a in (row, col, exp, coeff))
+        """Matrix with the given terms; repeated (row, col, exp) terms add up.
+
+        Raises ``ParameterDomainError`` naming the field unless n >= 1 and
+        order >= 0 are integers and the term arrays are 1-D integer arrays
+        (an empty one of any type) of one length, with row and col in
+        [0, order).
+        """
+        check_integers(n=n, order=order)
+        n, order = int(n), int(order)
+        for name, size, least in (("n", n, 1), ("order", order, 0)):
+            if size < least:
+                raise ParameterDomainError(f"LaurentMatrix {name}={size} must be at least {least}")
+        terms = {"row": row, "col": col, "exp": exp, "coeff": coeff}
+        for name, arr in terms.items():
+            arr = np.asarray(arr)
+            if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+                raise ParameterDomainError(f"LaurentMatrix {name} must be a 1-D array of "
+                                           f"integers, got {arr.dtype} of shape {arr.shape}")
+            terms[name] = arr.astype(np.int64)
+        if len({len(arr) for arr in terms.values()}) > 1:
+            raise ParameterDomainError("LaurentMatrix term arrays must have one length, got "
+                                       + ", ".join(f"{k} {len(v)}" for k, v in terms.items()))
+        for name in ("row", "col"):
+            arr = terms[name]
+            if arr.size and not 0 <= arr.min() <= arr.max() < order:
+                raise ParameterDomainError(f"LaurentMatrix {name} must lie in [0, {order}), "
+                                           f"got {arr.min()}..{arr.max()}")
+        row, col, exp, coeff = terms.values()
         key = (row * order + col) * n + exp % n
         key, where = np.unique(key, return_inverse=True)
         total = np.zeros(len(key), dtype=np.int64)
@@ -92,8 +118,8 @@ class LaurentMatrix:
         for cell, e, c in zip((self.row * self.order + self.col).tolist(),
                               self.exp.tolist(), self.coeff.tolist()):
             grid[cell][e] = c
-        return tuple(tuple(grid[i:i + self.order])
-                     for i in range(0, len(grid), self.order))
+        return tuple(tuple(grid[i * self.order:(i + 1) * self.order])
+                     for i in range(self.order))
 
     def cell_texts(self, balanced: bool = False) -> list[list[str]]:
         """Each entry in signed-monomial form, e.g. ``-1-z^2`` or ``4-z^4-z^-4``.

@@ -44,6 +44,11 @@ class SpectrumReport:
                 column = np.array(column, dtype=dtype)
                 column.flags.writeable = False
                 object.__setattr__(self, name, column)
+        shapes = {name: getattr(self, name).shape for name in ("values", "sectors", "kept_mask")
+                  if getattr(self, name) is not None}
+        if self.values.ndim != 1 or len(set(shapes.values())) > 1:
+            raise ParameterDomainError("SpectrumReport columns must be 1-D of one length, got "
+                                       + ", ".join(f"{k} of shape {v}" for k, v in shapes.items()))
 
     @classmethod
     def from_sectors(cls, n: int, k: int, method: str, values, kept, discarded) -> SpectrumReport:

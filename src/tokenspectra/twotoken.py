@@ -26,8 +26,8 @@ between two consecutive zeros, except the top root, which may leave the
 band Z <= 2.  On the j-th bracket (j = 1, 2, ...) the equation reads
 p theta - phi - (j - 1) pi = atan((1 - alpha cos theta)/(alpha sin theta)),
 phi = 0 or pi/2 by the parity of r, which is nearly linear in theta;
-``_solve_sectors`` solves it for all roots of all sectors at once by
-Newton steps safeguarded by the brackets.  A top root above Z = 2 is
+``_solve_sectors`` solves it for all roots of a block of sectors at once
+by Newton steps safeguarded by the brackets.  A top root above Z = 2 is
 found as Z = 2 cosh(t) from the ratio form
 cosh t + sinh t T((p - 1) t) = alpha, T = tanh (even r) or coth (odd r),
 which cannot overflow.  In sector 0 the top root is Z = 2 exactly
@@ -72,6 +72,7 @@ sectors, and nu - 1 values are kept.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from .tokengraph import check_sector
 from .tolerances import NEWTON_STEP_TOL, POLE_TOL, check_bound, quotient_tol
 
 NEWTON_MAX_STEPS = 64
-COUNT_BLOCK = 1 << 16  # points per block of sectors in the root check
+COUNT_BLOCK = 1 << 16  # count points, 2 nu per sector, of each block spectrum_2token solves
 SQRT_HALF = np.sqrt(0.5)
 
 
@@ -94,10 +95,18 @@ def _check_sector(n: int, r: int) -> tuple[int, int]:
     return n, r
 
 
-def _check_finite(lam: float) -> None:
-    """NaN and infinities pass no pole or branch test, so they are refused first."""
+def _check_finite(lam: float) -> float:
+    """Refuse a lambda that is not a finite real number; return it as a Python float.
+
+    Bools are refused as for sizes; NumPy floats pass, and a float32 is
+    widened so the closed forms run in double precision.  NaN and
+    infinities pass no pole or branch test, so they are refused first.
+    """
+    if isinstance(lam, bool) or not isinstance(lam, Real):
+        raise ParameterDomainError(f"lambda={lam!r} must be a real number")
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lambda must be finite, got {lam}")
+    return float(lam)
 
 
 def _kept_counts(n: int, rs: np.ndarray) -> np.ndarray:
@@ -170,7 +179,7 @@ def contfrac_q1(lam: float, n: int, r: int) -> float:
     A denominator below POLE_TOL raises ``PoleError`` naming n, r and lambda.
     """
     n, r = _check_sector(n, r)
-    _check_finite(lam)
+    lam = _check_finite(lam)
     if 2 * r == n:
         raise ParameterDomainError(
             f"r = n/2 = {r} has no continued fraction (cos(r pi/n) = 0)")
@@ -428,9 +437,9 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     ``roots`` holds one row per sector, as ``_solve_sectors`` returns
     them; entries past the kept count are ignored.  The band must have a
     real form S (``_real_band``).  Then for the sorted roots x_i the
-    closed-form counts of S (``_toeplitz_counts``), taken in blocks of
-    sectors, must show count(x_i - tol) <= i < count(x_i + tol): the
-    i-th eigenvalue of S lies within tol of x_i, which also checks
+    closed-form counts of S (``_toeplitz_counts``), all in one call whose
+    size the caller bounds, must show count(x_i - tol) <= i < count(x_i + tol):
+    the i-th eigenvalue of S lies within tol of x_i, which also checks
     multiplicities.  A failure raises ``NumericFailureError`` naming n,
     r, the quantity, its value and tol; a failed count reports the gap
     that bisection on the same count measures (``_root_gap``).
@@ -440,15 +449,10 @@ def _check_roots(n: int, rs: np.ndarray, roots: np.ndarray, band) -> None:
     rank = np.arange(nu)
     kept = rank < m[:, None]
     x = np.where(kept, np.sort(np.where(kept, roots, np.inf), axis=1), 0.0)
-    ok = ~kept | np.isfinite(x)
     full = m == nu
-    step = max(1, COUNT_BLOCK // (2 * nu))
-    for lo in range(0, len(rs), step):
-        rows = slice(lo, lo + step)
-        xs, dx = x[rows], tol[rows, None]
-        counts = _toeplitz_counts(a[rows], e2[rows], np.concatenate([xs - dx, xs + dx], axis=1),
-                                  full[rows], nu - 2)
-        ok[rows] &= ~kept[rows] | (counts[:, :nu] <= rank) & (rank < counts[:, nu:])
+    dx = tol[:, None]
+    counts = _toeplitz_counts(a, e2, np.concatenate([x - dx, x + dx], axis=1), full, nu - 2)
+    ok = ~kept | np.isfinite(x) & (counts[:, :nu] <= rank) & (rank < counts[:, nu:])
     bad = ~ok.all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -478,7 +482,8 @@ def sector_roots(n: int, r: int) -> np.ndarray:
 def spectrum_2token(n: int) -> SpectrumReport:
     """All C(n, 2) eigenvalues of the two-token graph, by sectors.
 
-    Only the sectors r <= n/2 are solved and checked.  B has integer
+    Only the sectors r <= n/2 are solved and checked, one block of at
+    most COUNT_BLOCK count points (one sector at least) at a time.  B has integer
     coefficients, so B(w^(n-r)) is the conjugate of B(w^r); the two
     Hermitian quotients are conjugate and have the same eigenvalues, and
     sector n - r takes the roots of sector r.  Each sector contributes
@@ -488,9 +493,13 @@ def spectrum_2token(n: int) -> SpectrumReport:
     """
     n, _ = _check_sector(n, 0)  # sector 0 exists for every n; this checks n
     nu = n // 2
-    rs = np.arange(nu + 1)
-    roots = _solve_sectors(n, rs)
-    _check_roots(n, rs, roots, _sector_band(n, rs))
+    roots = np.empty((nu + 1, nu))
+    step = max(1, COUNT_BLOCK // (2 * nu))
+    for lo in range(0, nu + 1, step):
+        rs = np.arange(lo, min(lo + step, nu + 1))
+        block = _solve_sectors(n, rs)
+        _check_roots(n, rs, block, _sector_band(n, rs))
+        roots[rs] = block
     sectors = np.arange(n)
     kept = _kept_counts(n, sectors)
     values = np.where(np.arange(nu) < kept[:, None], roots[np.minimum(sectors, n - sectors)], 4.0)
@@ -560,7 +569,7 @@ def charpoly_rho_form(n: int, r: int, lam: float) -> float:
     past the float range raises ``NumericFailureError`` naming n, r and lambda.
     """
     n, r = _check_sector(n, r)
-    _check_finite(lam)
+    lam = _check_finite(lam)
     if 2 * r == n:
         val = math.prod([lam - 2.0] + [lam - 4.0] * (_kept_counts(n, r) - 1))
     else:

@@ -207,6 +207,30 @@ class TestLaurentMatrix:
         with pytest.raises(ParameterDomainError):
             build_poly_matrix(6, 3).specialize(6)
 
+    @pytest.mark.parametrize("args,message", [
+        ((5.0, 2, [], [], [], []), r"^n=5.0 must be an integer$"),
+        ((5, True, [], [], [], []), r"^order=True must be an integer$"),
+        ((0, 2, [], [], [], []), r"n=0 must be at least 1$"),
+        ((5, -1, [], [], [], []), r"order=-1 must be at least 0$"),
+        ((5, 2, [[0]], [[0]], [[1]], [[1]]),
+         r"row must be a 1-D array of integers, got int64 of shape \(1, 1\)$"),
+        ((5, 2, [0, 1], [0], [1], [1]), r"one length, got row 2, col 1, exp 1, coeff 1$"),
+        ((5, 2, [0], [3], [1], [1]), r"col must lie in \[0, 2\), got 3\.\.3$"),
+        ((5, 2, [-1], [0], [1], [1]), r"row must lie in \[0, 2\), got -1\.\.-1$"),
+        ((5, 2, [0], [0], [1], [1.5]), r"coeff must be a 1-D array of integers, got float64"),
+        ((5, 2, [0], [0], [True], [1]), r"exp must be a 1-D array of integers, got bool"),
+    ], ids=["float_n", "bool_order", "zero_n", "negative_order", "2d_row", "lengths",
+            "col_past_order", "negative_row", "float_coeff", "bool_exp"])
+    def test_rejects_out_of_domain_terms(self, args, message):
+        with pytest.raises(ParameterDomainError, match=message):
+            LaurentMatrix(*args)
+
+    def test_no_terms_is_the_zero_matrix(self):
+        m = LaurentMatrix(5, 2, [], [], [], [])
+        assert m.entries == (({}, {}), ({}, {}))
+        assert np.array_equal(m.specialize(1), np.zeros((2, 2)))
+        assert LaurentMatrix(np.int64(3), np.int32(0), (), (), (), ()).entries == ()
+
 
 def dense_reference(m, r):
     """B(w^r) with every term added into its entry one by one (``np.add.at``)."""

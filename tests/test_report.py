@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import cached_brute, cached_contfrac, cached_overlift
@@ -107,6 +109,18 @@ class TestSpectrumReport:
         assert (report.values.dtype, report.sectors.dtype, report.kept_mask.dtype) == (
             np.float64, np.int64, np.bool_)
         assert report.values[~report.kept_mask].tolist() == [4.0]
+
+    @pytest.mark.parametrize("values,sectors,mask,shapes", [
+        ([1.0, 2.0], [0], [True, False, True],
+         "values of shape (2,), sectors of shape (1,), kept_mask of shape (3,)"),
+        ([1.0, 2.0], None, [True], "values of shape (2,), kept_mask of shape (1,)"),
+        ([[1.0, 2.0]], None, [[True, False]], "values of shape (1, 2), kept_mask of shape (1, 2)"),
+        (1.0, 0, True, "values of shape (), sectors of shape (), kept_mask of shape ()"),
+    ])
+    def test_columns_of_one_length(self, values, sectors, mask, shapes):
+        with pytest.raises(ParameterDomainError,
+                           match=re.escape(f"must be 1-D of one length, got {shapes}")):
+            SpectrumReport(3, 1, "demo", values, sectors, mask)
 
     def test_brute_has_no_sectors(self):
         report = cached_brute(6, 2)

@@ -19,8 +19,8 @@ from tokenspectra import (NumericFailureError, ParameterDomainError,
                           PoleError, build_poly_matrix,
                           charpoly_rho_form, charpoly_sector, contfrac_q1,
                           multisets_close, sector_roots, spectrum_2token, twotoken)
-from tokenspectra.polymatrix import blocked_mask, check_bound
-from tokenspectra.tolerances import quotient_tol
+from tokenspectra.polymatrix import blocked_mask
+from tokenspectra.tolerances import check_bound, quotient_tol
 from tokenspectra.twotoken import (_check_roots, _real_band, _sector_band, _solve_sectors,
                                    _terminal, _toeplitz_counts, build_b2)
 
@@ -722,6 +722,48 @@ class TestSpectrum2Token:
             spectrum_2token(3)
 
 
+class TestSectorBlocks:
+    """``spectrum_2token`` solves and checks its sectors one block at a time."""
+
+    SMALL_BLOCK = 200  # 5 sectors of 2 nu = 40 count points per block at n = 40 and 41
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_blocks_keep_the_values(self, monkeypatch, n):
+        want = spectrum_2token(n).values
+        monkeypatch.setattr(twotoken, "COUNT_BLOCK", self.SMALL_BLOCK)
+        assert_allclose(spectrum_2token(n).values, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_each_sector_checked_once_in_order(self, monkeypatch, n):
+        seen = []
+        check = twotoken._check_roots
+
+        def record(n, rs, roots, band):
+            seen.append(rs.tolist())
+            check(n, rs, roots, band)
+
+        monkeypatch.setattr(twotoken, "COUNT_BLOCK", self.SMALL_BLOCK)
+        monkeypatch.setattr(twotoken, "_check_roots", record)
+        spectrum_2token(n)
+        assert len(seen) >= 3
+        assert sum(seen, []) == list(range(n // 2 + 1))
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_a_bad_root_in_the_last_block_fails(self, monkeypatch, n):
+        nu = n // 2
+        solve = twotoken._solve_sectors
+
+        def shifted(n, rs):
+            roots = solve(n, rs)
+            roots[rs == nu, 0] += 1e-3
+            return roots
+
+        monkeypatch.setattr(twotoken, "COUNT_BLOCK", self.SMALL_BLOCK)
+        monkeypatch.setattr(twotoken, "_solve_sectors", shifted)
+        with pytest.raises(NumericFailureError, match=rf"^F_2\(C_{n}\) sector r={nu}: "):
+            spectrum_2token(n)
+
+
 class TestCharpolySector:
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # the sector polynomials load numpy.polynomial on first use only
@@ -990,3 +1032,19 @@ class TestCharpolyRhoForm:
 def test_non_finite_lambda_is_a_domain_error(closed_form, lam):
     with pytest.raises(ParameterDomainError, match="lambda must be finite"):
         closed_form(lam)
+
+
+@pytest.mark.parametrize("lam", ["1", 1j, True, None])
+@pytest.mark.parametrize("closed_form", [
+    lambda lam: contfrac_q1(lam, 9, 1),
+    lambda lam: charpoly_rho_form(8, 4, lam),
+    lambda lam: charpoly_rho_form(8, 1, lam),
+], ids=["contfrac_q1", "rho_form_half_turn", "rho_form"])
+def test_non_real_lambda_is_a_domain_error(closed_form, lam):
+    # a bool is refused as it is for sizes; NumPy floats pass, in double precision
+    with pytest.raises(ParameterDomainError,
+                       match=rf"^lambda={re.escape(repr(lam))} must be a real number$"):
+        closed_form(lam)
+    for numpy_float in (np.float64(1.5), np.float32(1.5)):
+        value = closed_form(numpy_float)
+        assert type(value) is float and value == closed_form(1.5)
