@@ -12,13 +12,12 @@ has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
 --audit is a text table and needs --format text.  Also exit 2: spectrum
 --tol without --check-against, contfrac (as --method or --check-against)
 with k != 2, charpoly --lo or --hi without --samples
-above 0, verify --n-max past the largest n whose spectra all fit the
-dense spectrum cap, and an --out path that cannot be written.
+above 0, verify --n-max past the largest n whose symmetry blocks all
+fit the dense spectrum cap (16), and an --out path that cannot be written.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from math import comb, isfinite, prod
@@ -34,8 +33,13 @@ from .polymatrix import build_poly_matrix
 from .polymatrix import full_spectrum as overlift_spectrum
 from .report import (SpectrumReport, max_multiset_deviation, multiset_contains,
                      multisets_close)
-from .tokengraph import DENSE_SPECTRUM_CAP, algebraic_connectivity, brute_spectrum, check_sector
+from .tokengraph import algebraic_connectivity, brute_spectrum, check_sector
 from .tolerances import AGREE_TOL, CLUSTER_TOL
+
+# verify checks every (n, k) against brute force, so every symmetry block
+# of n <= VERIFY_N_MAX must fit the dense spectrum cap; the tests derive
+# this ceiling from tokengraph.block_sizes
+VERIFY_N_MAX = 16
 
 
 def _write(text: str, out: str | None) -> None:
@@ -373,10 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda v: v >= 0, "an integer >= 0")
     tolerance = _checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0")
     finite = _checked(float, lambda v: abs(v) < float("inf"), "a finite number")
-    # verify checks every (n, k) against brute force, so C(n, n // 2) must fit its cap
-    n_max = next(n for n in itertools.count(3)
-                 if comb(n + 1, (n + 1) // 2) > DENSE_SPECTRUM_CAP)
-    verify_length = _checked(int, lambda v: 3 <= v <= n_max, f"an integer in [3, {n_max}]")
+    verify_length = _checked(int, lambda v: 3 <= v <= VERIFY_N_MAX,
+                             f"an integer in [3, {VERIFY_N_MAX}]")
     parser = argparse.ArgumentParser(
         prog="tokenspectra",
         description="Laplacian spectra of k-token graphs of cycles")

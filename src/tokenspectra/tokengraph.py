@@ -7,10 +7,12 @@ neighbouring cycle vertex; equivalently, their symmetric difference is
 {a, b} with b = a +- 1 (mod n).  This module constructs that graph, its
 Laplacian, and the dense-eigensolver spectrum that every other route in
 the library is validated against.  That oracle splits the Laplacian by
-the reflection X -> -X and, when 2k = n, the complement X -> Z_n - X,
-permutations of the explicit vertex list checked exactly on the
-adjacency, into one block per sign character; it never uses rotation,
-the symmetry the orbit routes are built on.  ``k_subsets``,
+the reflection X -> -X, for even n also X -> n/2 - X, and, when 2k = n,
+the complement X -> Z_n - X, permutations of the explicit vertex list
+checked exactly on the adjacency, into one block per sign character.
+It never reads orbit tables, sector phases or B(z), the data the orbit
+routes are built on; its group holds the half turn X -> X + n/2 only as
+the product of the two checked reflections.  ``k_subsets``,
 ``subset_rank`` and ``token_moves`` enumerate, place and connect
 configurations for every module.
 
@@ -35,7 +37,8 @@ from .errors import CountMismatchError, NumericFailureError, ParameterDomainErro
 from .report import SpectrumReport
 from .tolerances import ZERO_TOL
 
-DENSE_SPECTRUM_CAP = 5000
+# rows of the largest symmetry block brute force solves densely (``block_sizes``)
+DENSE_SPECTRUM_CAP = 3500
 # (n, k) pairs each cached table keeps; verify asks for each pair back to back
 CACHE_SIZE = 32
 
@@ -181,13 +184,68 @@ def involutions(rows: np.ndarray, n: int) -> list[np.ndarray]:
     and ``necklaces.check_mirror`` and ``check_complement`` the orbit data.
     """
     m, k = rows.shape
-    ranks = [subset_rank(np.sort(-rows % n, axis=1), n)]
+    ranks = [_reflection(rows, n, 0)]
     if 2 * k == n:
         # the complement of each sorted row, in ascending order
         free = np.ones((m, n), dtype=bool)
         free[np.arange(m)[:, None], rows] = False
         ranks.append(subset_rank(np.nonzero(free)[1].reshape(m, k), n))
     return ranks
+
+
+def _reflection(rows: np.ndarray, n: int, a: int) -> np.ndarray:
+    """Rank of the image a - X of each sorted k-subset X in ``rows``."""
+    return subset_rank(np.sort((a - rows) % n, axis=1), n)
+
+
+def brute_symmetries(rows: np.ndarray, n: int) -> list[np.ndarray]:
+    """``involutions`` and, for even n, the reflection X -> n/2 - X after them.
+
+    For even n the two reflections commute, as their product is the half
+    turn X -> X + n/2, so they and the complement generate an abelian
+    group of involutions, of order 2, 4 or 8: the group ``brute_spectrum``
+    splits the Laplacian by.  Unchecked, like ``involutions``.
+    """
+    gens = involutions(rows, n)
+    if n % 2 == 0:
+        gens.append(_reflection(rows, n, n // 2))
+    return gens
+
+
+def block_sizes(n: int, k: int) -> list[int]:
+    """Rows of each ``symmetry_blocks`` block by ``brute_symmetries``, from (n, k) alone.
+
+    By character orthogonality block c has (1/|G|) sum over g in G of
+    chi_c(g) fix(g) rows, fix(g) the number of k-subsets g fixes (Serre,
+    Linear Representations of Finite Groups, 2.3), in the generator and
+    character order of ``symmetry_blocks``.  Each g acts on Z_n as an
+    involution with f fixed points and t = (n - f)/2 two-cycles, and fixes
+    the sum over a = k mod 2 of C(f, a) C(t, (k - a)/2) subsets; followed
+    by the complement it fixes 2^t (one point of each two-cycle) when
+    f = 0, else none.  X -> -X fixes 1 point of Z_n for odd n and 2 for
+    even n; X -> n/2 - X fixes 2 when 4 divides n, else none.  Nothing of
+    the graph is built, so the size guard of ``brute_spectrum`` costs
+    O(n |G|) whatever C(n, k) is.
+    """
+    n, k = check_params(n, k)
+    points = np.arange(n)
+    gens = [(-points % n, False)]
+    if 2 * k == n:
+        gens.append((points, True))
+    if n % 2 == 0:
+        gens.append(((n // 2 - points) % n, False))
+    # element e applies the generators named by the bits of e, as in symmetry_blocks
+    elements = [(points, False)]
+    for perm, complement in gens:
+        elements += [(perm[p], complement != c) for p, c in elements]
+    fix = []
+    for perm, complement in elements:
+        f = int(np.count_nonzero(perm == points))
+        t = (n - f) // 2
+        fix.append((0 if f else 2 ** t) if complement else
+                   sum(comb(f, a) * comb(t, (k - a) // 2) for a in range(k % 2, min(f, k) + 1, 2)))
+    return [sum(-x if (c & e).bit_count() % 2 else x for e, x in enumerate(fix)) // len(fix)
+            for c in range(len(fix))]
 
 
 def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarray]:
@@ -264,18 +322,27 @@ def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarra
 def brute_spectrum(n: int, k: int) -> SpectrumReport:
     """All C(n, k) Laplacian eigenvalues by dense symmetric eigensolves.
 
-    The Laplacian is split by the reflection and, when 2k = n, the
-    complement of the explicit graph (``involutions``), never by
-    rotation, into 2 or 4 blocks (``symmetry_blocks``, with its exact
-    checks), and each block is solved densely.  Guarded at
-    C(n, k) <= 5000 so runtimes stay in seconds.
+    The Laplacian is split by the reflection X -> -X, for even n also
+    X -> n/2 - X, and, when 2k = n, the complement of the explicit graph
+    (``brute_symmetries``) into 2, 4 or 8 blocks (``symmetry_blocks``,
+    with its exact checks), and each block is solved densely.  No orbit
+    table, sector phase or B(z) is read; the half turn enters only as the
+    product of the two checked reflections.  The largest block must fit
+    ``DENSE_SPECTRUM_CAP`` rows, which ``block_sizes`` tells before any
+    k-subset is enumerated (``SizeLimitError`` past it), and the blocks
+    built must have those sizes (``CountMismatchError``).
     """
     n, k = check_params(n, k)
-    size = comb(n, k)
-    if size > DENSE_SPECTRUM_CAP:
+    sizes = block_sizes(n, k)
+    if max(sizes) > DENSE_SPECTRUM_CAP:
         raise SizeLimitError(
-            f"C({n},{k}) = {size} exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
-    blocks = symmetry_blocks(build_token_graph(n, k), involutions(k_subsets(n, k), n))
+            f"F_{k}(C_{n}): its largest symmetry block, {max(sizes)} rows, "
+            f"exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
+    blocks = symmetry_blocks(build_token_graph(n, k), brute_symmetries(k_subsets(n, k), n))
+    built = [len(block) for block in blocks]
+    if built != sizes:
+        raise CountMismatchError(f"F_{k}(C_{n}): symmetry blocks of {built} rows, "
+                                 f"not the {sizes} of character orthogonality")
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
     return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 

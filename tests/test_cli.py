@@ -14,6 +14,7 @@ from conftest import kept_first_ties, shown_sectors
 
 from tokenspectra import cli, twotoken
 from tokenspectra.cli import main
+from tokenspectra.tokengraph import DENSE_SPECTRUM_CAP, block_sizes
 
 
 def run(capsys, *argv):
@@ -298,8 +299,8 @@ class TestSpectrum:
     @pytest.mark.parametrize("argv", [
         ("--n", "17", "--k", "8", "--check-against", "brute"),
         ("--n", "17", "--k", "8", "--method", "brute", "--check-against", "overlift"),
-        ("--n", "120", "--k", "2", "--method", "contfrac", "--check-against", "brute"),
-        ("--n", "120", "--k", "2", "--method", "brute", "--check-against", "contfrac"),
+        ("--n", "121", "--k", "2", "--method", "contfrac", "--check-against", "brute"),
+        ("--n", "121", "--k", "2", "--method", "brute", "--check-against", "contfrac"),
     ])
     def test_brute_cap_refused_before_the_other_route(self, capsys, monkeypatch, argv):
         def unexpected(*args):
@@ -578,6 +579,13 @@ class TestArgumentHandling:
         assert (code, out) == (2, "")
         assert "invalid choice: 'latex'" in err
 
+    def test_verify_ceiling_is_the_last_n_whose_blocks_fit_the_brute_cap(self):
+        # the parser holds a constant; block sizes grow with n
+        past = next(n for n in range(3, 40) if any(
+            max(block_sizes(n, k)) > DENSE_SPECTRUM_CAP for k in range(1, n // 2 + 1)))
+        assert cli.VERIFY_N_MAX == past - 1 == 16
+        assert cli.build_parser().parse_args(["verify", "--n-max", "16"]).n_max == 16
+
     @pytest.mark.parametrize("argv,flag", [
         (("charpoly", "--n", "8", "--r", "1", "--samples", "-1"), "--samples"),
         (("charpoly", "--n", "8", "--r", "1", "--samples", "2.5"), "--samples"),
@@ -594,7 +602,7 @@ class TestArgumentHandling:
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--lo", "-inf"), "--lo"),
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "inf"), "--hi"),
         (("charpoly", "--n", "8", "--r", "1", "--samples", "3", "--hi", "nan"), "--hi"),
-        (("verify", "--n-max", "15"), "--n-max"),
+        (("verify", "--n-max", "17"), "--n-max"),
         # valid values that would change nothing
         (("spectrum", "--n", "6", "--k", "2", "--tol", "1e-6"), "--tol"),
         (("charpoly", "--n", "8", "--r", "1", "--lo", "1"), "--lo"),

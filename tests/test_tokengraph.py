@@ -10,18 +10,18 @@ import pytest
 from conftest import cached_brute, edge_pairs, reference_brute, solve_sector, token_neighbors
 from numpy.testing import assert_allclose
 
-from tokenspectra import (NumericFailureError, ParameterDomainError, SizeLimitError,
-                          brute_spectrum, build_poly_matrix, build_token_graph,
+from tokenspectra import (CountMismatchError, NumericFailureError, ParameterDomainError,
+                          SizeLimitError, brute_spectrum, build_poly_matrix, build_token_graph,
                           charpoly_rho_form, charpoly_sector, contfrac_q1, count_burnside,
                           count_moreau, count_polya, enumerate_orbits, full_spectrum,
                           kept_eigenpairs, laplacian, lift_eigenvector, multiset_contains,
                           sector_roots, spectrum_2token, tokengraph)
-from tokenspectra.tokengraph import (DENSE_SPECTRUM_CAP, algebraic_connectivity, involutions,
-                                     k_subsets, subset_rank, symmetry_blocks)
+from tokenspectra.tokengraph import (algebraic_connectivity, block_sizes, brute_symmetries,
+                                     involutions, k_subsets, subset_rank, symmetry_blocks)
 
 
 PAIRS_TO_16 = [(n, k) for n in range(3, 17) for k in range(1, n // 2 + 1)]
-PAIRS_TO_CAP = [(n, k) for n, k in PAIRS_TO_16 if n <= 14 and comb(n, k) <= DENSE_SPECTRUM_CAP]
+PAIRS_TO_14 = [(n, k) for n, k in PAIRS_TO_16 if n <= 14]
 
 
 def cycle_laplacian_spectrum(n):
@@ -201,7 +201,7 @@ class TestBruteSpectrum:
 
 
 class TestSymmetryBlocks:
-    @pytest.mark.parametrize("n,k", PAIRS_TO_CAP)
+    @pytest.mark.parametrize("n,k", PAIRS_TO_14)
     def test_matches_the_unsplit_reference(self, n, k):
         assert_allclose(cached_brute(n, k).kept, reference_brute(n, k), rtol=0, atol=1e-12)
 
@@ -211,6 +211,28 @@ class TestSymmetryBlocks:
         sizes = [len(block) for block in symmetry_blocks(g, involutions(k_subsets(n, k), n))]
         assert sum(sizes) == comb(n, k)
         assert len(sizes) == (4 if 2 * k == n else 2)
+
+    @pytest.mark.parametrize("n,k", PAIRS_TO_14)
+    def test_closed_form_sizes_are_the_brute_blocks(self, n, k):
+        gens = brute_symmetries(k_subsets(n, k), n)
+        sizes = [len(block) for block in symmetry_blocks(build_token_graph(n, k), gens)]
+        assert sizes == block_sizes(n, k)
+        assert len(sizes) == 2 ** len(gens) == (2 if n % 2 else 8 if 2 * k == n else 4)
+
+    @pytest.mark.parametrize("n,k,rows", [(17, 8, 12190), (40, 20, 17231016458)])
+    def test_cap_refuses_before_any_subset_is_enumerated(self, monkeypatch, n, k, rows):
+        def unexpected(*args):
+            raise AssertionError("k-subsets enumerated before the size guard")
+        monkeypatch.setattr(tokengraph, "k_subsets", unexpected)
+        monkeypatch.setattr(tokengraph, "build_token_graph", unexpected)
+        with pytest.raises(SizeLimitError, match=rf"largest symmetry block, {rows} rows, exceeds"):
+            brute_spectrum(n, k)
+
+    def test_blocks_off_the_closed_form_raise(self, monkeypatch):
+        monkeypatch.setattr(tokengraph, "block_sizes", lambda n, k: [1, 9])
+        with pytest.raises(CountMismatchError, match=r"F_2\(C_5\): symmetry blocks of \[6, 4\] "
+                                                     r"rows, not the \[1, 9\]"):
+            brute_spectrum(5, 2)
 
     @pytest.mark.parametrize("n,k", [(7, 3), (8, 4), (10, 5)])
     def test_involutions_row_by_row(self, n, k):
@@ -224,6 +246,9 @@ class TestSymmetryBlocks:
         reps = np.array(enumerate_orbits(n, k).reps)
         assert [g.tolist() for g in involutions(reps, n)] == [
             [w[rank[tuple(x)]] for x in reps.tolist()] for w in want]
+        if n % 2 == 0:
+            want.append([rank[tuple(sorted((n // 2 - v) % n for v in x))] for x in rows.tolist()])
+        assert [g.tolist() for g in brute_symmetries(rows, n)] == want
 
     def test_rejects_a_generator_that_is_not_an_involution(self):
         g = build_token_graph(6, 2)

@@ -657,10 +657,13 @@ class TestSpectrum2Token:
         assert multisets_close(cached_contfrac(n).kept,
                                cached_brute(n, 2).kept, 1e-8)
 
-    @pytest.mark.parametrize("n", list(range(4, 41)))
+    @pytest.mark.parametrize("n", list(range(4, 61)))
     def test_matches_overlift(self, n):
-        assert multisets_close(cached_contfrac(n).kept,
-                               cached_overlift(n, 2).kept, 1e-8)
+        # the same sectors, keep flags and order, value by value
+        contfrac, overlift = cached_contfrac(n), cached_overlift(n, 2)
+        assert np.array_equal(contfrac.sectors, overlift.sectors)
+        assert np.array_equal(contfrac.kept_mask, overlift.kept_mask)
+        assert_allclose(contfrac.values, overlift.values, rtol=0, atol=1e-12)
 
     def test_case_counts(self):
         for n in (8, 12):  # n = 0 mod 4: the published partition
