@@ -67,8 +67,7 @@ class LaurentMatrix:
         (an empty one of any type) of one length, with row and col in
         [0, order).
         """
-        check_integers(n=n, order=order)
-        n, order = int(n), int(order)
+        n, order = check_integers(n=n, order=order)
         for name, size, least in (("n", n, 1), ("order", order, 0)):
             if size < least:
                 raise ParameterDomainError(f"LaurentMatrix {name}={size} must be at least {least}")

@@ -21,8 +21,8 @@ from math import comb, gcd, isqrt
 import numpy as np
 
 from .errors import NumericFailureError, ParameterDomainError
-from .tokengraph import (CACHE_SIZE, check_integers, check_params, involutions, k_subsets,
-                         subset_rank)
+from .tokengraph import (CACHE_SIZE, check_integers, check_params, cycle_involutions, k_subsets,
+                         subset_map, subset_rank)
 
 
 def sector_order(n: int, r: int) -> int:
@@ -140,12 +140,14 @@ def enumerate_orbits(n: int, k: int) -> OrbitTable:
     periods = periods_of(reps, n)
     if not np.array_equal(periods, np.bincount(orbit_of)):
         raise NumericFailureError("orbit periods do not match the orbit sizes")
-    mirror, *comp = involutions(reps, n)
+    gens = cycle_involutions(n, k)  # X -> -X first, then the complement when 2k = n
+    mirror = subset_map(reps, n, *gens[0])
     mirror_of, mirror_shift = orbit_of[mirror], shift_of[mirror]
     check_mirror(mirror_of, mirror_shift, periods)
     arrays = [periods, orbit_of, shift_of, mirror_of, mirror_shift]
     if 2 * k == n:
-        arrays += [orbit_of[comp[0]], shift_of[comp[0]]]
+        comp = subset_map(reps, n, *gens[1])
+        arrays += [orbit_of[comp], shift_of[comp]]
         check_complement(*arrays[-2:], periods, mirror_of)
     for arr in arrays:
         arr.flags.writeable = False
@@ -201,8 +203,7 @@ def _exact_div(total: int, n: int, what: str) -> int:
 
 def _check_count_domain(n: int, k: int) -> tuple[int, int]:
     """The counts hold for 1 <= k <= n, wider than ``check_params``; (n, k) as Python ints."""
-    check_integers(n=n, k=k)
-    n, k = int(n), int(k)
+    n, k = check_integers(n=n, k=k)
     if n < 1 or k < 1 or k > n:
         raise ParameterDomainError(f"need 1 <= k <= n, got n={n}, k={k}")
     return n, k

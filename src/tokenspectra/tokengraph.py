@@ -8,12 +8,13 @@ neighbouring cycle vertex; equivalently, their symmetric difference is
 Laplacian, and the dense-eigensolver spectrum that every other route in
 the library is validated against.  That oracle splits the Laplacian by
 the reflection X -> -X, for even n also X -> n/2 - X, and, when 2k = n,
-the complement X -> Z_n - X, permutations of the explicit vertex list
-checked exactly on the adjacency, into one block per sign character.
-It never reads orbit tables, sector phases or B(z), the data the orbit
-routes are built on; its group holds the half turn X -> X + n/2 only as
-the product of the two checked reflections.  ``k_subsets``,
-``subset_rank`` and ``token_moves`` enumerate, place and connect
+the complement X -> Z_n - X (``cycle_involutions``), as permutations of
+the explicit vertex list checked exactly on the adjacency, into one
+block per sign character, each solved as soon as it is built.  It never
+reads orbit tables, sector phases or B(z), the data the orbit routes are
+built on; its group holds the half turn X -> X + n/2 only as the product
+of the two checked reflections.  ``k_subsets``, ``subset_rank``,
+``subset_map`` and ``token_moves`` enumerate, place, map and connect
 configurations for every module.
 
 The adjacency is stored once, as a fixed-width token-slot table: slot
@@ -25,6 +26,7 @@ vector padded with one trailing zero and a sum over the 2k slots,
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
@@ -43,22 +45,21 @@ DENSE_SPECTRUM_CAP = 3500
 CACHE_SIZE = 32
 
 
-def check_integers(**sizes) -> None:
-    """Reject a size that is not an integer: floats, bools and strings; NumPy integers pass."""
+def check_integers(**sizes) -> tuple[int, ...]:
+    """Reject a size that is not an integer (float, bool, str); return all as Python ints.
+
+    NumPy integers pass, converted, so a narrow one cannot wrap in the caller's arithmetic.
+    """
     for name, value in sizes.items():
         # exact ints skip the ABC test, which costs more than the range check after it
         if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise ParameterDomainError(f"{name}={value!r} must be an integer")
+    return tuple(map(int, sizes.values()))
 
 
 def check_params(n: int, k: int) -> tuple[int, int]:
-    """Reject (n, k) outside 1 <= k <= n/2, n >= 3; return them as Python ints.
-
-    Every route computes with the returned sizes, so a narrow NumPy
-    integer cannot wrap.
-    """
-    check_integers(n=n, k=k)
-    n, k = int(n), int(k)
+    """Reject (n, k) outside 1 <= k <= n/2, n >= 3; every route computes with the returned ints."""
+    n, k = check_integers(n=n, k=k)
     if n < 3:
         raise ParameterDomainError(f"cycle length n={n} must be at least 3")
     if k < 1 or 2 * k > n:
@@ -69,8 +70,7 @@ def check_params(n: int, k: int) -> tuple[int, int]:
 
 def check_sector(n: int, r: int) -> tuple[int, int]:
     """Reject a sector index r outside [0, n) of the n-cycle; return (n, r) as Python ints."""
-    check_integers(n=n, r=r)
-    n, r = int(n), int(r)
+    n, r = check_integers(n=n, r=r)
     if not 0 <= r < n:
         raise ParameterDomainError(f"sector r={r} must lie in [0, {n})")
     return n, r
@@ -174,46 +174,39 @@ def laplacian(graph: TokenGraph) -> np.ndarray:
     return lap
 
 
-def involutions(rows: np.ndarray, n: int) -> list[np.ndarray]:
-    """The reflection X -> -X and, when 2k = n, the complement X -> Z_n - X.
+def cycle_involutions(n: int, k: int) -> list[tuple[np.ndarray, bool]]:
+    """Brute force's generators, as (map of Z_n, complement flag), unchecked.
 
-    ``rows`` holds sorted k-subsets X of Z_n; entry i of each array is
-    the rank (``subset_rank``) of the image of row i.  On all of
-    ``k_subsets(n, k)`` each is a vertex permutation of the token graph.
-    Neither is checked here; ``symmetry_blocks`` checks the permutations
-    and ``necklaces.check_mirror`` and ``check_complement`` the orbit data.
+    X -> -X; when 2k = n, the complement X -> Z_n - X; for even n,
+    X -> n/2 - X, which composes with X -> -X to the half turn.  They
+    commute, so they generate an abelian group of order 2, 4 or 8.
     """
-    m, k = rows.shape
-    ranks = [_reflection(rows, n, 0)]
+    points = np.arange(n)
+    gens = [(-points % n, False)]
     if 2 * k == n:
-        # the complement of each sorted row, in ascending order
-        free = np.ones((m, n), dtype=bool)
-        free[np.arange(m)[:, None], rows] = False
-        ranks.append(subset_rank(np.nonzero(free)[1].reshape(m, k), n))
-    return ranks
-
-
-def _reflection(rows: np.ndarray, n: int, a: int) -> np.ndarray:
-    """Rank of the image a - X of each sorted k-subset X in ``rows``."""
-    return subset_rank(np.sort((a - rows) % n, axis=1), n)
-
-
-def brute_symmetries(rows: np.ndarray, n: int) -> list[np.ndarray]:
-    """``involutions`` and, for even n, the reflection X -> n/2 - X after them.
-
-    For even n the two reflections commute, as their product is the half
-    turn X -> X + n/2, so they and the complement generate an abelian
-    group of involutions, of order 2, 4 or 8: the group ``brute_spectrum``
-    splits the Laplacian by.  Unchecked, like ``involutions``.
-    """
-    gens = involutions(rows, n)
+        gens.append((points, True))
     if n % 2 == 0:
-        gens.append(_reflection(rows, n, n // 2))
+        gens.append(((n // 2 - points) % n, False))
     return gens
 
 
+def subset_map(rows: np.ndarray, n: int, perm: np.ndarray, complement: bool = False) -> np.ndarray:
+    """Rank (``subset_rank``) of the image of each sorted k-subset X in ``rows``.
+
+    The image is perm(X), or its complement Z_n - perm(X) when
+    ``complement``; ``perm`` is a permutation of Z_n, not validated.
+    """
+    image = perm[rows]
+    if not complement:
+        return subset_rank(np.sort(image, axis=1), n)
+    m, k = rows.shape
+    free = np.ones((m, n), dtype=bool)
+    free[np.arange(m)[:, None], image] = False
+    return subset_rank(np.nonzero(free)[1].reshape(m, n - k), n)
+
+
 def block_sizes(n: int, k: int) -> list[int]:
-    """Rows of each ``symmetry_blocks`` block by ``brute_symmetries``, from (n, k) alone.
+    """Rows of each ``symmetry_blocks`` block by ``cycle_involutions``, from (n, k) alone.
 
     By character orthogonality block c has (1/|G|) sum over g in G of
     chi_c(g) fix(g) rows, fix(g) the number of k-subsets g fixes (Serre,
@@ -229,14 +222,9 @@ def block_sizes(n: int, k: int) -> list[int]:
     """
     n, k = check_params(n, k)
     points = np.arange(n)
-    gens = [(-points % n, False)]
-    if 2 * k == n:
-        gens.append((points, True))
-    if n % 2 == 0:
-        gens.append(((n // 2 - points) % n, False))
     # element e applies the generators named by the bits of e, as in symmetry_blocks
     elements = [(points, False)]
-    for perm, complement in gens:
+    for perm, complement in cycle_involutions(n, k):
         elements += [(perm[p], complement != c) for p, c in elements]
     fix = []
     for perm, complement in elements:
@@ -248,42 +236,46 @@ def block_sizes(n: int, k: int) -> list[int]:
             for c in range(len(fix))]
 
 
-def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarray]:
-    """The Laplacian split into one block per sign character of <gens>.
+def symmetry_blocks(graph: TokenGraph,
+                    gens: list[tuple[np.ndarray, bool]]) -> Iterator[np.ndarray]:
+    """The Laplacian split into one block per sign character of <gens>, yielded one by one.
 
-    ``gens`` are commuting involutive automorphisms of the graph, as
-    vertex permutations; G is the abelian group of their products
-    (element e applies the generators named by the bits of e) and
-    character c of G is chi_c(e) = (-1)^popcount(c & e).  Each vertex
-    has a lead, the least vertex of its G-orbit, reached by h_x in G,
-    and a stabilizer of size s_x.  Block c has a row per lead a whose
-    stabilizer lies in ker chi_c, with entries
+    ``gens`` are (map of Z_n, complement flag) pairs, as from
+    ``cycle_involutions``, and act on the vertices by ``subset_map``;
+    G is the abelian group of their products (element e applies the
+    generators named by the bits of e) and character c of G is
+    chi_c(e) = (-1)^popcount(c & e).  Each vertex has a lead, the least
+    vertex of its G-orbit, reached by h_x in G, and a stabilizer of size
+    s_x.  Block c has a row per lead a whose stabilizer lies in ker chi_c,
+    with entries
     L_c[a, b] = sqrt(s_b / s_a) sum over y in G b of chi_c(h_y) L[a, y]
     (Serre, Linear Representations of Finite Groups, 2.3), built from
     the slot-table edges out of the leads; no C(n, k)-wide matrix is
-    formed.  Before any block is built, each generator must be an
+    formed.  Before the first block, each generator must be an
     involution and an automorphism (the sorted slot row of g(x) equals
     the sorted images of the slot row of x, sentinel to sentinel) and
     the generators must commute, or ``NumericFailureError`` names
-    F_k(C_n) and the check.  The block sizes must add up to C(n, k)
-    (``CountMismatchError``) and the block traces to the degree sum,
-    exactly: each diagonal entry is a sum of integers.
+    F_k(C_n) and the check.  After the last, the block sizes must add up
+    to C(n, k) (``CountMismatchError``) and the block traces to the
+    degree sum, exactly: each diagonal entry is a sum of integers.
     """
     m, moves = graph.order, graph.moves
     where = f"F_{graph.k}(C_{graph.n})"
     ident = np.arange(m)
-    for i, g in enumerate(gens):
+    subsets = k_subsets(graph.n, graph.k)
+    perms = [subset_map(subsets, graph.n, perm, complement) for perm, complement in gens]
+    for i, g in enumerate(perms):
         if not np.array_equal(g[g], ident):
             raise NumericFailureError(f"{where}: symmetry {i} is not an involution")
         images = np.append(g, m)[moves]
         if not np.array_equal(np.sort(moves[:, g], axis=0), np.sort(images, axis=0)):
             raise NumericFailureError(f"{where}: symmetry {i} is not an automorphism")
-    for i, j in combinations(range(len(gens)), 2):
-        if not np.array_equal(gens[i][gens[j]], gens[j][gens[i]]):
+    for i, j in combinations(range(len(perms)), 2):
+        if not np.array_equal(perms[i][perms[j]], perms[j][perms[i]]):
             raise NumericFailureError(f"{where}: symmetries {i} and {j} do not commute")
     # orbit[e, x] is the image of x under element e
     orbit, chi = ident[None], np.ones((1, 1), dtype=np.int64)
-    for g in gens:
+    for g in perms:
         orbit = np.concatenate([orbit, g[orbit]])
         chi = np.kron([[1, 1], [1, -1]], chi)
     lead, h = orbit.min(axis=0), orbit.argmin(axis=0)
@@ -298,7 +290,7 @@ def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarra
     y = moves[slot, src]
     col = lead[y]
     weight = np.sqrt(stab[col] / stab[src])
-    blocks, trace = [], 0.0
+    rows_total, trace = 0, 0.0
     for c in range(len(chi)):
         at = np.cumsum(rows[c]) - 1
         size = int(rows[c].sum())
@@ -307,16 +299,15 @@ def symmetry_blocks(graph: TokenGraph, gens: list[np.ndarray]) -> list[np.ndarra
                             -chi[c, h[y[keep]]] * weight[keep],
                             minlength=size * size).reshape(size, size)
         block[np.diag_indices(size)] += graph.degrees[rows[c]]
+        rows_total += size
         trace += block.trace()
-        blocks.append(block)
-    rows_total = sum(map(len, blocks))
+        yield block
     if rows_total != m:
         raise CountMismatchError(
             f"{where}: symmetry blocks have {rows_total} rows for {m} vertices")
     if trace != graph.degrees.sum():
         raise NumericFailureError(f"{where}: symmetry block traces add up to {trace}, "
                                   f"not the degree sum {graph.degrees.sum()}")
-    return blocks
 
 
 def brute_spectrum(n: int, k: int) -> SpectrumReport:
@@ -324,13 +315,14 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
 
     The Laplacian is split by the reflection X -> -X, for even n also
     X -> n/2 - X, and, when 2k = n, the complement of the explicit graph
-    (``brute_symmetries``) into 2, 4 or 8 blocks (``symmetry_blocks``,
-    with its exact checks), and each block is solved densely.  No orbit
-    table, sector phase or B(z) is read; the half turn enters only as the
-    product of the two checked reflections.  The largest block must fit
-    ``DENSE_SPECTRUM_CAP`` rows, which ``block_sizes`` tells before any
-    k-subset is enumerated (``SizeLimitError`` past it), and the blocks
-    built must have those sizes (``CountMismatchError``).
+    (``cycle_involutions``) into 2, 4 or 8 blocks (``symmetry_blocks``,
+    with its exact checks), each solved densely as soon as it is built.
+    No orbit table, sector phase or B(z) is read; the half turn enters
+    only as the product of the two checked reflections.  The largest
+    block must fit ``DENSE_SPECTRUM_CAP`` rows, which ``block_sizes``
+    tells before any k-subset is enumerated (``SizeLimitError`` past it),
+    and each block must have its predicted size before it is solved
+    (``CountMismatchError`` naming the block).
     """
     n, k = check_params(n, k)
     sizes = block_sizes(n, k)
@@ -338,12 +330,13 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
         raise SizeLimitError(
             f"F_{k}(C_{n}): its largest symmetry block, {max(sizes)} rows, "
             f"exceeds the dense spectrum cap {DENSE_SPECTRUM_CAP}")
-    blocks = symmetry_blocks(build_token_graph(n, k), brute_symmetries(k_subsets(n, k), n))
-    built = [len(block) for block in blocks]
-    if built != sizes:
-        raise CountMismatchError(f"F_{k}(C_{n}): symmetry blocks of {built} rows, "
-                                 f"not the {sizes} of character orthogonality")
-    vals = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
+    vals = []
+    for c, block in enumerate(symmetry_blocks(build_token_graph(n, k), cycle_involutions(n, k))):
+        if len(block) != sizes[c]:
+            raise CountMismatchError(f"F_{k}(C_{n}): symmetry block {c} has {len(block)} rows, "
+                                     f"not the {sizes[c]} of character orthogonality")
+        vals.append(np.linalg.eigvalsh(block))
+    vals = np.sort(np.concatenate(vals))
     return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
 
 

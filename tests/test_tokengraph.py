@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -16,8 +17,8 @@ from tokenspectra import (CountMismatchError, NumericFailureError, ParameterDoma
                           count_moreau, count_polya, enumerate_orbits, full_spectrum,
                           kept_eigenpairs, laplacian, lift_eigenvector, multiset_contains,
                           sector_roots, spectrum_2token, tokengraph)
-from tokenspectra.tokengraph import (algebraic_connectivity, block_sizes, brute_symmetries,
-                                     involutions, k_subsets, subset_rank, symmetry_blocks)
+from tokenspectra.tokengraph import (algebraic_connectivity, block_sizes, cycle_involutions,
+                                     k_subsets, subset_map, subset_rank, symmetry_blocks)
 
 
 PAIRS_TO_16 = [(n, k) for n in range(3, 17) for k in range(1, n // 2 + 1)]
@@ -207,14 +208,15 @@ class TestSymmetryBlocks:
 
     @pytest.mark.parametrize("n,k", PAIRS_TO_16)
     def test_block_sizes_add_up_to_the_vertex_count(self, n, k):
-        g = build_token_graph(n, k)
-        sizes = [len(block) for block in symmetry_blocks(g, involutions(k_subsets(n, k), n))]
+        # X -> -X and, when 2k = n, the complement: the first one or two generators
+        gens = cycle_involutions(n, k)[:2 if 2 * k == n else 1]
+        sizes = [len(block) for block in symmetry_blocks(build_token_graph(n, k), gens)]
         assert sum(sizes) == comb(n, k)
         assert len(sizes) == (4 if 2 * k == n else 2)
 
     @pytest.mark.parametrize("n,k", PAIRS_TO_14)
     def test_closed_form_sizes_are_the_brute_blocks(self, n, k):
-        gens = brute_symmetries(k_subsets(n, k), n)
+        gens = cycle_involutions(n, k)
         sizes = [len(block) for block in symmetry_blocks(build_token_graph(n, k), gens)]
         assert sizes == block_sizes(n, k)
         assert len(sizes) == 2 ** len(gens) == (2 if n % 2 else 8 if 2 * k == n else 4)
@@ -230,9 +232,21 @@ class TestSymmetryBlocks:
 
     def test_blocks_off_the_closed_form_raise(self, monkeypatch):
         monkeypatch.setattr(tokengraph, "block_sizes", lambda n, k: [1, 9])
-        with pytest.raises(CountMismatchError, match=r"F_2\(C_5\): symmetry blocks of \[6, 4\] "
-                                                     r"rows, not the \[1, 9\]"):
+        with pytest.raises(CountMismatchError, match=r"^F_2\(C_5\): symmetry block 0 has 6 rows, "
+                                                     r"not the 1 of character orthogonality$"):
             brute_spectrum(5, 2)
+
+    def test_peak_memory_of_brute_force(self):
+        # each block is solved as it is built: with the graph cached, the
+        # traced peak stays below a few copies of the largest block
+        build_token_graph(14, 7)
+        tracemalloc.start()
+        try:
+            brute_spectrum(14, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (max(block_sizes(14, 7)) ** 2 * 8) < 4.5
 
     @pytest.mark.parametrize("n,k", [(7, 3), (8, 4), (10, 5)])
     def test_involutions_row_by_row(self, n, k):
@@ -242,38 +256,36 @@ class TestSymmetryBlocks:
         want = [[rank[tuple(sorted(-v % n for v in x))] for x in rows.tolist()]]
         if 2 * k == n:
             want.append([rank[tuple(sorted(set(range(n)) - set(x)))] for x in rows.tolist()])
-        assert [g.tolist() for g in involutions(rows, n)] == want
-        reps = np.array(enumerate_orbits(n, k).reps)
-        assert [g.tolist() for g in involutions(reps, n)] == [
-            [w[rank[tuple(x)]] for x in reps.tolist()] for w in want]
         if n % 2 == 0:
             want.append([rank[tuple(sorted((n // 2 - v) % n for v in x))] for x in rows.tolist()])
-        assert [g.tolist() for g in brute_symmetries(rows, n)] == want
+        gens = cycle_involutions(n, k)
+        assert [subset_map(rows, n, *g).tolist() for g in gens] == want
+        reps = np.array(enumerate_orbits(n, k).reps)
+        assert [subset_map(reps, n, *g).tolist() for g in gens] == [
+            [w[rank[tuple(x)]] for x in reps.tolist()] for w in want]
 
     def test_rejects_a_generator_that_is_not_an_involution(self):
         g = build_token_graph(6, 2)
+        # rotation by one of the cycle
         with pytest.raises(NumericFailureError,
                            match=r"F_2\(C_6\): symmetry 0 is not an involution"):
-            symmetry_blocks(g, [np.roll(np.arange(g.order), 1)])
+            next(symmetry_blocks(g, [(np.roll(np.arange(6), -1), False)]))
 
-    def test_rejects_a_swap_of_two_degrees(self):
+    def test_rejects_a_swap_of_two_cycle_points(self):
+        # swapping cycle points 0 and 1 is an involution of the 2-subsets
+        # but parts {0, 2} from its neighbour {5, 2}
         g = build_token_graph(6, 2)
-        x, y = int(np.argmin(g.degrees)), int(np.argmax(g.degrees))
-        assert g.degrees[x] != g.degrees[y]
-        swap = np.arange(g.order)
-        swap[[x, y]] = y, x
         with pytest.raises(NumericFailureError,
                            match=r"F_2\(C_6\): symmetry 0 is not an automorphism"):
-            symmetry_blocks(g, [swap])
+            next(symmetry_blocks(g, [(np.array([1, 0, 2, 3, 4, 5]), False)]))
 
     def test_rejects_generators_that_do_not_commute(self):
         # X -> -X and X -> 1 - X are automorphisms whose product is a rotation by 1
         n, k = 7, 3
-        g, subsets = build_token_graph(n, k), k_subsets(n, k)
-        gens = [subset_rank(np.sort((s - subsets) % n, axis=1), n) for s in (0, 1)]
+        gens = [((s - np.arange(n)) % n, False) for s in (0, 1)]
         with pytest.raises(NumericFailureError,
                            match=r"F_3\(C_7\): symmetries 0 and 1 do not commute"):
-            symmetry_blocks(g, gens)
+            next(symmetry_blocks(build_token_graph(n, k), gens))
 
     def test_imports_no_rotation_module(self):
         tree = ast.parse(Path(tokengraph.__file__).read_text())
