@@ -6,7 +6,7 @@ All configuration is by flags; no environment variables.  Every command
 but verify writes text, CSV or JSON; matrix and spectrum also write
 LaTeX.  Eigenvalues print with 4 decimals in text and LaTeX tables; CSV
 and JSON carry full precision.  Spectrum output is rendered straight
-from the report's columns, sorted once by (sector, value) with each kept
+from the report's sector rows, each sorted by value with each kept
 value before every discarded value within CLUSTER_TOL of it.  Brute force
 has no sectors, so --r, --audit and LaTeX need overlift or contfrac;
 --audit is a text table and needs --format text.  Also exit 2: spectrum
@@ -121,16 +121,15 @@ def _fmt4(value: float) -> str:
 def _by_sector(report: SpectrumReport, r: int | None = None, merged: bool = False):
     """(sector, trail indices) of every sector, or of sector r and, if merged, n - r.
 
-    One sort by (sector, value), with discarded values ranked CLUSTER_TOL
+    Each trail row sorted by value, with discarded values ranked CLUSTER_TOL
     higher so that tied kept values come first; brute force: one group, sector None.
     """
-    values, dropped = report.values, ~report.kept_mask
-    if report.sectors is None:
+    values, dropped, n = report.values, ~report.kept_mask, report.n
+    if report.kept_counts is None:
         return [(None, np.argsort(values, kind="stable"))]
-    order = np.lexsort((values, dropped, values + CLUSTER_TOL * dropped, report.sectors))
-    rs, starts = np.unique(report.sectors[order], return_index=True)
-    return [(s, index) for s, index in zip(rs.tolist(), np.split(order, starts[1:]))
-            if r is None or s == r or merged and s == report.n - r]
+    v, d = values.reshape(n, -1), dropped.reshape(n, -1)
+    order = np.lexsort((v, d, v + CLUSTER_TOL * d)) + v.shape[1] * np.arange(n)[:, None]
+    return [(s, order[s]) for s in range(n) if r is None or s == r or merged and s == n - r]
 
 
 def _reprs(values: np.ndarray) -> np.ndarray:
@@ -231,7 +230,7 @@ def cmd_spectrum(args) -> int:
             lines.append(f"  discarded: {len(dropped)} ({', '.join(dropped)})")
             lines.append("  values marked * are not eigenvalues of the token graph")
         elif args.r is not None:
-            kept = np.sort(report.values[report.kept_mask & (report.sectors == args.r)])
+            kept = np.sort(report.values.reshape(args.n, -1)[args.r, :report.kept_counts[args.r]])
             lines.append(f"  r={args.r}: " + "  ".join(_fmt4(v) for v in kept.tolist()))
         else:
             lines.append("  " + "  ".join(_fmt4(v) for v in report.kept))

@@ -494,12 +494,11 @@ def _sector_solutions(n: int, k: int, *, vectors: bool) -> list[SectorSolution]:
 
 
 def full_spectrum(n: int, k: int) -> SpectrumReport:
-    """Union of the kept sector spectra, laid out by ``SpectrumReport.from_sectors``."""
+    """Union of the kept sector spectra: one ``SpectrumReport`` row per sector."""
     n, k = check_params(n, k)
     sols = _sector_solutions(n, k, vectors=False)
-    values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
-    return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
-                                       [len(sol.discarded) for sol in sols])
+    rows = [np.concatenate([sol.kept, sol.discarded]) for sol in sols]
+    return SpectrumReport(n, k, "overlift", rows, [len(sol.kept) for sol in sols])
 
 
 def kept_eigenpairs(n: int, k: int) -> list[EigenPair]:

@@ -6,7 +6,7 @@ lists, which is exact for a uniform tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -20,53 +20,56 @@ from .tolerances import AGREE_TOL
 class SpectrumReport:
     """Multiset of Laplacian eigenvalues with a removal audit trail.
 
-    The trail is stored by columns, and these columns are the whole
-    interface: entry i has value ``values[i]``, sector ``sectors[i]`` and
-    keep flag ``kept_mask[i]``.  ``sectors`` is None for methods that do
-    not work sector by sector (brute force); ``from_sectors`` is the one
-    builder of a sector route's trail.  The arrays are read-only copies.
-    ``kept`` is the ascending spectrum of the graph; the discarded values
-    are ``values[~kept_mask]``.
+    A sector route gives each sector r a row of width nu: its
+    ``kept_counts[r]`` kept values, then its discarded ones, each ascending.
+    ``values`` (the n rows, or their entries in row order) is stored flat;
+    ``kept_mask`` and ``sectors`` follow from the counts, which must be
+    integers in [0, nu] that keep C(n, k) values (``CountMismatchError``).
+    Brute force gives no counts: ``sectors`` is None and every value is kept.
+    The arrays are read-only copies; ``kept`` is the ascending spectrum.
     """
 
     n: int
     k: int
     method: str
     values: np.ndarray
-    sectors: np.ndarray | None
-    kept_mask: np.ndarray
+    kept_counts: np.ndarray | None = None
+    kept_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in (("values", float), ("sectors", np.int64),
-                            ("kept_mask", bool)):
-            column = getattr(self, name)
+        n, k, counts = self.n, self.k, self.kept_counts
+        try:
+            values = np.array(self.values, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise CountMismatchError(f"F_{k}(C_{n}): trail rows of more than one width") from exc
+        if counts is None:
+            if values.ndim != 1:
+                raise ParameterDomainError(f"values without counts must be 1-D: {values.shape}")
+            mask = np.ones(len(values), dtype=bool)
+        else:
+            counts, nu = np.array(counts), values.size // max(n, 1)
+            if (values.shape not in ((n, nu), (n * nu,)) or counts.shape != (n,)
+                    or counts.dtype.kind not in "iu" or np.any((counts < 0) | (counts > nu))):
+                raise CountMismatchError(f"F_{k}(C_{n}): need {n} rows of one width nu and counts "
+                                         f"in [0, nu]; got shape {values.shape}, counts {counts}")
+            if counts.sum() != comb(n, k):
+                raise CountMismatchError(f"kept {counts.sum()} eigenvalues for F_{k}(C_{n}), "
+                                         f"expected C({n}, {k}) = {comb(n, k)}")
+            mask = (np.arange(nu) < counts[:, None]).ravel()
+        values = values.ravel()
+        for name, column in ("values", values), ("kept_counts", counts), ("kept_mask", mask):
             if column is not None:
-                column = np.array(column, dtype=dtype)
                 column.flags.writeable = False
-                object.__setattr__(self, name, column)
-        shapes = {name: getattr(self, name).shape for name in ("values", "sectors", "kept_mask")
-                  if getattr(self, name) is not None}
-        if self.values.ndim != 1 or len(set(shapes.values())) > 1:
-            raise ParameterDomainError("SpectrumReport columns must be 1-D of one length, got "
-                                       + ", ".join(f"{k} of shape {v}" for k, v in shapes.items()))
+            object.__setattr__(self, name, column)
 
-    @classmethod
-    def from_sectors(cls, n: int, k: int, method: str, values, kept, discarded) -> SpectrumReport:
-        """The trail of a sector route from its values and per-sector counts.
-
-        ``values`` lists, for r = 0..n-1 in turn, the ``kept[r]`` kept values
-        of sector r, then its ``discarded[r]`` discarded ones, each ascending,
-        so the kept mask follows from the counts and no tie is broken by
-        rounding.  Raises ``CountMismatchError`` unless the counts cover
-        ``values`` and exactly C(n, k) values are kept.
-        """
-        counts = np.column_stack([kept, discarded]).ravel()
-        mask = np.repeat(np.tile([True, False], n), counts)
-        if len(mask) != len(values) or mask.sum() != comb(n, k):
-            raise CountMismatchError(
-                f"kept {mask.sum()} eigenvalues for F_{k}(C_{n}), expected C({n}, {k}) = "
-                f"{comb(n, k)}; the sector counts cover {len(mask)} of {len(values)} values")
-        return cls(n, k, method, values, np.repeat(np.arange(n).repeat(2), counts), mask)
+    @cached_property
+    def sectors(self) -> np.ndarray | None:
+        """The sector of each entry of ``values``, int64; None without counts."""
+        if self.kept_counts is None:
+            return None
+        sectors = np.arange(self.n).repeat(len(self.values) // self.n)
+        sectors.flags.writeable = False
+        return sectors
 
     @cached_property
     def kept(self) -> tuple[float, ...]:

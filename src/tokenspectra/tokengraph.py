@@ -337,12 +337,12 @@ def brute_spectrum(n: int, k: int) -> SpectrumReport:
                                      f"not the {sizes[c]} of character orthogonality")
         vals.append(np.linalg.eigvalsh(block))
     vals = np.sort(np.concatenate(vals))
-    return SpectrumReport(n, k, "brute", vals, None, np.ones(len(vals), dtype=bool))
+    return SpectrumReport(n, k, "brute", vals)
 
 
 def algebraic_connectivity(report: SpectrumReport) -> float:
     """Smallest eigenvalue above ZERO_TOL of an already computed spectrum."""
-    for v in report.kept:
-        if v > ZERO_TOL:
-            return v
-    raise ParameterDomainError("spectrum has no nonzero eigenvalue")
+    lam = report.values[report.kept_mask & (report.values > ZERO_TOL)]
+    if not len(lam):
+        raise ParameterDomainError("spectrum has no nonzero eigenvalue")
+    return float(lam.min())

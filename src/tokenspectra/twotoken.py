@@ -228,16 +228,17 @@ def _solve_sectors(n: int, rs: np.ndarray) -> np.ndarray:
     """Kept eigenvalues of the sectors rs, 0 <= r <= n/2, ascending.
 
     One row of nu per sector: the first ``_kept_counts`` entries hold the
-    roots and the rest are nan.  Root j = 0, 1, ... of the bracket phase
-    form (module docstring) lies at theta_j + s, theta_j = (j + phi/pi) pi/p,
-    |s| < pi/(2p); lambda = 4 - 4 cos(r pi/n) cos(theta).
+    roots and the rest the spurious 4 of the blocked half-turn orbit.
+    Root j = 0, 1, ... of the bracket phase form (module docstring) lies
+    at theta_j + s, theta_j = (j + phi/pi) pi/p, |s| < pi/(2p);
+    lambda = 4 - 4 cos(r pi/n) cos(theta).
     """
     nu = n // 2
     p = n / 2
-    roots = np.empty((len(rs), nu))
+    roots = np.full((len(rs), nu), 4.0)
     col = np.arange(nu)
     half = 2 * rs == n
-    roots[half] = np.where(col == 0, 2.0, 4.0)
+    roots[half, 0] = 2.0
     sec = np.flatnonzero(~half)
     c = np.cos(np.pi * rs[sec] / n)
     alpha = 1.0 / c
@@ -272,7 +273,6 @@ def _solve_sectors(n: int, rs: np.ndarray) -> np.ndarray:
     # Weyl: the top root lies below 2 + alpha
     t = _newton(ratio, np.zeros(len(top)), np.arccosh(1 + a_top / 2))
     roots[sec[top], 0] = 4 - 4 * c[top] * np.cosh(t)
-    roots[col >= _kept_counts(n, rs)[:, None]] = np.nan
     return roots
 
 
@@ -487,9 +487,8 @@ def spectrum_2token(n: int) -> SpectrumReport:
     coefficients, so B(w^(n-r)) is the conjugate of B(w^r); the two
     Hermitian quotients are conjugate and have the same eigenvalues, and
     sector n - r takes the roots of sector r.  Each sector contributes
-    nu values: its kept roots, then in the odd sectors of even n the
-    spurious 4 of the blocked half-turn orbit
-    (``SpectrumReport.from_sectors``).
+    one row of nu values to the report: its kept roots, then in the odd
+    sectors of even n the spurious 4 of the blocked half-turn orbit.
     """
     n, _ = _check_sector(n, 0)  # sector 0 exists for every n; this checks n
     nu = n // 2
@@ -500,10 +499,8 @@ def spectrum_2token(n: int) -> SpectrumReport:
         block = _solve_sectors(n, rs)
         _check_roots(n, rs, block, _sector_band(n, rs))
         roots[rs] = block
-    sectors = np.arange(n)
-    kept = _kept_counts(n, sectors)
-    values = np.where(np.arange(nu) < kept[:, None], roots[np.minimum(sectors, n - sectors)], 4.0)
-    return SpectrumReport.from_sectors(n, 2, "contfrac", values.ravel(), kept, nu - kept)
+    rs = np.arange(n)  # every sector
+    return SpectrumReport(n, 2, "contfrac", roots[np.minimum(rs, n - rs)], _kept_counts(n, rs))
 
 
 def _transfer_polynomial(n: int, r: int) -> np.polynomial.Polynomial:

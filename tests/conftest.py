@@ -114,13 +114,12 @@ def edge_pairs(graph):
 
 
 def assert_kept_then_discarded(report):
-    """Each sector's trail is its kept values, ascending, then its discarded ones, ascending."""
-    for r in range(report.n):
-        values = report.values[report.sectors == r]
-        kept = report.kept_mask[report.sectors == r]
-        m = np.count_nonzero(kept)
-        assert kept[:m].all() and not kept[m:].any(), r
-        assert np.all(np.diff(values[:m]) >= 0) and np.all(np.diff(values[m:]) >= 0), r
+    """Each sector's row is its kept values, ascending, then its discarded ones, ascending."""
+    rows = report.values.reshape(report.n, -1)
+    kept = report.kept_mask.reshape(rows.shape)
+    for r, m in enumerate(report.kept_counts.tolist()):
+        assert kept[r, :m].all() and not kept[r, m:].any(), r
+        assert np.all(np.diff(rows[r, :m]) >= 0) and np.all(np.diff(rows[r, m:]) >= 0), r
 
 
 def sturm_counts(a, e2, x, full):
@@ -332,9 +331,8 @@ def largest_shift_spectrum(n, k):
     orbits = enumerate_orbits(n, k)
     m = largest_shift_matrix(n, k)
     sols = [solve_sector(m.specialize(r), orbits, r, vectors=False) for r in range(n)]
-    values = np.concatenate([v for sol in sols for v in (sol.kept, sol.discarded)])
-    return SpectrumReport.from_sectors(n, k, "overlift", values, [len(sol.kept) for sol in sols],
-                                       [len(sol.discarded) for sol in sols])
+    rows = [np.concatenate([sol.kept, sol.discarded]) for sol in sols]
+    return SpectrumReport(n, k, "overlift", rows, [len(sol.kept) for sol in sols])
 
 
 def matrix_at_shift(n, k, shift):

@@ -226,7 +226,9 @@ class TestFullSpectrum:
 
     def test_a_lost_kept_value_raises(self, monkeypatch):
         sols = _sector_solutions(8, 3, vectors=False)
-        sols[2] = replace(sols[2], kept=sols[2].kept[1:], residuals=sols[2].residuals[1:])
+        # one kept value of sector 2 moves to its discarded side
+        sols[2] = replace(sols[2], kept=sols[2].kept[1:], residuals=sols[2].residuals[1:],
+                          discarded=np.concatenate([sols[2].kept[:1], sols[2].discarded]))
         monkeypatch.setattr(polymatrix, "_sector_solutions", lambda *_, **__: sols)
         with pytest.raises(CountMismatchError,
                            match=r"kept 55 eigenvalues for F_3\(C_8\), expected C\(8, 3\) = 56"):

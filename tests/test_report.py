@@ -1,4 +1,4 @@
-import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,29 +98,38 @@ class TestSpectrumReport:
             report.values[0] = 1.0
 
     def test_views(self):
-        # the columns keep the trail order and dtypes; kept is the one view
-        report = SpectrumReport(5, 2, "demo", [3.0, 1.0, 4.0, 2.0], [0, 0, 1, 1],
-                                [True, True, False, True])
-        assert report.kept == (1.0, 2.0, 3.0)
+        # one row per sector, kept values first; the columns follow from
+        # the rows and counts, and kept is the one view
+        rows = np.array([[1.0, 3.0], [2.0, 4.0], [0.5, 5.0]])
+        report = SpectrumReport(3, 1, "demo", rows, [1, 1, 1])
+        rows[0, 0] = 9.0  # the report holds a copy
+        assert "sectors" not in report.__dict__  # computed only when read
+        assert report.kept == (0.5, 1.0, 2.0)
         assert all(type(v) is float for v in report.kept)
-        assert report.values.tolist() == [3.0, 1.0, 4.0, 2.0]
-        assert report.sectors.tolist() == [0, 0, 1, 1]
-        assert report.kept_mask.tolist() == [True, True, False, True]
+        assert report.values.tolist() == [1.0, 3.0, 2.0, 4.0, 0.5, 5.0]
+        assert report.sectors.tolist() == [0, 0, 1, 1, 2, 2]
+        assert report.kept_mask.tolist() == [True, False] * 3
+        assert report.kept_counts.tolist() == [1, 1, 1]
         assert (report.values.dtype, report.sectors.dtype, report.kept_mask.dtype) == (
             np.float64, np.int64, np.bool_)
-        assert report.values[~report.kept_mask].tolist() == [4.0]
+        assert report.values[~report.kept_mask].tolist() == [3.0, 4.0, 5.0]
+        for column in (report.values, report.sectors, report.kept_mask, report.kept_counts):
+            assert not column.flags.writeable
 
-    @pytest.mark.parametrize("values,sectors,mask,shapes", [
-        ([1.0, 2.0], [0], [True, False, True],
-         "values of shape (2,), sectors of shape (1,), kept_mask of shape (3,)"),
-        ([1.0, 2.0], None, [True], "values of shape (2,), kept_mask of shape (1,)"),
-        ([[1.0, 2.0]], None, [[True, False]], "values of shape (1, 2), kept_mask of shape (1, 2)"),
-        (1.0, 0, True, "values of shape (), sectors of shape (), kept_mask of shape ()"),
-    ])
-    def test_columns_of_one_length(self, values, sectors, mask, shapes):
-        with pytest.raises(ParameterDomainError,
-                           match=re.escape(f"must be 1-D of one length, got {shapes}")):
-            SpectrumReport(3, 1, "demo", values, sectors, mask)
+    def test_flat_values_and_replace(self):
+        rows = [[1.0, 3.0], [2.0, 4.0], [0.5, 5.0]]
+        report = SpectrumReport(3, 1, "demo", rows, [1, 1, 1])
+        flat = SpectrumReport(3, 1, "demo", np.ravel(rows), [1, 1, 1])
+        for name in ("values", "sectors", "kept_mask", "kept_counts"):
+            assert np.array_equal(getattr(report, name), getattr(flat, name)), name
+        moved = replace(report, values=report.values + 1.0)
+        assert moved.kept == (1.5, 2.0, 3.0)
+        assert moved.kept_mask.tolist() == report.kept_mask.tolist()
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0]], [[[1.0]]], [[1.0], [2.0]]])
+    def test_values_without_counts_are_flat(self, values):
+        with pytest.raises(ParameterDomainError, match=r"values without counts must be 1-D"):
+            SpectrumReport(3, 1, "demo", values)
 
     def test_brute_has_no_sectors(self):
         report = cached_brute(6, 2)
@@ -137,12 +146,13 @@ class TestSpectrumReport:
 
 
 class TestFromSectors:
-    # F_2(C_4) has C(4, 2) = 6 vertices; each sector lists two values
+    # a sector route's trail: F_2(C_4) has C(4, 2) = 6 vertices, and each
+    # sector row holds two values, its kept ones first
     VALUES = [0.0, 2.0, 2.0, 4.0, 4.0, 4.0, 2.0, 4.0]
+    ROWS = np.reshape(VALUES, (4, 2)).tolist()
 
     def test_layout_from_counts(self):
-        report = SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, [2, 1, 2, 1],
-                                             [0, 1, 0, 1])
+        report = SpectrumReport(4, 2, "demo", self.ROWS, [2, 1, 2, 1])
         assert (report.n, report.k, report.method) == (4, 2, "demo")
         assert report.values.tolist() == self.VALUES
         assert report.sectors.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
@@ -153,13 +163,34 @@ class TestFromSectors:
     @pytest.mark.parametrize("kept,discarded", [([2, 1, 1, 1], [0, 1, 1, 1]),
                                                 ([2, 2, 2, 1], [0, 0, 0, 1])])
     def test_kept_count_off_by_one_raises(self, kept, discarded):
+        # the counts split every row of two, but keep one value too few or too many
+        assert np.add(kept, discarded).tolist() == [2] * 4
         with pytest.raises(CountMismatchError,
                            match=rf"kept {sum(kept)} eigenvalues for F_2\(C_4\), "
                                  r"expected C\(4, 2\) = 6"):
-            SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, kept, discarded)
+            SpectrumReport(4, 2, "demo", self.VALUES, kept)
 
     @pytest.mark.parametrize("discarded", [[0, 1, 0, 0], [0, 1, 0, 2]])
     def test_counts_that_miss_values_raise(self, discarded):
+        # rows as long as their kept and discarded counts are ragged
+        rows = [[4.0] * w for w in np.add([2, 1, 2, 1], discarded).tolist()]
         with pytest.raises(CountMismatchError,
-                           match=rf"cover {6 + sum(discarded)} of 8 values"):
-            SpectrumReport.from_sectors(4, 2, "demo", self.VALUES, [2, 1, 2, 1], discarded)
+                           match=r"^F_2\(C_4\): trail rows of more than one width$"):
+            SpectrumReport(4, 2, "demo", rows, [2, 1, 2, 1])
+
+    @pytest.mark.parametrize("values,kept", [
+        (ROWS[:3], [2, 2, 2]),  # three rows for four sectors
+        (ROWS[:3], [2, 1, 2, 1]),
+        (VALUES[:7], [2, 1, 2, 1]),  # 7 values in 4 rows
+        ([ROWS], [2, 1, 2, 1]),  # three dimensions
+        (ROWS, [3, 1, 1, 1]),  # a count past the row width
+        (ROWS, [-1, 3, 2, 2]),
+        (ROWS, [2, 1, 2]),  # one count short
+        (ROWS, [[2, 1], [2, 1]]),
+        (ROWS, [2.0, 1.0, 2.0, 1.0]),  # counts must be integers
+        (ROWS, [True, True, True, True]),
+    ])
+    def test_shapes_and_counts_checked(self, values, kept):
+        with pytest.raises(CountMismatchError, match=r"^F_2\(C_4\): need 4 rows of one width "
+                                                     r"nu and counts in \[0, nu\]"):
+            SpectrumReport(4, 2, "demo", values, kept)

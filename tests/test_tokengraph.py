@@ -19,6 +19,7 @@ from tokenspectra import (CountMismatchError, NumericFailureError, ParameterDoma
                           sector_roots, spectrum_2token, tokengraph)
 from tokenspectra.tokengraph import (algebraic_connectivity, block_sizes, cycle_involutions,
                                      k_subsets, subset_map, subset_rank, symmetry_blocks)
+from tokenspectra.tolerances import ZERO_TOL
 
 
 PAIRS_TO_16 = [(n, k) for n in range(3, 17) for k in range(1, n // 2 + 1)]
@@ -174,6 +175,16 @@ class TestBruteSpectrum:
     def test_5_2_algebraic_connectivity(self):
         conn = algebraic_connectivity(cached_brute(5, 2))
         assert abs(conn - (5 - math.sqrt(5)) / 2) < 1e-9
+
+    @pytest.mark.parametrize("method", ["brute", "overlift", "contfrac"])
+    def test_algebraic_connectivity_reads_the_columns(self, method):
+        # the smallest kept value above ZERO_TOL, found without the kept tuple
+        report = {"brute": brute_spectrum, "overlift": full_spectrum,
+                  "contfrac": lambda n, k: spectrum_2token(n)}[method](8, 2)
+        conn = algebraic_connectivity(report)
+        assert "kept" not in report.__dict__
+        assert type(conn) is float
+        assert conn == next(v for v in report.kept if v > ZERO_TOL)
 
     def test_algebraic_connectivity_needs_a_nonzero_value(self):
         report = replace(cached_brute(5, 2), values=np.zeros(10))
